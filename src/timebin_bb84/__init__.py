@@ -12,20 +12,18 @@ and error-estimation protocol between the two stations, and an
 intercept-resend attacker.
 """
 
-from .channel import ChannelSpec, propagate, transmittance
+from .channel import ChannelSpec, transmittance
 from .config import ConfigError, SessionConfig, parse_config
 from .detection import (
     ApdSpec,
-    DetectionEvent,
     RngHandle,
     SourceSpec,
     any_click_probability,
     click_probability,
     detect_batch,
-    detect_pulse,
     expected_event_rates,
 )
-from .eavesdrop import EveSpec, attack, enumerate_attack_qber
+from .eavesdrop import EveSpec, enumerate_attack_qber
 from .optics import (
     AmzSpec,
     Basis,
@@ -36,7 +34,6 @@ from .optics import (
     SlotPortDistribution,
     TimeBinState,
     alice_device_state,
-    alice_prepare,
     apply_coupler,
     bob_transform,
     calibrate_pm,
@@ -44,20 +41,17 @@ from .optics import (
     extinction_db_to_visibility,
     ideal_amz,
     link_state,
+    slot_port_probabilities,
     vacuum_state,
     variable_coupler,
     visibility_to_extinction_db,
 )
 from .protocol import (
-    Classification,
     ClassifiedEvents,
     InsufficientKeyError,
     ProtocolError,
-    PulseRecord,
     PulseTrain,
     SiftedKey,
-    alice_generate,
-    classify,
     estimate_qber,
     run_protocol,
     sift,

@@ -2,25 +2,16 @@
 
 Interference in this scheme is insensitive to polarization drift in the
 link, so the channel reduces to a wavelength-flat power transmittance:
-distance-proportional attenuation plus a fixed insertion term.  An
-interception hook lets an eavesdropper act on the state before it enters
-the fiber.  Chromatic dispersion and timing jitter are ignored; they are
-orders of magnitude below the 5 ns slot spacing at the lengths of
+distance-proportional attenuation plus a fixed insertion term.  The fiber
+scales every amplitude by sqrt(transmittance), preserving all relative
+phases between bins.  Chromatic dispersion and timing jitter are ignored;
+they are orders of magnitude below the 5 ns slot spacing at the lengths of
 interest.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-import numpy as np
-
-from .optics import TimeBinState
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .eavesdrop import EveSpec
 
 
 @dataclass(frozen=True)
@@ -31,7 +22,6 @@ class ChannelSpec:
     length_km: float = 0.0
     atten_db_per_km: float = 0.2
     fixed_insertion_db: float = 0.0
-    eve_enabled: bool = False
 
     def __post_init__(self) -> None:
         if self.length_km < 0:
@@ -47,23 +37,3 @@ def transmittance(spec: ChannelSpec) -> float:
     total_db = spec.length_km * spec.atten_db_per_km + spec.fixed_insertion_db
     return 10.0 ** (-total_db / 10.0)
 
-
-def propagate(
-    state: TimeBinState,
-    spec: ChannelSpec,
-    eve: "EveSpec | None" = None,
-    rng: np.random.Generator | None = None,
-) -> TimeBinState:
-    """Send a state down the fiber, optionally through the eavesdropper.
-
-    The attack (if enabled) acts on the state before attenuation; the fiber
-    then scales every amplitude by sqrt(transmittance), preserving all
-    relative phases between bins.
-    """
-    if spec.eve_enabled:
-        if eve is None or rng is None:
-            raise ValueError("eve_enabled channel requires an EveSpec and rng")
-        from .eavesdrop import attack
-
-        state = attack(state, eve, rng)
-    return state.scaled(math.sqrt(transmittance(spec)))

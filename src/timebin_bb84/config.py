@@ -5,9 +5,9 @@ DEFAULT_CONFIG_TEXT for the full schema).  Every key has a default, so an
 empty file is valid.  Unknown sections or keys are rejected rather than
 ignored, and validation failures carry the offending ``section.key`` path.
 
-Provenance of defaults: the 5 ns delay (1 bin), ~2 dB excess
-interferometer loss, >20 dB achievable extinction, 1.55 um wavelength and
-1 MHz repetition rate describe the modeled hardware; detector efficiency
+Provenance of defaults: ~2 dB excess interferometer loss and >20 dB
+achievable extinction describe the modeled hardware (whose one-bin, 5 ns
+interferometer delay is fixed in the optics model); detector efficiency
 0.1, dark probability 1e-5 per gate, fiber attenuation 0.2 dB/km and mean
 photon number 0.1 are typical-value assumptions.
 """
@@ -57,12 +57,6 @@ class SessionConfig:
             raise ConfigError("must be a 64-bit unsigned integer", "session.seed")
         if not 0.0 < self.sample_fraction <= 1.0:
             raise ConfigError("must lie in (0, 1]", "session.sample_fraction")
-        if self.alice_amz.delay_bins != self.bob_amz.delay_bins:
-            raise ConfigError(
-                f"both interferometers must share one delay "
-                f"({self.alice_amz.delay_bins} != {self.bob_amz.delay_bins})",
-                "bob_amz.delay_bins",
-            )
         if self.apd_d0.gates_per_pulse != self.apd_d1.gates_per_pulse:
             raise ConfigError(
                 "both detectors must use the same gating scheme",
@@ -90,7 +84,6 @@ def _to_bool(text: str) -> bool:
 
 
 _AMZ_KEYS: dict[str, Callable[[str], Any]] = {
-    "delay_bins": _to_int,
     "excess_loss_db": float,
     "phase_offset_rad": float,
     "visibility": float,
@@ -101,7 +94,6 @@ _APD_KEYS: dict[str, Callable[[str], Any]] = {
     "efficiency": float,
     "dark_per_gate": float,
     "gates_per_pulse": _to_int,
-    "double_click_policy": str,
 }
 
 _SECTION_KEYS: dict[str, dict[str, Callable[[str], Any]]] = {
@@ -111,7 +103,7 @@ _SECTION_KEYS: dict[str, dict[str, Callable[[str], Any]]] = {
         "sample_fraction": float,
         "conventional_mode": _to_bool,
     },
-    "source": {"mu": float, "rep_rate_hz": float, "wavelength_nm": float},
+    "source": {"mu": float},
     "alice_amz": _AMZ_KEYS,
     "bob_amz": _AMZ_KEYS,
     "channel": {
@@ -121,7 +113,7 @@ _SECTION_KEYS: dict[str, dict[str, Callable[[str], Any]]] = {
     },
     "apd_d0": _APD_KEYS,
     "apd_d1": _APD_KEYS,
-    "eve": {"enabled": _to_bool, "resend_on_no_click": str},
+    "eve": {"enabled": _to_bool},
     "eve_amz": _AMZ_KEYS,
 }
 
@@ -189,8 +181,7 @@ def parse_config(path: str | Path | None) -> SessionConfig:
 
 DEFAULT_CONFIG_TEXT = """\
 # Session configuration; every key shown with its default value.
-# Hardware-derived values: alice_amz/bob_amz delay (1 bin = 5 ns),
-# excess_loss_db ~2 dB, source wavelength 1.55 um and 1 MHz repetition.
+# Hardware-derived value: alice_amz/bob_amz excess_loss_db ~2 dB.
 # Assumed typical values: apd efficiency/dark counts, channel attenuation,
 # source mu.
 
@@ -202,18 +193,14 @@ conventional_mode = false
 
 [source]
 mu = 0.1
-rep_rate_hz = 1e6
-wavelength_nm = 1550
 
 [alice_amz]
-delay_bins = 1
 excess_loss_db = 2.0
 phase_offset_rad = 0.0
 visibility = 1.0
 phase_jitter_rad = 0.0
 
 [bob_amz]
-delay_bins = 1
 excess_loss_db = 2.0
 phase_offset_rad = 0.0
 visibility = 1.0
@@ -228,20 +215,16 @@ fixed_insertion_db = 0.0
 efficiency = 0.1
 dark_per_gate = 1e-5
 gates_per_pulse = 3
-double_click_policy = discard
 
 [apd_d1]
 efficiency = 0.1
 dark_per_gate = 1e-5
 gates_per_pulse = 3
-double_click_policy = discard
 
 [eve]
 enabled = false
-resend_on_no_click = vacuum
 
 [eve_amz]
-delay_bins = 1
 excess_loss_db = 0.0
 phase_offset_rad = 0.0
 visibility = 1.0

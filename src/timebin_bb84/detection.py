@@ -15,18 +15,18 @@ least one click counts, which also neutralises after-pulsing from earlier
 avalanches.  If both ports click in that slot the pulse is discarded.
 
 All randomness flows through :class:`RngHandle`, which derives named
-substreams from a single 64-bit seed so that identical seed and
-configuration reproduce identical event streams.
+substreams (one per domain, batch or sweep point) from a single 64-bit
+seed, so that identical seed and configuration reproduce identical event
+streams.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .optics import Port, Slot, SlotPortDistribution
+from .optics import Slot, SlotPortDistribution
 
 N_CELLS = 6  # 3 slots x 2 ports, flattened slot-major
 
@@ -37,16 +37,10 @@ class SourceSpec:
     at the transmitter output (after its attenuator)."""
 
     mu: float = 0.1
-    rep_rate_hz: float = 1e6
-    wavelength_nm: float = 1550.0
 
     def __post_init__(self) -> None:
         if self.mu < 0:
             raise ValueError("mu must be >= 0")
-        if self.rep_rate_hz <= 0:
-            raise ValueError("rep_rate_hz must be positive")
-        if self.wavelength_nm <= 0:
-            raise ValueError("wavelength_nm must be positive")
 
 
 @dataclass(frozen=True)
@@ -54,14 +48,14 @@ class ApdSpec:
     """Gated avalanche photodiode.
 
     gates_per_pulse = 3 arms every slot; 1 arms only the central slot
-    (single-gate baseline).  Defaults for efficiency and dark counts are
+    (single-gate baseline).  A pulse whose first firing slot clicks on both
+    ports is discarded.  Defaults for efficiency and dark counts are
     typical 1.55 um InGaAs values, not measured device figures.
     """
 
     efficiency: float = 0.1
     dark_per_gate: float = 1e-5
     gates_per_pulse: int = 3
-    double_click_policy: str = "discard"
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.efficiency <= 1.0:
@@ -70,22 +64,14 @@ class ApdSpec:
             raise ValueError("dark_per_gate must lie in [0, 1)")
         if self.gates_per_pulse not in (1, 3):
             raise ValueError("gates_per_pulse must be 1 or 3")
-        if self.double_click_policy != "discard":
-            raise ValueError("only the 'discard' double-click policy is supported")
-
-
-@dataclass(frozen=True)
-class DetectionEvent:
-    pulse_idx: int
-    slot: Slot
-    port: Port
 
 
 # Substream domains; the derivation rule is
 #   numpy.random.SeedSequence((seed, domain[, index]))
-# with index = batch number for batched domains, pulse index for per-pulse
-# streams, or sweep-point number.  The rule is part of the reproducibility
-# contract and must not change between releases.
+# with index = batch number for batched domains (DOMAIN_JITTER uses 2*batch
+# for the attacker's leg and 2*batch + 1 for the receiver's), or sweep-point
+# number.  The rule is part of the reproducibility contract and must not
+# change between releases.
 DOMAIN_ALICE = 1
 DOMAIN_EVE = 2
 DOMAIN_DETECT = 3
@@ -110,11 +96,6 @@ class RngHandle:
     def indexed_stream(self, domain: int, index: int) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence((self.seed, domain, index)))
 
-    def pulse_stream(self, domain: int, pulse_idx: int) -> np.random.Generator:
-        """Independent per-pulse substream; lets pulses be simulated in
-        parallel and merged by pulse index."""
-        return self.indexed_stream(domain, pulse_idx)
-
     def child_seed(self, domain: int, index: int) -> int:
         """A derived 64-bit seed (used for per-point sweep sessions)."""
         ss = np.random.SeedSequence((self.seed, domain, index))
@@ -134,11 +115,12 @@ def as_apd_pair(apd: ApdSpec | ApdPair) -> ApdPair:
     return (d0, d1)
 
 
-def click_probability(p_slot_port: float, mu_arrived: float, apd: ApdSpec) -> float:
-    """Per-gate click probability for one (slot, port) cell."""
-    if p_slot_port < 0 or mu_arrived < 0:
+def click_probability(p_slot_port, mu_arrived: float, apd: ApdSpec):
+    """Per-gate click probability of (slot, port) cells with probability
+    weights ``p_slot_port`` (a scalar or an array of any shape)."""
+    if mu_arrived < 0 or np.any(np.asarray(p_slot_port) < 0):
         raise ValueError("probability weight and mu must be >= 0")
-    return 1.0 - (1.0 - apd.dark_per_gate) * math.exp(
+    return 1.0 - (1.0 - apd.dark_per_gate) * np.exp(
         -apd.efficiency * mu_arrived * p_slot_port
     )
 
@@ -148,16 +130,10 @@ def cell_click_probabilities(
 ) -> np.ndarray:
     """Flattened (6,) click probabilities; ungated cells are zero."""
     pair = as_apd_pair(apd)
-    q = np.empty(N_CELLS)
-    for slot in Slot:
-        for port in Port:
-            gated = pair[port].gates_per_pulse == 3 or slot == Slot.S2
-            q[2 * slot + port] = (
-                click_probability(dist.cell(slot, port), mu_arrived, pair[port])
-                if gated
-                else 0.0
-            )
-    return q
+    q = np.stack([click_probability(dist.p[:, port], mu_arrived, pair[port]) for port in (0, 1)], axis=1)
+    if pair[0].gates_per_pulse == 1:
+        q[[Slot.S1, Slot.S3]] = 0.0
+    return q.reshape(N_CELLS)
 
 
 def sample_clicks(qcells: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -192,26 +168,6 @@ def register_first_fire(clicks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     slot = m2.astype(np.uint8) + 2 * m3.astype(np.uint8)
     port = ((m1 & c[..., 1]) | (m2 & c[..., 3]) | (m3 & c[..., 5])).astype(np.uint8)
     return registered, slot, port
-
-
-def detect_pulse(
-    dist: SlotPortDistribution,
-    mu_arrived: float,
-    apd: ApdSpec | ApdPair,
-    rng: np.random.Generator,
-    pulse_idx: int = 0,
-) -> DetectionEvent | None:
-    """Sample one pulse; returns the registered event or None.
-
-    Pure given the rng: callers wanting parallel pulse simulation derive an
-    independent generator per pulse via RngHandle.pulse_stream.
-    """
-    q = cell_click_probabilities(dist, mu_arrived, apd)
-    clicks = sample_clicks(q, rng)
-    registered, slot, port = register_first_fire(clicks)
-    if not registered:
-        return None
-    return DetectionEvent(pulse_idx, Slot(int(slot)), Port(int(port)))
 
 
 def detect_batch(

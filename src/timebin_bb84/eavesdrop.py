@@ -27,6 +27,7 @@ from .optics import (
     bob_transform,
     canonical_link_state,
     ideal_amz,
+    slot_port_probabilities,
     vacuum_state,
 )
 
@@ -43,11 +44,6 @@ class EveSpec:
 
     enabled: bool = False
     apparatus: AmzSpec = field(default_factory=ideal_amz)
-    resend_on_no_click: str = "vacuum"
-
-    def __post_init__(self) -> None:
-        if self.resend_on_no_click != "vacuum":
-            raise ValueError("only the 'vacuum' no-click policy is supported")
 
 
 def outcome_probabilities(state: TimeBinState, spec: EveSpec) -> np.ndarray:
@@ -65,38 +61,31 @@ def resend_state(outcome: int) -> TimeBinState:
     return canonical_link_state(CANONICAL_STATES[idx])
 
 
-def attack(state: TimeBinState, spec: EveSpec, rng: np.random.Generator) -> TimeBinState:
-    """Measure one pulse and forward the re-prepared state."""
-    if not spec.enabled:
-        return state
-    probs = outcome_probabilities(state, spec)
-    outcome = int(np.searchsorted(np.cumsum(probs), rng.random()))
-    return resend_state(min(outcome, 6))
-
-
-def attack_outcome_table(spec: EveSpec, input_states: list[TimeBinState]) -> np.ndarray:
-    """(n_states, 7) outcome probabilities for a fixed set of input states."""
-    return np.stack([outcome_probabilities(s, spec) for s in input_states])
+def cumulative_outcomes(early, late, spec: EveSpec, phase=None) -> np.ndarray:
+    """Cumulative probabilities (..., 6) of the six slot/port outcomes
+    (slot-major) for link amplitudes ``early``/``late``, which broadcast
+    with ``phase`` as in :func:`slot_port_probabilities`.  The remainder up
+    to 1 is the no-outcome branch."""
+    cells = [p for row in slot_port_probabilities(early, late, spec.apparatus, phase) for p in row]
+    return np.cumsum(np.stack(np.broadcast_arrays(*cells), axis=-1), axis=-1)
 
 
 def attack_batch(
-    state_indices: np.ndarray,
-    outcome_cum: np.ndarray,
-    rng: np.random.Generator,
+    outcome_cum: np.ndarray, rows: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised attack over pulses grouped by input-state index.
+    """Sample the attacker's outcome for each pulse.
 
-    ``outcome_cum`` holds cumulative outcome probabilities per input state,
-    shape (n_states, 7).  Returns (outcome index 0..6, resent-state index
-    0..4) per pulse.
+    Pulse i has the cumulative outcome probabilities ``outcome_cum[rows[i]]``
+    (see :func:`cumulative_outcomes`): a per-state table indexed by input
+    state, or one row per pulse under phase drift.  A uniform draw beyond
+    the last entry is no outcome.  Columns are gathered one at a time, so
+    no (n, 6) float array is built per batch.  Returns (outcome index 0..6,
+    resent-state index 0..4) per pulse.
     """
-    u = rng.random(state_indices.size)
-    outcomes = np.empty(state_indices.size, dtype=np.uint8)
-    for k in range(outcome_cum.shape[0]):
-        mask = state_indices == k
-        if np.any(mask):
-            outcomes[mask] = np.searchsorted(outcome_cum[k], u[mask]).astype(np.uint8)
-    np.minimum(outcomes, 6, out=outcomes)
+    u = rng.random(len(rows))
+    outcomes = np.zeros(len(rows), dtype=np.uint8)
+    for column in outcome_cum.T:
+        outcomes += u >= column[rows]
     return outcomes, OUTCOME_TO_STATE_INDEX[outcomes]
 
 

@@ -99,7 +99,6 @@ class TimeBinState:
     """
 
     bins: np.ndarray
-    bin_spacing_ns: float = 5.0
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.bins, dtype=complex)
@@ -107,8 +106,6 @@ class TimeBinState:
             raise ValueError("bins must be a 2-D (n_bins, n_ports) array")
         if not np.all(np.isfinite(arr.view(float))):
             raise ValueError("amplitudes must be finite")
-        if self.bin_spacing_ns <= 0:
-            raise ValueError("bin_spacing_ns must be positive")
         total = float(np.sum(np.abs(arr) ** 2))
         if total > 1.0 + NORM_TOL:
             raise ValueError(f"total probability {total} exceeds 1")
@@ -126,44 +123,41 @@ class TimeBinState:
         return float(np.sum(np.abs(self.bins) ** 2))
 
     def scaled(self, amplitude_factor: complex) -> "TimeBinState":
-        return TimeBinState(self.bins * amplitude_factor, self.bin_spacing_ns)
+        return TimeBinState(self.bins * amplitude_factor)
 
 
-def link_state(early: complex, late: complex, bin_spacing_ns: float = 5.0) -> TimeBinState:
+def link_state(early: complex, late: complex) -> TimeBinState:
     """Two-bin single-port state as carried on the fiber link."""
-    return TimeBinState(np.array([[early], [late]], dtype=complex), bin_spacing_ns)
+    return TimeBinState(np.array([[early], [late]], dtype=complex))
 
 
-def vacuum_state(bin_spacing_ns: float = 5.0) -> TimeBinState:
-    return link_state(0.0, 0.0, bin_spacing_ns)
+def vacuum_state() -> TimeBinState:
+    return link_state(0.0, 0.0)
 
 
-def canonical_link_state(state: CanonicalState, bin_spacing_ns: float = 5.0) -> TimeBinState:
+def canonical_link_state(state: CanonicalState) -> TimeBinState:
     early, late = _CANONICAL_AMPLITUDES[state]
-    return link_state(early, late, bin_spacing_ns)
+    return link_state(early, late)
 
 
 @dataclass(frozen=True)
 class AmzSpec:
     """Unbalanced-interferometer device parameters.
 
-    delay_bins is the long-arm delay in units of the bin spacing (1 bin =
-    5 ns for the modeled device).  excess_loss_db is loss beyond the
-    intrinsic 3 dB of the output coupler.  phase_offset_rad is a deviation
-    from the calibrated interference point and visibility the contrast of
-    the S2 interference.  phase_jitter_rad, when nonzero, adds independent
-    Gaussian phase noise per pulse (thermal drift).
+    The long arm delays light by one time bin (5 ns for the modeled
+    device).  excess_loss_db is loss beyond the intrinsic 3 dB of the
+    output coupler.  phase_offset_rad is a deviation from the calibrated
+    interference point and visibility the contrast of the S2 interference.
+    phase_jitter_rad, when nonzero, adds independent Gaussian phase noise
+    per pulse (thermal drift).
     """
 
-    delay_bins: int = 1
     excess_loss_db: float = 2.0
     phase_offset_rad: float = 0.0
     visibility: float = 1.0
     phase_jitter_rad: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.delay_bins < 1:
-            raise ValueError("delay_bins must be >= 1")
         if self.excess_loss_db < 0:
             raise ValueError("excess_loss_db must be >= 0")
         if not 0.0 <= self.visibility <= 1.0:
@@ -248,30 +242,17 @@ def calibrate_pm() -> dict[CanonicalState, float]:
     }
 
 
-def alice_prepare(
-    state: CanonicalState, spec: AmzSpec | None = None
-) -> tuple[TimeBinState, float]:
-    """Normalized link state for a canonical state plus the device transmittance.
-
-    The transmittance is excess loss times the intrinsic factor 0.5 from the
-    final coupler's unused monitor port.  The emitted state is normalized;
-    in a session the mean photon number is fixed downstream by the
-    attenuator, so device loss is reported rather than folded into the
-    amplitudes.
-    """
-    spec = spec if spec is not None else AmzSpec()
-    transmittance = 0.5 * spec.excess_transmittance
-    return canonical_link_state(state), transmittance
-
-
 def alice_device_state(state: CanonicalState, spec: AmzSpec | None = None) -> TimeBinState:
     """Physical link state from the full transmitter model.
 
     Composes the variable-ratio coupler at the calibrated phase, the one-bin
     delay with the thermally tuned long-arm phase, and the output coupler
     (whose second output is the monitor port and counts as loss).  Agrees
-    with :func:`alice_prepare` up to a global phase; total probability
-    equals the device transmittance.
+    with :func:`canonical_link_state` up to a global phase; total
+    probability equals the device transmittance, 0.5 times the excess
+    transmittance.  In a session the mean photon number is fixed
+    downstream by the attenuator, so the session starts from the
+    normalized canonical states.
     """
     spec = spec if spec is not None else AmzSpec()
     phi = calibrate_pm()[state]
@@ -286,42 +267,48 @@ def alice_device_state(state: CanonicalState, spec: AmzSpec | None = None) -> Ti
     return link_state(amp * early, amp * late)
 
 
-def bob_transform(state: TimeBinState, spec: AmzSpec) -> SlotPortDistribution:
-    """Slot/port probabilities after the receiver interferometer.
+def slot_port_probabilities(early, late, spec: AmzSpec, phase=None):
+    """Slot/port probabilities after the receiver interferometer, elementwise.
 
-    Each input bin splits 50/50; the long arm is delayed by one bin and
-    carries phase exp(i*phase_offset_rad).  Port D0 collects the difference
-    of adjacent-bin amplitudes, D1 the sum, so at perfect calibration the
-    (X,0) state exits entirely on D1 in slot S2 and (X,1) on D0.  The S2
-    cross term is scaled by the visibility; excess loss and any norm
-    deficit of the input go to p_lost.
+    ``early`` and ``late`` are the link amplitudes of the two bins and
+    ``phase`` the long-arm phase (``spec.phase_offset_rad`` when None).
+    They broadcast together, so one call covers one state or one pulse per
+    array element.  Each input bin splits 50/50; the long arm is delayed by
+    one bin and carries phase exp(i*phase).  Port D0 collects the
+    difference of adjacent-bin amplitudes, D1 the sum, so at perfect
+    calibration the (X,0) state exits entirely on D1 in slot S2 and (X,1)
+    on D0.  The S2 cross term 2*V*Re(exp(i*phase)*early*conj(late)) is
+    scaled by the visibility V, and every cell by the excess transmittance.
+
+    Returns the rows (S1, S2, S3), each a (D0, D1) pair; ``np.array`` of the
+    result is the slot-major (3, 2, ...) table.
+    """
+    if phase is None:
+        phase = spec.phase_offset_rad
+    inter = early * np.conj(late)
+    cross = 2.0 * spec.visibility * (np.cos(phase) * inter.real - np.sin(phase) * inter.imag)
+    r0 = np.abs(early) ** 2
+    r1 = np.abs(late) ** 2
+    loss = spec.excess_transmittance
+    edge_early = loss * r0 / 4.0
+    edge_late = loss * r1 / 4.0
+    # Where the cross term cancels the intensity, rounding can leave -1 ulp.
+    s2_d0 = np.maximum(loss * (r0 + r1 - cross) / 4.0, 0.0)
+    s2_d1 = np.maximum(loss * (r0 + r1 + cross) / 4.0, 0.0)
+    return (edge_early, edge_early), (s2_d0, s2_d1), (edge_late, edge_late)
+
+
+def bob_transform(state: TimeBinState, spec: AmzSpec) -> SlotPortDistribution:
+    """Slot/port probabilities of one link state after the receiver
+    interferometer (see :func:`slot_port_probabilities`); excess loss and
+    any norm deficit of the input go to p_lost.
     """
     if state.port_count != 1 or state.n_bins != 2:
         raise ValueError(
             f"expected a 2-bin single-port link state, got {state.n_bins} bins x "
             f"{state.port_count} ports"
         )
-    if spec.delay_bins != 1:
-        raise ValueError(
-            f"delay of {spec.delay_bins} bins does not interleave a 2-bin state "
-            "into 3 slots"
-        )
-    c0 = complex(state.bins[0, 0])
-    c1 = complex(state.bins[1, 0])
-    r0 = abs(c0) ** 2
-    r1 = abs(c1) ** 2
-    cross = 2.0 * spec.visibility * (
-        cmath.exp(1j * spec.phase_offset_rad) * c0 * c1.conjugate()
-    ).real
-    loss = spec.excess_transmittance
-    p = np.empty((3, 2))
-    p[Slot.S1, Port.D0] = r0 / 4.0
-    p[Slot.S1, Port.D1] = r0 / 4.0
-    p[Slot.S2, Port.D0] = (r0 + r1 - cross) / 4.0
-    p[Slot.S2, Port.D1] = (r0 + r1 + cross) / 4.0
-    p[Slot.S3, Port.D0] = r1 / 4.0
-    p[Slot.S3, Port.D1] = r1 / 4.0
-    p *= loss
+    p = np.array(slot_port_probabilities(state.bins[0, 0], state.bins[1, 0], spec), dtype=float)
     return SlotPortDistribution(p=p, p_lost=1.0 - float(p.sum()))
 
 

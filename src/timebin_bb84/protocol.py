@@ -35,8 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .detection import DetectionEvent
-from .optics import Basis, Port, Slot
+from .optics import Port, Slot
 
 
 class ProtocolError(RuntimeError):
@@ -51,28 +50,10 @@ class InsufficientKeyError(ProtocolError):
 # Pulse records and classifications
 # ---------------------------------------------------------------------------
 
-_CODE_BASES = {0: Basis.Z, 1: Basis.X}
-
-
-@dataclass(frozen=True)
-class PulseRecord:
-    pulse_idx: int
-    bit: int
-    basis: Basis
-
-
-@dataclass(frozen=True)
-class Classification:
-    pulse_idx: int
-    measured_basis: Basis
-    bit: int
-
 
 class PulseTrain:
-    """Transmitter's per-pulse (bit, basis) choices, stored as arrays.
-
-    Behaves as a dense sequence of :class:`PulseRecord`.
-    """
+    """Transmitter's per-pulse (bit, basis) choices, stored as arrays;
+    basis codes are 0 = Z, 1 = X."""
 
     def __init__(self, bits: np.ndarray, bases: np.ndarray):
         bits = np.asarray(bits, dtype=np.uint8)
@@ -84,9 +65,6 @@ class PulseTrain:
 
     def __len__(self) -> int:
         return self.bits.size
-
-    def __getitem__(self, idx: int) -> PulseRecord:
-        return PulseRecord(idx, int(self.bits[idx]), _CODE_BASES[int(self.bases[idx])])
 
     def state_indices(self) -> np.ndarray:
         """Canonical-state index per pulse: (Z,0), (Z,1), (X,0), (X,1)."""
@@ -111,38 +89,14 @@ class ClassifiedEvents:
     def __len__(self) -> int:
         return self.pulse_indices.size
 
-    def __getitem__(self, i: int) -> Classification:
-        return Classification(
-            int(self.pulse_indices[i]), _CODE_BASES[int(self.bases[i])], int(self.bits[i])
-        )
 
-
-def alice_generate(n: int, rng: np.random.Generator) -> PulseTrain:
-    """Uniform independent bit and basis per pulse."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return PulseTrain(
-        bits=rng.integers(0, 2, size=n, dtype=np.uint8),
-        bases=rng.integers(0, 2, size=n, dtype=np.uint8),
-    )
-
-
-def classify(event: DetectionEvent) -> Classification:
-    """Map a registered event to (measured basis, bit).
+def classify_arrays(slots: np.ndarray, ports: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Map registered (slot, port) events to (basis codes, bits).
 
     Edge slots carry the arrival-time basis regardless of port (S1 -> (Z,0),
     S3 -> (Z,1)); in the central slot the port carries the superposition
     basis bit (D1 -> (X,0), D0 -> (X,1)).
     """
-    if event.slot == Slot.S1:
-        return Classification(event.pulse_idx, Basis.Z, 0)
-    if event.slot == Slot.S3:
-        return Classification(event.pulse_idx, Basis.Z, 1)
-    return Classification(event.pulse_idx, Basis.X, 0 if event.port == Port.D1 else 1)
-
-
-def classify_arrays(slots: np.ndarray, ports: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised :func:`classify`; returns (basis codes, bits)."""
     slots = np.asarray(slots)
     ports = np.asarray(ports)
     bases = (slots == Slot.S2).astype(np.uint8)
@@ -217,35 +171,58 @@ def encode_message(msg: ClassicalMessage) -> bytes:
     return (json.dumps(obj, separators=(",", ":")) + "\n").encode("ascii")
 
 
+def _scalar(value, types: tuple[type, ...]):
+    if type(value) not in types:
+        raise ProtocolError(f"expected {' or '.join(t.__name__ for t in types)}, got {value!r}")
+    return value
+
+
+def _indices(value) -> np.ndarray:
+    """A flat JSON list of integers as int64; checked by dtype, not per element."""
+    arr = np.asarray(value)
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind != "i"):
+        raise ProtocolError("indices must be a flat list of integers")
+    return arr.astype(np.int64, copy=False)
+
+
+def _symbols(value, alphabet: tuple[bytes, bytes], what: str) -> np.ndarray:
+    if not isinstance(value, str):
+        raise ProtocolError(f"{what} must be a string")
+    arr = np.frombuffer(value.encode("ascii"), dtype="S1")
+    if arr.size and not np.all(np.isin(arr, alphabet)):
+        raise ProtocolError(f"{what} contains a symbol outside {alphabet}")
+    return (arr == alphabet[1]).astype(np.uint8)
+
+
 def decode_message(line: bytes) -> ClassicalMessage:
+    # No field of any message is a boolean, and no valid string field can
+    # hold these letters; json would otherwise read true as 1 inside an
+    # integer list, where a dtype check cannot see it.
+    if b"true" in line or b"false" in line:
+        raise ProtocolError("malformed message: messages carry no boolean values")
     try:
         obj = json.loads(line)
         kind = obj["type"]
         if kind == "basis_request":
-            return BasisRequest(int(obj["start"]), int(obj["stop"]))
+            return BasisRequest(_scalar(obj["start"], (int,)), _scalar(obj["stop"], (int,)))
         if kind == "basis_announce":
-            bases = np.frombuffer(obj["bases"].encode("ascii"), dtype="S1")
-            if bases.size and not np.all(np.isin(bases, (b"Z", b"X"))):
-                raise ProtocolError("basis_announce contains an unknown basis symbol")
-            return BobBasisAnnounce(
-                indices=np.asarray(obj["indices"], dtype=np.int64),
-                bases=(bases == b"X").astype(np.uint8),
-            )
+            indices = _indices(obj["indices"])
+            bases = _symbols(obj["bases"], (b"Z", b"X"), "basis_announce bases")
+            if bases.size != indices.size:
+                raise ProtocolError("basis_announce has different numbers of indices and bases")
+            return BobBasisAnnounce(indices=indices, bases=bases)
         if kind == "match_reply":
-            return AliceMatchReply(np.asarray(obj["indices"], dtype=np.int64))
+            return AliceMatchReply(_indices(obj["indices"]))
         if kind == "sample_indices":
-            return SampleIndices(np.asarray(obj["indices"], dtype=np.int64))
+            return SampleIndices(_indices(obj["indices"]))
         if kind == "sample_bits":
-            bits = np.frombuffer(obj["bits"].encode("ascii"), dtype="S1")
-            if bits.size and not np.all(np.isin(bits, (b"0", b"1"))):
-                raise ProtocolError("sample_bits contains a non-bit symbol")
-            return SampleBits((bits == b"1").astype(np.uint8))
+            return SampleBits(_symbols(obj["bits"], (b"0", b"1"), "sample_bits"))
         if kind == "qber_report":
-            return QberReport(float(obj["value"]))
+            return QberReport(float(_scalar(obj["value"], (int, float))))
         raise ProtocolError(f"unknown message type {kind!r}")
     except ProtocolError:
         raise
-    except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"malformed message: {exc}") from exc
 
 

@@ -4,10 +4,12 @@
 Pulses are processed in fixed-size batches with per-batch random
 substreams, so results are reproducible for a given (seed, config) and the
 batches could in principle be evaluated in parallel and merged by pulse
-index.  Within a batch everything is vectorised over numpy arrays; the
-only per-state work is building the six click probabilities once, since a
+index.  Within a batch everything is vectorised over numpy arrays.  A
 session sees at most five distinct incoming states (the four canonical
-ones plus vacuum when the attacker suppresses a pulse).
+ones plus vacuum when the attacker suppresses a pulse), so click and
+attack-outcome probabilities come from per-state tables; only under phase
+drift are the phase-dependent ones recomputed per pulse, through the same
+optics and click formulas.
 """
 
 from __future__ import annotations
@@ -31,18 +33,19 @@ from .detection import (
     ApdSpec,
     RngHandle,
     cell_click_probabilities,
+    click_probability,
     detect_batch,
     expected_event_rates,
 )
 from .optics import (
     CANONICAL_STATES,
     AmzSpec,
+    Slot,
     SlotPortDistribution,
-    TimeBinState,
     bob_transform,
     canonical_link_state,
     link_state,
-    vacuum_state,
+    slot_port_probabilities,
 )
 from .protocol import (
     ClassifiedEvents,
@@ -54,9 +57,6 @@ from .protocol import (
 )
 
 BATCH_SIZE = 1 << 20  # fixed: part of the reproducibility contract
-
-_SLOT_S2 = 1
-_SLOT_S3 = 2
 
 
 @dataclass(frozen=True)
@@ -185,21 +185,25 @@ def summarize(tally: SessionTally) -> SessionSummary:
 # ---------------------------------------------------------------------------
 
 
-def _prepared_states(alice_amz: AmzSpec) -> list[TimeBinState]:
-    """Normalized link states including the transmitter's phase offset."""
-    states = []
-    for state in CANONICAL_STATES:
-        amps = canonical_link_state(state)
-        late = complex(amps.bins[1, 0]) * np.exp(1j * alice_amz.phase_offset_rad)
-        states.append(link_state(complex(amps.bins[0, 0]), late))
-    return states
+def _canonical_amplitudes() -> np.ndarray:
+    """(4, 2) complex (early, late) link amplitudes of the canonical states."""
+    return np.array([canonical_link_state(s).bins[:, 0] for s in CANONICAL_STATES])
 
 
-def _receiver_distributions(
-    incoming: list[TimeBinState], chan: ChannelSpec, bob_amz: AmzSpec
-) -> list[SlotPortDistribution]:
-    scale = math.sqrt(transmittance(chan))
-    return [bob_transform(s.scaled(scale), bob_amz) for s in incoming]
+def _prepared_amplitudes(alice_amz: AmzSpec) -> np.ndarray:
+    """Canonical amplitudes with the transmitter's phase offset on the late bin."""
+    amps = _canonical_amplitudes()
+    amps[:, 1] *= np.exp(1j * alice_amz.phase_offset_rad)
+    return amps
+
+
+def _through_fiber(amps: np.ndarray, chan: ChannelSpec) -> np.ndarray:
+    """The fiber scales every amplitude by sqrt(transmittance)."""
+    return math.sqrt(transmittance(chan)) * amps
+
+
+def _receiver_distributions(arrived: np.ndarray, bob_amz: AmzSpec) -> list[SlotPortDistribution]:
+    return [bob_transform(link_state(early, late), bob_amz) for early, late in arrived]
 
 
 def _click_table(
@@ -209,43 +213,6 @@ def _click_table(
     return np.stack(
         [cell_click_probabilities(d, mu, apds) for d in dists]
     ).astype(np.float32)
-
-
-def _jittered_s2_overrides(
-    q: np.ndarray,
-    state_indices: np.ndarray,
-    incoming: list[TimeBinState],
-    chan: ChannelSpec,
-    bob_amz: AmzSpec,
-    mu: float,
-    apds: tuple[ApdSpec, ApdSpec],
-    deltas: np.ndarray,
-) -> None:
-    """Recompute the two S2 click probabilities per pulse for phase noise.
-
-    Only the central-slot interference depends on the phase, so edge-slot
-    probabilities stay table-driven.  ``q`` is modified in place.
-    """
-    t_chan = transmittance(chan)
-    loss = bob_amz.excess_transmittance
-    for k, state in enumerate(incoming):
-        mask = state_indices == k
-        if not np.any(mask):
-            continue
-        c0 = complex(state.bins[0, 0]) * math.sqrt(t_chan)
-        c1 = complex(state.bins[1, 0]) * math.sqrt(t_chan)
-        base = (abs(c0) ** 2 + abs(c1) ** 2) / 4.0
-        inter = c0 * c1.conjugate()
-        d = deltas[mask]
-        cross = 2.0 * bob_amz.visibility * (
-            np.cos(d) * inter.real - np.sin(d) * inter.imag
-        ) / 4.0
-        for port, sign in ((0, -1.0), (1, +1.0)):
-            apd = apds[port]
-            p_cell = loss * (base + sign * cross)
-            q[mask, 2 * _SLOT_S2 + port] = 1.0 - (1.0 - apd.dark_per_gate) * np.exp(
-                -apd.efficiency * mu * p_cell
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -267,22 +234,22 @@ def run_session(config: SessionConfig, record_transcript: bool = False) -> Sessi
 
     apds = (config.apd_d0, config.apd_d1)
     mu = config.source.mu
-    chan = dataclasses.replace(config.channel, eve_enabled=config.eve.enabled)
 
     # The phase riding on a prepared state's late bin combines with the
-    # receiver-arm offset inside bob_transform, so the effective
+    # receiver-arm offset inside slot_port_probabilities, so the effective
     # interference phase per leg is (receiver offset - transmitter offset).
-    prepared = _prepared_states(config.alice_amz)
+    prepared = _prepared_amplitudes(config.alice_amz)
     bob_amz = config.bob_amz
     eve_on = config.eve.enabled
     if eve_on:
-        eve_cum = np.cumsum(eavesdrop.attack_outcome_table(config.eve, prepared), axis=1)
+        eve_cum = eavesdrop.cumulative_outcomes(prepared[:, 0], prepared[:, 1], config.eve)
         sigma_eve_leg = math.hypot(
             config.alice_amz.phase_jitter_rad, config.eve.apparatus.phase_jitter_rad
         )
-        # Re-prepared states are fresh canonical ones: only the receiver's
-        # own jitter acts on the final leg.
-        incoming = [canonical_link_state(s) for s in CANONICAL_STATES] + [vacuum_state()]
+        # Re-prepared states are fresh canonical ones, or vacuum for a
+        # suppressed pulse: only the receiver's own jitter acts on the
+        # final leg.
+        incoming = np.vstack([_canonical_amplitudes(), np.zeros(2)])
         sigma_bob_leg = config.bob_amz.phase_jitter_rad
     else:
         incoming = prepared
@@ -290,8 +257,8 @@ def run_session(config: SessionConfig, record_transcript: bool = False) -> Sessi
             config.alice_amz.phase_jitter_rad, config.bob_amz.phase_jitter_rad
         )
 
-    dists = _receiver_distributions(incoming, chan, bob_amz)
-    q_table = _click_table(dists, mu, apds)
+    incoming = _through_fiber(incoming, config.channel)
+    q_table = _click_table(_receiver_distributions(incoming, bob_amz), mu, apds)
 
     bits_all = np.empty(n, dtype=np.uint8)
     bases_all = np.empty(n, dtype=np.uint8)
@@ -312,32 +279,42 @@ def run_session(config: SessionConfig, record_transcript: bool = False) -> Sessi
         bases_all[lo:hi] = bases
         state_idx = (2 * bases + bits).astype(np.uint8)
 
+        # Under phase drift the phase-dependent probabilities are evaluated
+        # per pulse, one incoming state at a time (scalar amplitudes keep
+        # the temporaries small).
         if eve_on:
-            e_rng = rng.indexed_stream(DOMAIN_EVE, b)
             if sigma_eve_leg > 0.0:
                 j_rng = rng.indexed_stream(DOMAIN_JITTER, 2 * b)
-                det_idx = _attack_batch_jittered(
-                    state_idx, prepared, config.eve, sigma_eve_leg, e_rng, j_rng
-                )
+                deltas = config.eve.apparatus.phase_offset_rad + sigma_eve_leg * j_rng.standard_normal(m)
+                outcome_cum = np.empty((m, 6))
+                for k, (early, late) in enumerate(prepared):
+                    mask = state_idx == k
+                    outcome_cum[mask] = eavesdrop.cumulative_outcomes(early, late, config.eve, deltas[mask])
+                rows = np.arange(m)
             else:
-                _, det_idx = eavesdrop.attack_batch(state_idx, eve_cum, e_rng)
+                outcome_cum, rows = eve_cum, state_idx
+            _, det_idx = eavesdrop.attack_batch(outcome_cum, rows, rng.indexed_stream(DOMAIN_EVE, b))
         else:
             det_idx = state_idx
 
         q = q_table[det_idx]
         if sigma_bob_leg > 0.0:
+            # Only the central slot depends on the phase; edge cells stay
+            # table-driven.
             j2_rng = rng.indexed_stream(DOMAIN_JITTER, 2 * b + 1)
             deltas = bob_amz.phase_offset_rad + sigma_bob_leg * j2_rng.standard_normal(m)
-            _jittered_s2_overrides(
-                q, det_idx, incoming, chan, bob_amz, mu, apds, deltas
-            )
+            for k, (early, late) in enumerate(incoming):
+                mask = det_idx == k
+                _, s2, _ = slot_port_probabilities(early, late, bob_amz, deltas[mask])
+                for port in (0, 1):
+                    q[mask, 2 * Slot.S2 + port] = click_probability(s2[port], mu, apds[port])
 
         d_rng = rng.indexed_stream(DOMAIN_DETECT, b)
         registered, slot, port, _ = detect_batch(q, d_rng)
         events_registered += int(np.count_nonzero(registered))
         keep = registered
         if config.conventional_mode:
-            keep = registered & (slot != _SLOT_S3)
+            keep = registered & (slot != Slot.S3)
         where = np.nonzero(keep)[0]
         ev_idx.append(where.astype(np.int64) + lo)
         ev_slot.append(slot[where])
@@ -379,48 +356,6 @@ def run_session(config: SessionConfig, record_transcript: bool = False) -> Sessi
     )
 
 
-def _attack_batch_jittered(
-    state_idx: np.ndarray,
-    prepared: list[TimeBinState],
-    eve_spec: "eavesdrop.EveSpec",
-    sigma: float,
-    e_rng: np.random.Generator,
-    j_rng: np.random.Generator,
-) -> np.ndarray:
-    """Attack sampling with per-pulse phase noise on the intercepted leg."""
-    m = state_idx.size
-    deltas = eve_spec.apparatus.phase_offset_rad + sigma * j_rng.standard_normal(m)
-    u = e_rng.random(m)
-    out = np.empty(m, dtype=np.uint8)
-    for k, state in enumerate(prepared):
-        mask = state_idx == k
-        if not np.any(mask):
-            continue
-        c0 = complex(state.bins[0, 0])
-        c1 = complex(state.bins[1, 0])
-        loss = eve_spec.apparatus.excess_transmittance
-        base_edge0 = loss * abs(c0) ** 2 / 4.0
-        base_edge1 = loss * abs(c1) ** 2 / 4.0
-        s2_base = loss * (abs(c0) ** 2 + abs(c1) ** 2) / 4.0
-        inter = c0 * c1.conjugate()
-        d = deltas[mask]
-        cross = loss * 2.0 * eve_spec.apparatus.visibility * (
-            np.cos(d) * inter.real - np.sin(d) * inter.imag
-        ) / 4.0
-        probs = np.empty((d.size, 7))
-        probs[:, 0] = base_edge0
-        probs[:, 1] = base_edge0
-        probs[:, 2] = s2_base - cross
-        probs[:, 3] = s2_base + cross
-        probs[:, 4] = base_edge1
-        probs[:, 5] = base_edge1
-        probs[:, 6] = 1.0 - probs[:, :6].sum(axis=1)
-        cum = np.cumsum(probs, axis=1)
-        pick = (u[mask, None] >= cum).sum(axis=1)
-        out[mask] = np.minimum(pick, 6).astype(np.uint8)
-    return eavesdrop.OUTCOME_TO_STATE_INDEX[out]
-
-
 # ---------------------------------------------------------------------------
 # Exact profile and parameter sweeps
 # ---------------------------------------------------------------------------
@@ -446,13 +381,12 @@ def profile_rows(config: SessionConfig, sampled_pulses: int = 0) -> list[Profile
     config.validate()
     rng = RngHandle(config.seed)
     apds = (config.apd_d0, config.apd_d1)
-    chan = dataclasses.replace(config.channel, eve_enabled=False)
-    prepared = _prepared_states(config.alice_amz)
-    dists = _receiver_distributions(prepared, chan, config.bob_amz)
+    prepared = _prepared_amplitudes(config.alice_amz)
+    dists = _receiver_distributions(_through_fiber(prepared, config.channel), config.bob_amz)
     rows: list[ProfileRow] = []
     for k, state in enumerate(CANONICAL_STATES):
         label = state.label()
-        amps = prepared[k].bins[:, 0]
+        amps = prepared[k]
         rows.append(ProfileRow(label, "bin0", "link", float(abs(amps[0]) ** 2)))
         rows.append(ProfileRow(label, "bin1", "link", float(abs(amps[1]) ** 2)))
         if sampled_pulses > 0:

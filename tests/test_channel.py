@@ -1,17 +1,12 @@
 """Fiber model: attenuation arithmetic and phase preservation."""
 
+import math
+
 import numpy as np
 import pytest
 
-from timebin_bb84.channel import ChannelSpec, propagate, transmittance
-from timebin_bb84.eavesdrop import EveSpec
-from timebin_bb84.optics import (
-    CANONICAL_STATES,
-    bob_transform,
-    canonical_link_state,
-    ideal_amz,
-    link_state,
-)
+from timebin_bb84.channel import ChannelSpec, transmittance
+from timebin_bb84.optics import bob_transform, ideal_amz, link_state
 
 
 def test_zero_length_is_lossless():
@@ -27,35 +22,10 @@ def test_length_plus_insertion():
     assert abs(transmittance(spec) - 10 ** (-2.1)) < 1e-12
 
 
-def test_propagate_identity_at_zero_length():
-    state = canonical_link_state(CANONICAL_STATES[2])
-    out = propagate(state, ChannelSpec(length_km=0.0))
-    assert np.array_equal(out.bins, state.bins)
-
-
-def test_propagate_scales_total_probability():
-    spec = ChannelSpec(length_km=50.0)
-    state = canonical_link_state(CANONICAL_STATES[0])
-    out = propagate(state, spec)
-    assert abs(out.total_probability() - 0.1) < 1e-12
-
-
-def test_propagate_norm_matches_transmittance():
-    rng = np.random.default_rng(5)
-    for _ in range(200):
-        amps = rng.normal(size=2) + 1j * rng.normal(size=2)
-        amps /= np.linalg.norm(amps)
-        spec = ChannelSpec(
-            length_km=float(rng.random() * 80), fixed_insertion_db=float(rng.random())
-        )
-        out = propagate(link_state(*amps), spec)
-        assert abs(out.total_probability() - transmittance(spec)) < 1e-12
-
-
 def test_relative_phase_preserved_through_fiber():
-    # visibility observed after propagation equals visibility before: the
-    # receiver's distribution is the unpropagated one scaled by the
-    # transmittance, cell by cell
+    # the fiber scales amplitudes by sqrt(transmittance): the receiver's
+    # distribution is the unpropagated one scaled by the transmittance,
+    # cell by cell, so the observed visibility is unchanged
     spec = ChannelSpec(length_km=37.0, fixed_insertion_db=0.4)
     t = transmittance(spec)
     rng = np.random.default_rng(11)
@@ -64,21 +34,8 @@ def test_relative_phase_preserved_through_fiber():
         amps /= np.linalg.norm(amps)
         state = link_state(*amps)
         before = bob_transform(state, ideal_amz()).p
-        after = bob_transform(propagate(state, spec), ideal_amz()).p
+        after = bob_transform(state.scaled(math.sqrt(t)), ideal_amz()).p
         assert np.max(np.abs(after - t * before)) < 1e-12
-
-
-def test_eve_hook_requires_context():
-    spec = ChannelSpec(eve_enabled=True)
-    with pytest.raises(ValueError):
-        propagate(canonical_link_state(CANONICAL_STATES[0]), spec)
-
-
-def test_eve_disabled_attack_is_identity():
-    state = canonical_link_state(CANONICAL_STATES[3])
-    rng = np.random.default_rng(0)
-    out = propagate(state, ChannelSpec(length_km=0.0), eve=EveSpec(enabled=False), rng=rng)
-    assert np.array_equal(out.bins, state.bins)
 
 
 @pytest.mark.parametrize(

@@ -101,8 +101,24 @@ class TestRejection:
             parse_config(write(tmp_path, "[source]\nmu = -0.5\n"))
 
     def test_delay_mismatch(self, tmp_path):
-        with pytest.raises(ConfigError, match=r"bob_amz\.delay_bins"):
+        # the one-bin delay is fixed in the optics model; the key is gone
+        with pytest.raises(ConfigError, match=r"alice_amz\.delay_bins: unknown key"):
             parse_config(write(tmp_path, "[alice_amz]\ndelay_bins = 2\n"))
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("source", "rep_rate_hz", "1e6"),
+            ("source", "wavelength_nm", "1550"),
+            ("bob_amz", "delay_bins", "1"),
+            ("eve_amz", "delay_bins", "1"),
+            ("apd_d0", "double_click_policy", "discard"),
+            ("eve", "resend_on_no_click", "vacuum"),
+        ],
+    )
+    def test_removed_keys_are_unknown(self, tmp_path, section, key, value):
+        with pytest.raises(ConfigError, match=rf"{section}\.{key}: unknown key"):
+            parse_config(write(tmp_path, f"[{section}]\n{key} = {value}\n"))
 
     def test_gate_mismatch(self, tmp_path):
         with pytest.raises(ConfigError, match=r"apd_d1\.gates_per_pulse"):

@@ -3,15 +3,13 @@
 import math
 
 import numpy as np
-import pytest
 
 import matrix_oracle as oracle
 from timebin_bb84.eavesdrop import (
     OUTCOME_TO_STATE_INDEX,
     EveSpec,
-    attack,
     attack_batch,
-    attack_outcome_table,
+    cumulative_outcomes,
     enumerate_attack_qber,
     outcome_probabilities,
     resend_state,
@@ -27,7 +25,7 @@ from timebin_bb84.optics import (
 
 
 def enabled_eve(**amz_kwargs) -> EveSpec:
-    base = dict(delay_bins=1, excess_loss_db=0.0)
+    base = dict(excess_loss_db=0.0)
     base.update(amz_kwargs)
     return EveSpec(enabled=True, apparatus=AmzSpec(**base))
 
@@ -97,24 +95,20 @@ class TestAttackBranches:
         probs = outcome_probabilities(canonical_link_state(CANONICAL_STATES[0]), spec)
         assert abs(probs[6] - (1 - 10 ** (-0.3))) < 1e-12
 
-    def test_scalar_attack_distribution(self):
-        spec = enabled_eve()
-        rng = np.random.default_rng(404)
-        state = canonical_link_state(CANONICAL_STATES[0])
-        n = 20_000
-        resent_early = 0
-        for _ in range(n):
-            out = attack(state, spec, rng)
-            if abs(out.bins[0, 0]) > 0.9:
-                resent_early += 1
-        # half of the outcomes land in S1 and resend the early state
-        sigma = math.sqrt(n * 0.25)
-        assert abs(resent_early - n / 2) <= 4 * sigma
-
-    def test_disabled_attack_identity(self):
-        state = canonical_link_state(CANONICAL_STATES[1])
-        out = attack(state, EveSpec(enabled=False), np.random.default_rng(1))
-        assert out is state
+    def test_cumulative_outcomes_match_outcome_probabilities(self):
+        # table rows (no phase argument) and per-pulse rows under drift are
+        # the running sums of the single-state outcome probabilities
+        spec = enabled_eve(excess_loss_db=1.0, visibility=0.8, phase_offset_rad=0.3)
+        for state in CANONICAL_STATES:
+            early, late = canonical_link_state(state).bins[:, 0]
+            probs = outcome_probabilities(canonical_link_state(state), spec)
+            assert np.max(np.abs(cumulative_outcomes(early, late, spec) - np.cumsum(probs[:6]))) < 1e-15
+            phases = np.array([-1.0, 0.0, 2.5])
+            rows = cumulative_outcomes(early, late, spec, phases)
+            for phase, row in zip(phases, rows):
+                shifted = enabled_eve(excess_loss_db=1.0, visibility=0.8, phase_offset_rad=float(phase))
+                want = np.cumsum(outcome_probabilities(canonical_link_state(state), shifted)[:6])
+                assert np.max(np.abs(row - want)) < 1e-15
 
 
 class TestMonteCarloInvariant:
@@ -123,9 +117,9 @@ class TestMonteCarloInvariant:
         receiver measurement; returns per-basis (errors, sifted)."""
         rng = np.random.default_rng(seed)
         states = rng.integers(0, 4, size=n).astype(np.uint8)
-        prepared = [canonical_link_state(s) for s in CANONICAL_STATES]
-        cum = np.cumsum(attack_outcome_table(eve_spec, prepared), axis=1)
-        _, resent = attack_batch(states, cum, rng)
+        amps = np.array([canonical_link_state(s).bins[:, 0] for s in CANONICAL_STATES])
+        cum = cumulative_outcomes(amps[:, 0], amps[:, 1], eve_spec)
+        _, resent = attack_batch(cum, states, rng)
         # receiver: projective sample over the six cells per resent state
         tables = np.stack(
             [bob_transform(canonical_link_state(s), ideal_amz()).p.reshape(6) for s in CANONICAL_STATES]
@@ -174,7 +168,3 @@ class TestMonteCarloInvariant:
             sigma = math.sqrt(q * (1 - q) / sifted)
             assert abs(errors / sifted - q) <= 4 * sigma
 
-
-def test_spec_guard():
-    with pytest.raises(ValueError):
-        EveSpec(resend_on_no_click="brightest")

@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from timebin_bb84.detection import DetectionEvent
+from timebin_bb84.config import SessionConfig
 from timebin_bb84.optics import Basis, Port, Slot
 from timebin_bb84.protocol import (
     AliceEndpoint,
@@ -24,8 +24,6 @@ from timebin_bb84.protocol import (
     SampleIndices,
     SiftedKey,
     SocketTransport,
-    alice_generate,
-    classify,
     classify_arrays,
     decode_message,
     encode_message,
@@ -34,57 +32,58 @@ from timebin_bb84.protocol import (
     run_protocol,
     sift,
 )
+from timebin_bb84.session import run_session
+
+
+def random_train(n: int, rng: np.random.Generator) -> PulseTrain:
+    return PulseTrain(rng.integers(0, 2, n, dtype=np.uint8), rng.integers(0, 2, n, dtype=np.uint8))
 
 
 class TestAliceGenerate:
+    """The transmitter's bit and basis draws, as a session makes them."""
+
     def test_reproducible(self):
-        a = alice_generate(4, np.random.default_rng(9))
-        b = alice_generate(4, np.random.default_rng(9))
+        cfg = SessionConfig(n_pulses=20_000, seed=9)
+        a = run_session(cfg).records
+        b = run_session(cfg).records
         assert np.array_equal(a.bits, b.bits) and np.array_equal(a.bases, b.bases)
-        rec = a[2]
-        assert rec.pulse_idx == 2 and rec.bit in (0, 1) and rec.basis in (Basis.Z, Basis.X)
+        assert set(np.unique(a.bits)) == {0, 1} and set(np.unique(a.bases)) == {0, 1}
 
     def test_uniform_frequencies(self):
         n = 1_000_000
-        train = alice_generate(n, np.random.default_rng(31337))
+        train = run_session(SessionConfig(n_pulses=n, seed=31337)).records
         sigma = math.sqrt(n * 0.25)
         assert abs(int(train.bases.sum()) - n / 2) <= 4 * sigma
         assert abs(int(train.bits.sum()) - n / 2) <= 4 * sigma
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            alice_generate(0, np.random.default_rng(0))
 
     def test_state_indices(self):
         train = PulseTrain(np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1]))
         assert train.state_indices().tolist() == [0, 1, 2, 3]
 
 
+CELLS = [
+    (Slot.S1, Port.D0, Basis.Z, 0),
+    (Slot.S1, Port.D1, Basis.Z, 0),  # port ignored in edge slots
+    (Slot.S3, Port.D0, Basis.Z, 1),
+    (Slot.S3, Port.D1, Basis.Z, 1),
+    (Slot.S2, Port.D1, Basis.X, 0),
+    (Slot.S2, Port.D0, Basis.X, 1),
+]
+
+
 class TestClassify:
-    @pytest.mark.parametrize(
-        "slot,port,basis,bit",
-        [
-            (Slot.S1, Port.D0, Basis.Z, 0),
-            (Slot.S1, Port.D1, Basis.Z, 0),  # port ignored in edge slots
-            (Slot.S3, Port.D0, Basis.Z, 1),
-            (Slot.S3, Port.D1, Basis.Z, 1),
-            (Slot.S2, Port.D1, Basis.X, 0),
-            (Slot.S2, Port.D0, Basis.X, 1),
-        ],
-    )
+    @pytest.mark.parametrize("slot,port,basis,bit", CELLS)
     def test_mapping(self, slot, port, basis, bit):
-        got = classify(DetectionEvent(7, slot, port))
-        assert got.pulse_idx == 7
-        assert got.measured_basis == basis and got.bit == bit
+        bases, bits = classify_arrays(np.array([slot], np.uint8), np.array([port], np.uint8))
+        assert bases.tolist() == [1 if basis == Basis.X else 0]
+        assert bits.tolist() == [bit]
 
     def test_vectorised_matches_scalar(self):
-        slots = np.array([0, 0, 1, 1, 2, 2], dtype=np.uint8)
-        ports = np.array([0, 1, 0, 1, 0, 1], dtype=np.uint8)
-        bases, bits = classify_arrays(slots, ports)
-        for i in range(6):
-            ref = classify(DetectionEvent(i, Slot(int(slots[i])), Port(int(ports[i]))))
-            assert bases[i] == (1 if ref.measured_basis == Basis.X else 0)
-            assert bits[i] == ref.bit
+        # one call over all six cells agrees with the cell-by-cell table
+        slots, ports, basis, bit = zip(*CELLS)
+        bases, bits = classify_arrays(np.array(slots, np.uint8), np.array(ports, np.uint8))
+        assert bases.tolist() == [1 if b == Basis.X else 0 for b in basis]
+        assert bits.tolist() == list(bit)
 
 
 def make_events(*triples) -> ClassifiedEvents:
@@ -115,7 +114,7 @@ class TestSift:
 
     def test_indices_always_identical(self):
         rng = np.random.default_rng(17)
-        records = alice_generate(500, rng)
+        records = random_train(500, rng)
         idx = np.sort(rng.choice(500, size=120, replace=False))
         events = ClassifiedEvents(
             idx,
@@ -127,7 +126,7 @@ class TestSift:
 
     def test_noiseless_keys_agree(self):
         rng = np.random.default_rng(8)
-        records = alice_generate(2000, rng)
+        records = random_train(2000, rng)
         # receiver measures every 3rd pulse in the correct basis, right bit
         idx = np.arange(0, 2000, 3, dtype=np.int64)
         events = ClassifiedEvents(idx, records.bases[idx], records.bits[idx])
@@ -222,6 +221,33 @@ class TestCodec:
         with pytest.raises(ProtocolError):
             decode_message(b'{"type":"basis_request","start":0}\n')
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            b'{"type":"basis_announce","indices":[1,5,9],"bases":"Z"}',
+            b'{"type":"basis_announce","indices":[1.7,true,3],"bases":"ZZX"}',
+            b'{"type":"basis_announce","indices":[1,true,3],"bases":"ZZX"}',
+            b'{"type":"match_reply","indices":[2.0]}',
+            b'{"type":"sample_indices","indices":[false]}',
+            b'{"type":"sample_indices","indices":[1,99999999999999999999999]}',
+            b'{"type":"basis_request","start":0.9,"stop":true}',
+            b'{"type":"basis_request","start":0,"stop":"5"}',
+            b'{"type":"basis_announce","indices":[1],"bases":["Z"]}',
+            b'{"type":"sample_bits","bits":101}',
+            b'{"type":"match_reply","indices":[[1,2],[3,4]]}',
+            b'{"type":"qber_report","value":"0.5"}',
+            b'{"type":"qber_report","value":true}',
+        ],
+        ids=[
+            "length_mismatch", "float_and_bool", "bool_among_ints", "float", "bool",
+            "overflow", "range_not_int", "range_string", "bases_not_string",
+            "bits_not_string", "two_dimensional", "qber_string", "qber_bool",
+        ],
+    )
+    def test_malformed_fields_rejected(self, line):
+        with pytest.raises(ProtocolError):
+            decode_message(line + b"\n")
+
 
 def run_over_sockets(records, events, sample_fraction, seed):
     sock_a, sock_b = socket.socketpair()
@@ -245,7 +271,7 @@ def run_over_sockets(records, events, sample_fraction, seed):
 class TestTransports:
     def test_socket_matches_queue(self):
         rng = np.random.default_rng(55)
-        records = alice_generate(3000, rng)
+        records = random_train(3000, rng)
         idx = np.sort(rng.choice(3000, size=800, replace=False))
         events = ClassifiedEvents(
             idx,

@@ -17,7 +17,7 @@ from timebin_bb84.optics import (
     Basis,
     bob_transform,
     canonical_link_state,
-    ideal_amz,
+    vacuum_state,
 )
 from timebin_bb84.protocol import InsufficientKeyError
 from timebin_bb84.session import (
@@ -177,34 +177,6 @@ class TestVisibilityAndPhase:
         assert abs(split.true_qber_x - want) <= 4 * sigma + 1e-3
 
 
-def first_fire_attack_qber(mu: float, eta: float) -> dict[Basis, float]:
-    """Oracle: attack tree composed with exact first-fire registration."""
-    apd = ApdSpec(efficiency=eta, dark_per_gate=0.0)
-    errors = {Basis.Z: 0.0, Basis.X: 0.0}
-    sifted = {Basis.Z: 0.0, Basis.X: 0.0}
-    eve = EveSpec(enabled=True)
-    for state in CANONICAL_STATES:
-        eve_probs = outcome_probabilities(canonical_link_state(state), eve)
-        for outcome in range(6):
-            w1 = float(eve_probs[outcome])
-            if w1 == 0.0:
-                continue
-            resent_idx = int(OUTCOME_TO_STATE_INDEX[outcome])
-            dist = bob_transform(canonical_link_state(CANONICAL_STATES[resent_idx]), ideal_amz())
-            rates = expected_event_rates(dist, mu, apd)
-            for slot in range(3):
-                for port in range(2):
-                    basis = Basis.X if slot == 1 else Basis.Z
-                    bit = (port == 0) if slot == 1 else (slot == 2)
-                    if basis != state.basis:
-                        continue
-                    branch = 0.25 * w1 * rates[slot, port]
-                    sifted[basis] += branch
-                    if int(bit) != state.bit:
-                        errors[basis] += branch
-    return {b: errors[b] / sifted[b] for b in (Basis.Z, Basis.X)}
-
-
 class TestEveSessions:
     def test_attack_qber_matches_first_fire_oracle(self):
         cfg = ideal_config(
@@ -214,7 +186,7 @@ class TestEveSessions:
         )
         result = run_session(cfg)
         s = result.summary
-        oracle_qber = first_fire_attack_qber(mu=0.1, eta=0.1)
+        oracle_qber = drifted_attack_qber(cfg)  # no drift: plain first-fire composition
         for basis, got, count in (
             (Basis.Z, s.true_qber_z, s.conclusive_z),
             (Basis.X, s.true_qber_x, s.conclusive_x),
@@ -235,22 +207,76 @@ class TestEveSessions:
             ideal_config(
                 n_pulses=500_000,
                 seed=3,
-                eve=EveSpec(enabled=True, apparatus=AmzSpec(excess_loss_db=3.0, delay_bins=1)),
+                eve=EveSpec(enabled=True, apparatus=AmzSpec(excess_loss_db=3.0)),
             )
         ).summary
         assert attacked.conclusive_count < clean.conclusive_count
 
     def test_eve_with_jitter_runs(self):
+        # Drift on all three devices, checked per basis against the exact
+        # drift-averaged oracle.  The sigmas are large enough that dropping
+        # the transmitter's share of the attacker's leg, or the receiver's
+        # own drift, moves the X-basis QBER by more than 5 standard errors.
         cfg = ideal_config(
-            n_pulses=300_000,
+            n_pulses=1_000_000,
+            seed=4242,
+            source=SourceSpec(mu=0.5),
+            apd_d0=ApdSpec(efficiency=1.0, dark_per_gate=0.0),
+            apd_d1=ApdSpec(efficiency=1.0, dark_per_gate=0.0),
+            alice_amz=AmzSpec(excess_loss_db=0.0, phase_jitter_rad=0.3),
             eve=EveSpec(
                 enabled=True,
-                apparatus=AmzSpec(excess_loss_db=0.0, phase_jitter_rad=0.2),
+                apparatus=AmzSpec(excess_loss_db=0.0, phase_jitter_rad=0.4),
             ),
-            bob_amz=AmzSpec(excess_loss_db=0.0, phase_jitter_rad=0.1),
+            bob_amz=AmzSpec(excess_loss_db=0.0, phase_jitter_rad=0.3),
         )
-        result = run_session(cfg)
-        assert 0.2 < result.summary.true_qber < 0.3
+        s = run_session(cfg).summary
+        oracle_qber = drifted_attack_qber(cfg)
+        z = 4.0  # two-sided miss probability 6e-5 per basis
+        for basis, got, count in (
+            (Basis.Z, s.true_qber_z, s.conclusive_z),
+            (Basis.X, s.true_qber_x, s.conclusive_x),
+        ):
+            want = oracle_qber[basis]
+            assert abs(got - want) <= z * math.sqrt(want * (1 - want) / count)
+
+
+def _gauss_hermite(sigma: float, nodes: int = 40):
+    """Phase offsets and weights averaging over N(0, sigma^2)."""
+    x, w = np.polynomial.hermite_e.hermegauss(nodes)
+    return sigma * x, w / w.sum()
+
+
+def drifted_attack_qber(cfg: SessionConfig) -> dict[Basis, float]:
+    """Oracle: sifted QBER per basis of an intercept-resend session whose
+    devices drift, from single-state tables averaged by Gauss-Hermite
+    quadrature.  The attacker's leg drifts with the transmitter and
+    attacker sigmas combined, the receiver's leg with its own; both legs
+    are independent, so each is averaged on its own.  Covers a lossless
+    channel and transmitter offset 0."""
+    apds = (cfg.apd_d0, cfg.apd_d1)
+    bob = cfg.bob_amz
+    resent = [canonical_link_state(st) for st in CANONICAL_STATES] + [vacuum_state()]
+    bob_rates = []
+    for state in resent:
+        rates = np.zeros((3, 2))
+        for x, w in zip(*_gauss_hermite(bob.phase_jitter_rad)):
+            amz = dataclasses.replace(bob, phase_offset_rad=bob.phase_offset_rad + x)
+            rates += w * expected_event_rates(bob_transform(state, amz), cfg.source.mu, apds)
+        bob_rates.append(rates)
+    eve_amz = cfg.eve.apparatus
+    sigma_eve = math.hypot(cfg.alice_amz.phase_jitter_rad, eve_amz.phase_jitter_rad)
+    per_state = []
+    for state in CANONICAL_STATES:
+        probs = np.zeros(7)
+        for x, w in zip(*_gauss_hermite(sigma_eve)):
+            amz = dataclasses.replace(eve_amz, phase_offset_rad=eve_amz.phase_offset_rad + x)
+            probs += w * outcome_probabilities(canonical_link_state(state), EveSpec(True, amz))
+        per_state.append(sum(p * bob_rates[OUTCOME_TO_STATE_INDEX[o]] for o, p in enumerate(probs)))
+    z0, z1, x0, x1 = per_state  # rows S1..S3, columns D0, D1
+    qber_z = (z0[2].sum() + z1[0].sum()) / (z0[0].sum() + z0[2].sum() + z1[0].sum() + z1[2].sum())
+    qber_x = (x0[1, 0] + x1[1, 1]) / (x0[1].sum() + x1[1].sum())
+    return {Basis.Z: float(qber_z), Basis.X: float(qber_x)}
 
 
 class TestSummarize:
