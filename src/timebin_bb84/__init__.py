@@ -52,9 +52,7 @@ from .protocol import (
     ProtocolError,
     PulseTrain,
     SiftedKey,
-    estimate_qber,
     run_protocol,
-    sift,
 )
 from .session import (
     SessionResult,

@@ -17,21 +17,23 @@ Message flow (each message exactly once per session):
     B -> A   sample_bits        receiver's bits at the disclosed indices
     A -> B   qber_report        observed mismatch fraction
 
-Messages are line-delimited, self-describing JSON records on byte-stream
-transports; the default in-process transport passes the message objects
-directly.  Any malformed, out-of-order or out-of-range message aborts the
-session.
+Each station is a state machine without I/O: ``start()`` returns its
+opening messages, ``receive(msg)`` checks one incoming message and returns
+the replies, and ``key`` is set once the session completes.  In process,
+``run_protocol`` hands the message objects from one endpoint to the other
+on the caller's thread.  On a byte stream, ``drive`` runs one endpoint over
+a transport; messages are newline-terminated, self-describing JSON records,
+and a record longer than the endpoint's ``max_line`` is refused.  Any
+malformed, out-of-order or out-of-range message aborts the session.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import queue
 import socket
 import threading
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -65,10 +67,6 @@ class PulseTrain:
 
     def __len__(self) -> int:
         return self.bits.size
-
-    def state_indices(self) -> np.ndarray:
-        """Canonical-state index per pulse: (Z,0), (Z,1), (X,0), (X,1)."""
-        return (2 * self.bases + self.bits).astype(np.uint8)
 
 
 class ClassifiedEvents:
@@ -227,52 +225,12 @@ def decode_message(line: bytes) -> ClassicalMessage:
 
 
 # ---------------------------------------------------------------------------
-# Transports
+# Socket transport
 # ---------------------------------------------------------------------------
-
-_CLOSED = object()
-
-
-class QueueTransport:
-    """In-process duplex endpoint over a pair of thread-safe queues."""
-
-    def __init__(self, inbox: queue.Queue, outbox: queue.Queue, timeout: float = 120.0):
-        self._inbox = inbox
-        self._outbox = outbox
-        self._timeout = timeout
-        self._closed = False
-
-    def send(self, msg: ClassicalMessage) -> None:
-        if self._closed:
-            raise ProtocolError("send on closed transport")
-        self._outbox.put(msg)
-
-    def recv(self) -> ClassicalMessage:
-        try:
-            item = self._inbox.get(timeout=self._timeout)
-        except queue.Empty as exc:
-            raise ProtocolError("timed out waiting for peer") from exc
-        if item is _CLOSED:
-            raise ProtocolError("transport closed by peer")
-        return item
-
-    def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self._outbox.put(_CLOSED)
-
-
-def queue_transport_pair(timeout: float = 120.0) -> tuple[QueueTransport, QueueTransport]:
-    a_to_b: queue.Queue = queue.Queue()
-    b_to_a: queue.Queue = queue.Queue()
-    return (
-        QueueTransport(inbox=b_to_a, outbox=a_to_b, timeout=timeout),
-        QueueTransport(inbox=a_to_b, outbox=b_to_a, timeout=timeout),
-    )
 
 
 class SocketTransport:
-    """Length-delimited (newline) JSON records over a byte-stream socket."""
+    """Newline-delimited JSON records over a byte-stream socket."""
 
     def __init__(self, sock: socket.socket, timeout: float = 120.0):
         sock.settimeout(timeout)
@@ -285,13 +243,16 @@ class SocketTransport:
         except OSError as exc:
             raise ProtocolError(f"socket send failed: {exc}") from exc
 
-    def recv(self) -> ClassicalMessage:
+    def recv(self, max_line: int) -> ClassicalMessage:
+        """Next message; a record longer than ``max_line`` bytes aborts."""
         try:
-            line = self._reader.readline()
+            line = self._reader.readline(max_line + 1)
         except OSError as exc:
             raise ProtocolError(f"socket recv failed: {exc}") from exc
         if not line:
             raise ProtocolError("transport closed by peer")
+        if len(line) > max_line:
+            raise ProtocolError(f"record longer than {max_line} bytes")
         return decode_message(line)
 
     def close(self) -> None:
@@ -303,26 +264,6 @@ class SocketTransport:
         self._sock.close()
 
 
-class RecordingTransport:
-    """Wrapper that logs every message with its direction, for inspection."""
-
-    def __init__(self, inner, log: list | None = None):
-        self._inner = inner
-        self.log = log if log is not None else []
-
-    def send(self, msg: ClassicalMessage) -> None:
-        self.log.append(("send", msg))
-        self._inner.send(msg)
-
-    def recv(self) -> ClassicalMessage:
-        msg = self._inner.recv()
-        self.log.append(("recv", msg))
-        return msg
-
-    def close(self) -> None:
-        self._inner.close()
-
-
 # ---------------------------------------------------------------------------
 # Keys and endpoint state machines
 # ---------------------------------------------------------------------------
@@ -332,8 +273,7 @@ class RecordingTransport:
 class SiftedKey:
     """Basis-matched key material with its QBER estimate.
 
-    ``bits`` excludes the disclosed sample; qber_estimate is NaN until the
-    estimation phase has run.
+    ``bits`` excludes the disclosed sample.
     """
 
     bits: np.ndarray
@@ -351,12 +291,19 @@ class SiftedKey:
         return np.packbits(self.bits).tobytes().hex()
 
 
-def _expect(msg: ClassicalMessage, kind: type) -> ClassicalMessage:
-    if not isinstance(msg, kind):
+def _max_line(count: int) -> int:
+    """Longest record an honest peer sends in a session whose messages list
+    at most ``count`` indices: 20 digits and a comma per index, one basis
+    or bit symbol each, and 256 bytes for the rest of the record."""
+    return 256 + 22 * count
+
+
+def _expect(msg: ClassicalMessage, kind: type | None) -> None:
+    if kind is None or not isinstance(msg, kind):
+        expected = "nothing, session complete" if kind is None else kind.__name__
         raise ProtocolError(
-            f"protocol order violation: expected {kind.__name__}, got {type(msg).__name__}"
+            f"protocol order violation: expected {expected}, got {type(msg).__name__}"
         )
-    return msg
 
 
 def _require_strictly_increasing(indices: np.ndarray, what: str) -> None:
@@ -376,197 +323,118 @@ def _require_subset(indices: np.ndarray, universe: np.ndarray, what: str) -> np.
     return pos
 
 
-def _alice_estimate_phase(
-    transport, key: SiftedKey, sample_fraction: float, rng: np.random.Generator
+def _undisclosed(
+    bits: np.ndarray, indices: np.ndarray, disclosed: np.ndarray, qber: float
 ) -> SiftedKey:
-    kept = key.source_indices
-    n_sample = int(sample_fraction * kept.size)
-    if n_sample < 1:
-        raise InsufficientKeyError(
-            f"sifted key of {kept.size} bits cannot support a "
-            f"{sample_fraction} disclosure fraction"
-        )
-    pick = np.sort(rng.choice(kept.size, size=n_sample, replace=False))
-    transport.send(SampleIndices(kept[pick]))
-    theirs = _expect(transport.recv(), SampleBits)
-    if theirs.bits.size != n_sample:
-        raise ProtocolError("sample_bits length does not match the disclosed set")
-    qber = float(np.mean(theirs.bits != key.bits[pick]))
-    transport.send(QberReport(qber))
-    keep_mask = np.ones(kept.size, dtype=bool)
-    keep_mask[pick] = False
-    return SiftedKey(
-        bits=key.bits[keep_mask],
-        source_indices=kept[keep_mask],
-        qber_estimate=qber,
-        disclosed_count=n_sample,
-    )
-
-
-def _bob_estimate_phase(transport, key: SiftedKey) -> SiftedKey:
-    sample = _expect(transport.recv(), SampleIndices)
-    _require_strictly_increasing(sample.indices, "sample")
-    pos = _require_subset(sample.indices, key.source_indices, "sample request")
-    transport.send(SampleBits(key.bits[pos]))
-    report = _expect(transport.recv(), QberReport)
-    if not 0.0 <= report.value <= 1.0:
-        raise ProtocolError(f"reported QBER {report.value} outside [0, 1]")
-    keep_mask = np.ones(key.source_indices.size, dtype=bool)
-    keep_mask[pos] = False
-    return SiftedKey(
-        bits=key.bits[keep_mask],
-        source_indices=key.source_indices[keep_mask],
-        qber_estimate=report.value,
-        disclosed_count=int(sample.indices.size),
-    )
+    """The sifted key without the positions ``disclosed`` for estimation."""
+    keep = np.ones(indices.size, dtype=bool)
+    keep[disclosed] = False
+    return SiftedKey(bits[keep], indices[keep], qber, int(disclosed.size))
 
 
 class AliceEndpoint:
     """Transmitter-side state machine."""
 
-    def __init__(
-        self,
-        records: PulseTrain,
-        sample_fraction: float | None = None,
-        rng: np.random.Generator | None = None,
-    ):
-        if sample_fraction is not None:
-            if not 0.0 < sample_fraction <= 1.0:
-                raise ValueError("sample_fraction must lie in (0, 1]")
-            if rng is None:
-                raise ValueError("error estimation requires an rng")
+    def __init__(self, records: PulseTrain, sample_fraction: float, rng: np.random.Generator):
+        if not 0.0 < sample_fraction <= 1.0:
+            raise ValueError("sample_fraction must lie in (0, 1]")
         self.records = records
         self.sample_fraction = sample_fraction
         self.rng = rng
+        self.max_line = _max_line(len(records))
+        self.key: SiftedKey | None = None
+        self._next: type | None = BobBasisAnnounce
 
-    def run(self, transport) -> SiftedKey:
-        try:
-            key = self._sift(transport)
-            if self.sample_fraction is not None:
-                key = self._estimate(transport, key)
-            return key
-        except ProtocolError:
-            transport.close()
-            raise
+    def start(self) -> list[ClassicalMessage]:
+        return [BasisRequest(0, len(self.records))]
 
-    def _sift(self, transport) -> SiftedKey:
-        n = len(self.records)
-        transport.send(BasisRequest(0, n))
-        ann = _expect(transport.recv(), BobBasisAnnounce)
-        _require_strictly_increasing(ann.indices, "announced")
-        if ann.indices.size and (ann.indices[0] < 0 or ann.indices[-1] >= n):
-            raise ProtocolError("announced pulse index out of session range")
-        matched = self.records.bases[ann.indices] == ann.bases
-        kept = ann.indices[matched]
-        transport.send(AliceMatchReply(kept))
-        return SiftedKey(bits=self.records.bits[kept].copy(), source_indices=kept)
-
-    def _estimate(self, transport, key: SiftedKey) -> SiftedKey:
-        return _alice_estimate_phase(transport, key, self.sample_fraction, self.rng)
+    def receive(self, msg: ClassicalMessage) -> list[ClassicalMessage]:
+        _expect(msg, self._next)
+        if isinstance(msg, BobBasisAnnounce):
+            n = len(self.records)
+            _require_strictly_increasing(msg.indices, "announced")
+            if msg.indices.size and (msg.indices[0] < 0 or msg.indices[-1] >= n):
+                raise ProtocolError("announced pulse index out of session range")
+            kept = msg.indices[self.records.bases[msg.indices] == msg.bases]
+            n_sample = int(self.sample_fraction * kept.size)
+            if n_sample < 1:
+                raise InsufficientKeyError(
+                    f"sifted key of {kept.size} bits cannot support a "
+                    f"{self.sample_fraction} disclosure fraction"
+                )
+            self._kept, self._bits = kept, self.records.bits[kept]
+            self._pick = np.sort(self.rng.choice(kept.size, size=n_sample, replace=False))
+            self._next = SampleBits
+            return [AliceMatchReply(kept), SampleIndices(kept[self._pick])]
+        if msg.bits.size != self._pick.size:
+            raise ProtocolError("sample_bits length does not match the disclosed set")
+        qber = float(np.mean(msg.bits != self._bits[self._pick]))
+        self.key = _undisclosed(self._bits, self._kept, self._pick, qber)
+        self._next = None
+        return [QberReport(qber)]
 
 
 class BobEndpoint:
     """Receiver-side state machine."""
 
-    def __init__(self, classifications: ClassifiedEvents, expect_estimate: bool = False):
+    def __init__(self, classifications: ClassifiedEvents):
         self.classifications = classifications
-        self.expect_estimate = expect_estimate
+        self.max_line = _max_line(len(classifications))
+        self.key: SiftedKey | None = None
+        self._next: type | None = BasisRequest
 
-    def run(self, transport) -> SiftedKey:
-        try:
-            key = self._sift(transport)
-            if self.expect_estimate:
-                key = self._estimate(transport, key)
-            return key
-        except ProtocolError:
-            transport.close()
-            raise
+    def start(self) -> list[ClassicalMessage]:
+        return []
 
-    def _sift(self, transport) -> SiftedKey:
-        req = _expect(transport.recv(), BasisRequest)
-        if req.start != 0 or req.stop < req.start:
-            raise ProtocolError("malformed basis_request range")
+    def receive(self, msg: ClassicalMessage) -> list[ClassicalMessage]:
+        _expect(msg, self._next)
         ev = self.classifications
-        if len(ev) and (ev.pulse_indices[0] < req.start or ev.pulse_indices[-1] >= req.stop):
-            raise ProtocolError("own detection events fall outside the announced range")
-        transport.send(BobBasisAnnounce(ev.pulse_indices, ev.bases))
-        reply = _expect(transport.recv(), AliceMatchReply)
-        _require_strictly_increasing(reply.indices, "match reply")
-        pos = _require_subset(reply.indices, ev.pulse_indices, "match reply")
-        return SiftedKey(bits=ev.bits[pos].copy(), source_indices=reply.indices.copy())
+        if isinstance(msg, BasisRequest):
+            if msg.start != 0 or msg.stop < msg.start:
+                raise ProtocolError("malformed basis_request range")
+            if len(ev) and (ev.pulse_indices[0] < msg.start or ev.pulse_indices[-1] >= msg.stop):
+                raise ProtocolError("own detection events fall outside the announced range")
+            self._next = AliceMatchReply
+            return [BobBasisAnnounce(ev.pulse_indices, ev.bases)]
+        if isinstance(msg, AliceMatchReply):
+            _require_strictly_increasing(msg.indices, "match reply")
+            pos = _require_subset(msg.indices, ev.pulse_indices, "match reply")
+            self._kept, self._bits = msg.indices, ev.bits[pos]
+            self._next = SampleIndices
+            return []
+        if isinstance(msg, SampleIndices):
+            _require_strictly_increasing(msg.indices, "sample")
+            self._pick = _require_subset(msg.indices, self._kept, "sample request")
+            self._next = QberReport
+            return [SampleBits(self._bits[self._pick])]
+        if not 0.0 <= msg.value <= 1.0:
+            raise ProtocolError(f"reported QBER {msg.value} outside [0, 1]")
+        self.key = _undisclosed(self._bits, self._kept, self._pick, msg.value)
+        self._next = None
+        return []
 
-    def _estimate(self, transport, key: SiftedKey) -> SiftedKey:
-        return _bob_estimate_phase(transport, key)
 
+def drive(endpoint: AliceEndpoint | BobEndpoint, transport) -> list[ClassicalMessage]:
+    """Run ``endpoint`` over ``transport`` until its key is set.
 
-def _run_pair(alice_fn: Callable[[], SiftedKey], bob_fn: Callable[[], SiftedKey]):
-    """Drive both endpoints concurrently; re-raise the first failure."""
-    result: dict[str, SiftedKey] = {}
-    errors: dict[str, BaseException] = {}
-
-    def bob_runner() -> None:
-        try:
-            result["bob"] = bob_fn()
-        except BaseException as exc:  # noqa: BLE001 - propagated below
-            errors["bob"] = exc
-
-    t = threading.Thread(target=bob_runner, name="bob-endpoint")
-    t.start()
+    Returns the messages it sent and received, in order.  On ProtocolError
+    the transport is closed, so the peer's ``recv`` aborts too.
+    """
+    log: list[ClassicalMessage] = []
     try:
-        result["alice"] = alice_fn()
-    except BaseException as exc:  # noqa: BLE001
-        errors["alice"] = exc
-    t.join()
-    if "alice" in errors:
-        raise errors["alice"]
-    if "bob" in errors:
-        raise errors["bob"]
-    return result["alice"], result["bob"]
-
-
-def sift(
-    alice_records: PulseTrain,
-    bob_classifications: ClassifiedEvents,
-    transports=None,
-) -> tuple[SiftedKey, SiftedKey]:
-    """Run basis reconciliation; both returned keys share source_indices."""
-    if transports is None:
-        transports = queue_transport_pair()
-    ta, tb = transports
-    alice = AliceEndpoint(alice_records)
-    bob = BobEndpoint(bob_classifications)
-    return _run_pair(lambda: alice.run(ta), lambda: bob.run(tb))
-
-
-def estimate_qber(
-    keys: tuple[SiftedKey, SiftedKey],
-    sample_fraction: float,
-    rng: np.random.Generator,
-    transports=None,
-) -> tuple[SiftedKey, SiftedKey]:
-    """Disclose a random key sample over the transport and record the QBER."""
-    if not 0.0 < sample_fraction <= 1.0:
-        raise ValueError("sample_fraction must lie in (0, 1]")
-    if transports is None:
-        transports = queue_transport_pair()
-    ta, tb = transports
-    key_a, key_b = keys
-
-    def alice_side() -> SiftedKey:
-        try:
-            return _alice_estimate_phase(ta, key_a, sample_fraction, rng)
-        except ProtocolError:
-            ta.close()
-            raise
-
-    def bob_side() -> SiftedKey:
-        try:
-            return _bob_estimate_phase(tb, key_b)
-        except ProtocolError:
-            tb.close()
-            raise
-
-    return _run_pair(alice_side, bob_side)
+        out = endpoint.start()
+        while True:
+            for msg in out:
+                transport.send(msg)
+            log += out
+            if endpoint.key is not None:
+                return log
+            msg = transport.recv(endpoint.max_line)
+            log.append(msg)
+            out = endpoint.receive(msg)
+    except ProtocolError:
+        transport.close()
+        raise
 
 
 def run_protocol(
@@ -575,20 +443,45 @@ def run_protocol(
     sample_fraction: float,
     rng: np.random.Generator,
     transports=None,
-    record: bool = False,
-) -> tuple[SiftedKey, SiftedKey, list]:
-    """Full session (sifting plus error estimation) over one transport pair.
+) -> tuple[SiftedKey, SiftedKey, list[ClassicalMessage]]:
+    """Full session (sifting plus error estimation); returns both keys and
+    the transcript, every message of the session in wire order.
 
-    With record=True the returned list holds Alice's transcript as
-    (direction, message) tuples.
+    Without ``transports`` the endpoints exchange message objects on the
+    caller's thread.  With a (transmitter, receiver) transport pair each
+    endpoint is driven over its own transport; the receiver runs on a
+    helper thread, because a socket pair cannot buffer a large announce
+    while the transmitter is not yet reading.
     """
-    if transports is None:
-        transports = queue_transport_pair()
-    ta, tb = transports
-    log: list = []
-    if record:
-        ta = RecordingTransport(ta, log)
     alice = AliceEndpoint(alice_records, sample_fraction, rng)
-    bob = BobEndpoint(bob_classifications, expect_estimate=True)
-    key_a, key_b = _run_pair(lambda: alice.run(ta), lambda: bob.run(tb))
-    return key_a, key_b, log
+    bob = BobEndpoint(bob_classifications)
+    if transports is None:
+        wire = [(bob, msg) for msg in alice.start()] + [(alice, msg) for msg in bob.start()]
+        i = 0
+        while i < len(wire):
+            recipient, msg = wire[i]
+            sender = alice if recipient is bob else bob
+            wire += [(sender, reply) for reply in recipient.receive(msg)]
+            i += 1
+        return alice.key, bob.key, [msg for _, msg in wire]
+
+    ta, tb = transports
+    bob_error: list[BaseException] = []
+
+    def bob_side() -> None:
+        try:
+            drive(bob, tb)
+        except BaseException as exc:  # noqa: BLE001 - re-raised on the caller's thread
+            bob_error.append(exc)
+
+    t = threading.Thread(target=bob_side, name="bob-endpoint")
+    t.start()
+    try:
+        # Every message passes through the transmitter, so her log is the
+        # whole transcript.
+        transcript = drive(alice, ta)
+    finally:
+        t.join()
+    if bob_error:
+        raise bob_error[0]
+    return alice.key, bob.key, transcript

@@ -133,7 +133,6 @@ class SessionResult:
     bob_key: SiftedKey
     records: PulseTrain
     classifications: ClassifiedEvents
-    transcript: list
 
 
 def summarize(tally: SessionTally) -> SessionSummary:
@@ -220,7 +219,7 @@ def _click_table(
 # ---------------------------------------------------------------------------
 
 
-def run_session(config: SessionConfig, record_transcript: bool = False) -> SessionResult:
+def run_session(config: SessionConfig) -> SessionResult:
     """Simulate a full key-distribution session.
 
     Raises InsufficientKeyError when the sifted key cannot support the
@@ -327,12 +326,8 @@ def run_session(config: SessionConfig, record_transcript: bool = False) -> Sessi
     meas_bases, meas_bits = classify_arrays(slots, ports)
     classifications = ClassifiedEvents(idx, meas_bases, meas_bits)
 
-    key_a, key_b, transcript = run_protocol(
-        records,
-        classifications,
-        config.sample_fraction,
-        rng.stream(DOMAIN_SAMPLE),
-        record=record_transcript,
+    key_a, key_b, _ = run_protocol(
+        records, classifications, config.sample_fraction, rng.stream(DOMAIN_SAMPLE)
     )
 
     vacuum_dist = SlotPortDistribution(np.zeros((3, 2)), 1.0)
@@ -352,7 +347,6 @@ def run_session(config: SessionConfig, record_transcript: bool = False) -> Sessi
         bob_key=key_b,
         records=records,
         classifications=classifications,
-        transcript=transcript,
     )
 
 

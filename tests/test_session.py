@@ -19,7 +19,7 @@ from timebin_bb84.optics import (
     canonical_link_state,
     vacuum_state,
 )
-from timebin_bb84.protocol import InsufficientKeyError
+from timebin_bb84.protocol import InsufficientKeyError, run_protocol
 from timebin_bb84.session import (
     SessionTally,
     profile_rows,
@@ -399,8 +399,12 @@ efficiency = 0.2
 
 
 def test_transcript_recording():
-    result = run_session(ideal_config(n_pulses=100_000), record_transcript=True)
-    kinds = [type(m).__name__ for _, m in result.transcript]
+    config = ideal_config(n_pulses=100_000)
+    result = run_session(config)
+    _, _, transcript = run_protocol(
+        result.records, result.classifications, config.sample_fraction, np.random.default_rng(0)
+    )
+    kinds = [type(m).__name__ for m in transcript]
     assert kinds == [
         "BasisRequest",
         "BobBasisAnnounce",
