@@ -22,6 +22,7 @@ from .detection import (
     click_probability,
     detect_batch,
     expected_event_rates,
+    first_fire_table,
 )
 from .eavesdrop import EveSpec, enumerate_attack_qber
 from .optics import (

@@ -13,6 +13,13 @@ the baseline used to quantify the tripled dark-count exposure.
 Registration applies the first-fire rule: only the earliest slot with at
 least one click counts, which also neutralises after-pulsing from earlier
 avalanches.  If both ports click in that slot the pulse is discarded.
+So a pulse has eight outcomes: six (slot, port) registrations, the
+discard, and no click.  Their cumulative probabilities have a closed form
+(:func:`first_fire_table`), and :func:`detect_batch` samples each pulse's
+outcome from one uniform.  Most pulses of a lossy link cannot click: a
+pulse whose uniform is at or above an upper bound on its click
+probability is "no click" without further work, and only the rest get
+their exact row evaluated.
 
 All randomness flows through :class:`RngHandle`, which derives named
 substreams (one per domain, batch or sweep point) from a single 64-bit
@@ -22,6 +29,8 @@ streams.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,8 +79,12 @@ class ApdSpec:
 #   numpy.random.SeedSequence((seed, domain[, index]))
 # with index = batch number for batched domains (DOMAIN_JITTER uses 2*batch
 # for the attacker's leg and 2*batch + 1 for the receiver's), or sweep-point
-# number.  The rule is part of the reproducibility contract and must not
-# change between releases.
+# number.  Per batch of m pulses, DOMAIN_ALICE gives one integers(0, 4)
+# uint8 state per pulse (bit = s & 1, basis = s >> 1), DOMAIN_EVE one
+# float64 uniform per pulse, DOMAIN_DETECT one float64 uniform per pulse,
+# and each DOMAIN_JITTER leg one standard normal per pulse.  The rule and
+# these draws are part of the reproducibility contract and must not change
+# between releases.
 DOMAIN_ALICE = 1
 DOMAIN_EVE = 2
 DOMAIN_DETECT = 3
@@ -136,79 +149,107 @@ def cell_click_probabilities(
     return q.reshape(N_CELLS)
 
 
-def sample_clicks(qcells: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Bernoulli click matrix for per-cell probabilities of shape (..., 6).
+def _first_fire_increments(q) -> np.ndarray:
+    """(..., 7) probabilities of the first-fire outcomes; see first_fire_table."""
+    q = np.asarray(q, dtype=float)
+    q0, q1 = q[..., 0::2], q[..., 1::2]
+    silent = (1.0 - q0) * (1.0 - q1)
+    shadow = np.ones_like(silent)
+    shadow[..., 1] = silent[..., 0]
+    shadow[..., 2] = silent[..., 0] * silent[..., 1]
+    increments = np.empty(q.shape[:-1] + (N_CELLS + 1,))
+    increments[..., 0:N_CELLS:2] = shadow * q0 * (1.0 - q1)
+    increments[..., 1:N_CELLS:2] = shadow * q1 * (1.0 - q0)
+    increments[..., N_CELLS] = (shadow * q0 * q1).sum(axis=-1)
+    return increments
 
-    Uniforms are drawn as float32: the quantisation (~6e-8) is far below
-    any statistical resolution reachable here, and it halves the memory
-    traffic of large batches.
+
+def first_fire_table(q) -> np.ndarray:
+    """Cumulative first-fire outcome probabilities for (..., 6) per-cell
+    click probabilities ``q`` (slot-major).
+
+    Returns (..., 7): the six (slot, port) registrations in slot-major
+    order, then the double-click discard.  The remainder up to 1 is "no
+    click", so the last entry is the probability that any gated cell
+    clicks.  Cell (s, j) registers iff no earlier slot clicked, port j
+    clicked and the opposite port did not:
+
+        r[s, j] = prod_{s' < s} (1-q[s',0])(1-q[s',1]) * q[s,j] * (1-q[s,1-j])
+
+    and the pulse is discarded iff both ports click in its first firing
+    slot.  :func:`expected_event_rates` and :func:`any_click_probability`
+    read the same closed form.
     """
-    u = rng.random(np.shape(qcells), dtype=np.float32)
-    return u < qcells
+    return np.cumsum(_first_fire_increments(q), axis=-1)
 
 
-def register_first_fire(clicks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Apply first-fire registration to a (..., 6) click matrix.
+def click_bound(dist: SlotPortDistribution, mu_arrived: float, apd: ApdSpec | ApdPair) -> float:
+    """Upper bound on the any-click probability of ``dist`` at every
+    receiver phase: 1 - prod(1-d) * exp(-eta_max * mu * p_total).
 
-    Returns (registered, slot, port) arrays; slot/port are only meaningful
-    where registered is True.  A pulse whose earliest firing slot has both
-    ports clicking is discarded.
+    Only the two S2 cells depend on the phase, and they always sum to the
+    same weight, so p_total (the gated weight of ``dist``) does not.  The
+    added 1e-12 covers rounding: the totals :func:`first_fire_table`
+    computes can exceed the exact value by a few ulps.
     """
-    c = clicks
-    s1 = c[..., 0] | c[..., 1]
-    s2 = c[..., 2] | c[..., 3]
-    s3 = c[..., 4] | c[..., 5]
-    m1 = s1
-    m2 = ~s1 & s2
-    m3 = ~s1 & ~s2 & s3
-    double = (m1 & c[..., 0] & c[..., 1]) | (m2 & c[..., 2] & c[..., 3]) | (
-        m3 & c[..., 4] & c[..., 5]
-    )
-    registered = (s1 | s2 | s3) & ~double
-    slot = m2.astype(np.uint8) + 2 * m3.astype(np.uint8)
-    port = ((m1 & c[..., 1]) | (m2 & c[..., 3]) | (m3 & c[..., 5])).astype(np.uint8)
-    return registered, slot, port
+    pair = as_apd_pair(apd)
+    gates = pair[0].gates_per_pulse
+    p_total = float(dist.p[Slot.S2].sum() if gates == 1 else dist.p.sum())
+    eta_max = max(a.efficiency for a in pair)
+    dark = ((1.0 - pair[0].dark_per_gate) * (1.0 - pair[1].dark_per_gate)) ** gates
+    return 1.0 - dark * math.exp(-eta_max * mu_arrived * p_total) + 1e-12
 
 
 def detect_batch(
-    qcells: np.ndarray, rng: np.random.Generator
+    limit: np.ndarray, cumulative: Callable[[np.ndarray], np.ndarray], rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorised detection for an (n, 6) click-probability array.
+    """First-fire detection of a batch from one float64 uniform per pulse.
 
-    Returns (registered, slot, port, any_click); any_click counts pulses
-    with at least one click regardless of the double-click discard, which
-    is the quantity exposed to dark counts.
+    ``limit`` holds one entry per pulse: at least that pulse's any-click
+    probability (the last column of its :func:`first_fire_table` row, or a
+    bound on it).  A pulse whose uniform is at or above its limit cannot
+    click, so only the others, the candidates, are evaluated:
+    ``cumulative(candidates)`` returns the (k, 7) first_fire_table rows of
+    the pulses at those indices, and each candidate's outcome is the number
+    of its row's edges at or below its uniform.  The result equals
+    evaluating every pulse.
+
+    Returns per-pulse (registered, slot, port, any_click); slot and port
+    are zero where registered is False, and any_click counts double-click
+    discards too, which is the quantity exposed to dark counts.
     """
-    clicks = sample_clicks(qcells, rng)
-    registered, slot, port = register_first_fire(clicks)
-    return registered, slot, port, clicks.any(axis=-1)
+    n = len(limit)
+    u = rng.random(n)
+    candidates = np.flatnonzero(u < limit)
+    u_candidates = u[candidates]
+    outcome = np.zeros(candidates.size, dtype=np.uint8)
+    for edge in cumulative(candidates).T:
+        outcome += u_candidates >= edge
+    registered = np.zeros(n, dtype=bool)
+    any_click = np.zeros(n, dtype=bool)
+    slot = np.zeros(n, dtype=np.uint8)
+    port = np.zeros(n, dtype=np.uint8)
+    cell = outcome < N_CELLS
+    hits = candidates[cell]
+    registered[hits] = True
+    slot[hits] = outcome[cell] // 2
+    port[hits] = outcome[cell] % 2
+    any_click[candidates[outcome <= N_CELLS]] = True
+    return registered, slot, port, any_click
 
 
 def expected_event_rates(
     dist: SlotPortDistribution, mu_arrived: float, apd: ApdSpec | ApdPair
 ) -> np.ndarray:
-    """Exact per-cell registration probabilities under first-fire.
-
-    Cell (s, j) registers iff no earlier gated slot clicked, port j clicked
-    and the opposite port did not:
-
-        r[s, j] = prod_{s' < s} (1-q[s',0])(1-q[s',1]) * q[s,j] * (1-q[s,1-j])
-
-    This closed form is the oracle for the Monte Carlo sampler.
-    """
-    q = cell_click_probabilities(dist, mu_arrived, apd).reshape(3, 2)
-    r = np.zeros((3, 2))
-    shadow = 1.0
-    for s in range(3):
-        r[s, 0] = shadow * q[s, 0] * (1.0 - q[s, 1])
-        r[s, 1] = shadow * q[s, 1] * (1.0 - q[s, 0])
-        shadow *= (1.0 - q[s, 0]) * (1.0 - q[s, 1])
-    return r
+    """Exact (3, 2) per-cell registration probabilities under first-fire:
+    the six cell increments of :func:`first_fire_table`."""
+    q = cell_click_probabilities(dist, mu_arrived, apd)
+    return _first_fire_increments(q)[:N_CELLS].reshape(3, 2)
 
 
 def any_click_probability(
     dist: SlotPortDistribution, mu_arrived: float, apd: ApdSpec | ApdPair
 ) -> float:
-    """Probability that at least one gated cell clicks (pre-discard)."""
-    q = cell_click_probabilities(dist, mu_arrived, apd)
-    return 1.0 - float(np.prod(1.0 - q))
+    """Probability that at least one gated cell clicks (pre-discard): the
+    total of :func:`first_fire_table`."""
+    return float(first_fire_table(cell_click_probabilities(dist, mu_arrived, apd))[N_CELLS])

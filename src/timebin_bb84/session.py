@@ -8,8 +8,19 @@ index.  Within a batch everything is vectorised over numpy arrays.  A
 session sees at most five distinct incoming states (the four canonical
 ones plus vacuum when the attacker suppresses a pulse), so click and
 attack-outcome probabilities come from per-state tables; only under phase
-drift are the phase-dependent ones recomputed per pulse, through the same
-optics and click formulas.
+drift are the phase-dependent ones recomputed, through the same optics and
+click formulas.
+
+Per batch of m pulses the substreams give: DOMAIN_ALICE one
+integers(0, 4) state per pulse, written as bit = s & 1 and basis = s >> 1;
+DOMAIN_EVE (attacker on) one float64 uniform per pulse; DOMAIN_JITTER one
+standard normal per pulse for each drifting leg (index 2*batch for the
+attacker's, 2*batch + 1 for the receiver's); DOMAIN_DETECT one float64
+uniform per pulse, which picks the pulse's first-fire outcome.  Detection
+is thinned: a pulse whose uniform is at or above its state's click
+probability (under receiver drift, a phase-independent bound on it) cannot
+click, so the receiver's drifted S2 cells and first-fire row are computed
+only for the others, well under 1% of pulses on a 25 km link.
 """
 
 from __future__ import annotations
@@ -33,9 +44,11 @@ from .detection import (
     ApdSpec,
     RngHandle,
     cell_click_probabilities,
+    click_bound,
     click_probability,
     detect_batch,
     expected_event_rates,
+    first_fire_table,
 )
 from .optics import (
     CANONICAL_STATES,
@@ -205,13 +218,26 @@ def _receiver_distributions(arrived: np.ndarray, bob_amz: AmzSpec) -> list[SlotP
     return [bob_transform(link_state(early, late), bob_amz) for early, late in arrived]
 
 
-def _click_table(
-    dists: list[SlotPortDistribution], mu: float, apds: tuple[ApdSpec, ApdSpec]
+def _drifted_table(
+    q_table: np.ndarray,
+    incoming: np.ndarray,
+    states: np.ndarray,
+    phases: np.ndarray,
+    bob_amz: AmzSpec,
+    mu: float,
+    apds: tuple[ApdSpec, ApdSpec],
 ) -> np.ndarray:
-    """(n_states, 6) float32 click probabilities."""
-    return np.stack(
-        [cell_click_probabilities(d, mu, apds) for d in dists]
-    ).astype(np.float32)
+    """(k, 7) first-fire tables of pulses in incoming states ``states`` at
+    receiver phases ``phases``.  Only the central slot depends on the
+    phase; the edge cells stay table-driven.  Each state is evaluated with
+    scalar amplitudes, which keeps the temporaries small."""
+    q = q_table[states]
+    for k, (early, late) in enumerate(incoming):
+        mask = states == k
+        _, s2, _ = slot_port_probabilities(early, late, bob_amz, phases[mask])
+        for port in (0, 1):
+            q[mask, 2 * Slot.S2 + port] = click_probability(s2[port], mu, apds[port])
+    return first_fire_table(q)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +283,16 @@ def run_session(config: SessionConfig) -> SessionResult:
         )
 
     incoming = _through_fiber(incoming, config.channel)
-    q_table = _click_table(_receiver_distributions(incoming, bob_amz), mu, apds)
+    dists = _receiver_distributions(incoming, bob_amz)
+    q_table = np.stack([cell_click_probabilities(d, mu, apds) for d in dists])
+    cum_table = first_fire_table(q_table)
+    # Under receiver drift a pulse's click probability moves with its
+    # phase, so candidates are thinned against a phase-independent bound.
+    limits = (
+        np.array([click_bound(d, mu, apds) for d in dists])
+        if sigma_bob_leg > 0.0
+        else cum_table[:, -1]
+    )
 
     bits_all = np.empty(n, dtype=np.uint8)
     bases_all = np.empty(n, dtype=np.uint8)
@@ -271,45 +306,34 @@ def run_session(config: SessionConfig) -> SessionResult:
         lo = b * BATCH_SIZE
         hi = min(lo + BATCH_SIZE, n)
         m = hi - lo
-        a_rng = rng.indexed_stream(DOMAIN_ALICE, b)
-        bits = a_rng.integers(0, 2, size=m, dtype=np.uint8)
-        bases = a_rng.integers(0, 2, size=m, dtype=np.uint8)
-        bits_all[lo:hi] = bits
-        bases_all[lo:hi] = bases
-        state_idx = (2 * bases + bits).astype(np.uint8)
+        state_idx = rng.indexed_stream(DOMAIN_ALICE, b).integers(0, 4, size=m, dtype=np.uint8)
+        np.bitwise_and(state_idx, 1, out=bits_all[lo:hi])
+        np.right_shift(state_idx, 1, out=bases_all[lo:hi])
 
-        # Under phase drift the phase-dependent probabilities are evaluated
-        # per pulse, one incoming state at a time (scalar amplitudes keep
-        # the temporaries small).
         if eve_on:
             if sigma_eve_leg > 0.0:
                 j_rng = rng.indexed_stream(DOMAIN_JITTER, 2 * b)
                 deltas = config.eve.apparatus.phase_offset_rad + sigma_eve_leg * j_rng.standard_normal(m)
-                outcome_cum = np.empty((m, 6))
-                for k, (early, late) in enumerate(prepared):
-                    mask = state_idx == k
-                    outcome_cum[mask] = eavesdrop.cumulative_outcomes(early, late, config.eve, deltas[mask])
-                rows = np.arange(m)
+                columns = eavesdrop.drifted_columns(prepared, state_idx, config.eve, deltas)
             else:
-                outcome_cum, rows = eve_cum, state_idx
-            _, det_idx = eavesdrop.attack_batch(outcome_cum, rows, rng.indexed_stream(DOMAIN_EVE, b))
+                columns = (column[state_idx] for column in eve_cum.T)
+            _, det_idx = eavesdrop.attack_batch(m, columns, rng.indexed_stream(DOMAIN_EVE, b))
         else:
             det_idx = state_idx
 
-        q = q_table[det_idx]
+        # detect_batch asks for the exact first-fire rows of its candidates
+        # (the pulses that can click) only.
         if sigma_bob_leg > 0.0:
-            # Only the central slot depends on the phase; edge cells stay
-            # table-driven.
-            j2_rng = rng.indexed_stream(DOMAIN_JITTER, 2 * b + 1)
-            deltas = bob_amz.phase_offset_rad + sigma_bob_leg * j2_rng.standard_normal(m)
-            for k, (early, late) in enumerate(incoming):
-                mask = det_idx == k
-                _, s2, _ = slot_port_probabilities(early, late, bob_amz, deltas[mask])
-                for port in (0, 1):
-                    q[mask, 2 * Slot.S2 + port] = click_probability(s2[port], mu, apds[port])
+            normals = rng.indexed_stream(DOMAIN_JITTER, 2 * b + 1).standard_normal(m)
+            cumulative = lambda c: _drifted_table(
+                q_table, incoming, det_idx[c], bob_amz.phase_offset_rad + sigma_bob_leg * normals[c],
+                bob_amz, mu, apds,
+            )
+        else:
+            cumulative = lambda c: cum_table[det_idx[c]]
 
         d_rng = rng.indexed_stream(DOMAIN_DETECT, b)
-        registered, slot, port, _ = detect_batch(q, d_rng)
+        registered, slot, port, _ = detect_batch(limits[det_idx], cumulative, d_rng)
         events_registered += int(np.count_nonzero(registered))
         keep = registered
         if config.conventional_mode:

@@ -24,6 +24,7 @@ from timebin_bb84.detection import (
     any_click_probability,
     cell_click_probabilities,
     detect_batch,
+    first_fire_table,
 )
 from timebin_bb84.eavesdrop import EveSpec, enumerate_attack_qber
 from timebin_bb84.optics import (
@@ -160,9 +161,11 @@ def test_criterion_4_dark_exposure():
     for gates in (3, 1):
         apd = ApdSpec(efficiency=0.1, dark_per_gate=d, gates_per_pulse=gates)
         p_exact[gates] = any_click_probability(vacuum, 0.0, apd)
-        q = cell_click_probabilities(vacuum, 0.0, apd).astype(np.float32)
+        cum = first_fire_table(cell_click_probabilities(vacuum, 0.0, apd))
         rng = RngHandle(440_001).indexed_stream(DOMAIN_DETECT, gates)
-        _, _, _, any_click = detect_batch(np.broadcast_to(q, (n, 6)), rng)
+        _, _, _, any_click = detect_batch(
+            np.broadcast_to(cum[-1], n), lambda c: np.broadcast_to(cum, (c.size, 7)), rng
+        )
         counts[gates] = int(np.count_nonzero(any_click))
 
     formula_ok = abs(p_exact[3] / p_exact[1] - analytic_ratio) < 1e-9

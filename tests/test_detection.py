@@ -13,18 +13,25 @@ from timebin_bb84.detection import (
     SourceSpec,
     any_click_probability,
     cell_click_probabilities,
+    click_bound,
     click_probability,
     detect_batch,
     expected_event_rates,
+    first_fire_table,
 )
 from timebin_bb84.optics import (
     CANONICAL_STATES,
+    AmzSpec,
     Slot,
     SlotPortDistribution,
     bob_transform,
     canonical_link_state,
     ideal_amz,
+    link_state,
+    slot_port_probabilities,
 )
+
+Z = 5.0  # statistical bands: two-sided Bernstein bound, miss rate < 2 exp(-Z^2/2)
 
 
 def ideal_dist(state_idx: int) -> SlotPortDistribution:
@@ -33,6 +40,49 @@ def ideal_dist(state_idx: int) -> SlotPortDistribution:
 
 def dark_only_dist() -> SlotPortDistribution:
     return SlotPortDistribution(np.zeros((3, 2)), 1.0)
+
+
+def detect_alike(q, n: int, rng: np.random.Generator):
+    """The production sampler on n pulses that share the (6,) click
+    probabilities ``q``."""
+    cum = first_fire_table(q)
+    return detect_batch(np.broadcast_to(cum[-1], n), lambda c: np.broadcast_to(cum, (c.size, 7)), rng)
+
+
+# Bernoulli oracle: one uniform per cell, then the first-fire rule applied to
+# the click pattern.  It shares no code with the production sampler.
+
+
+def sample_clicks(qcells: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Bernoulli click matrix for per-cell probabilities of shape (..., 6)."""
+    u = rng.random(np.shape(qcells), dtype=np.float32)
+    return u < qcells
+
+
+def register_first_fire(clicks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First-fire registration of a (..., 6) click matrix: (registered, slot,
+    port); a pulse whose earliest firing slot clicks on both ports is
+    discarded."""
+    c = clicks
+    s1 = c[..., 0] | c[..., 1]
+    s2 = c[..., 2] | c[..., 3]
+    s3 = c[..., 4] | c[..., 5]
+    m1 = s1
+    m2 = ~s1 & s2
+    m3 = ~s1 & ~s2 & s3
+    double = (m1 & c[..., 0] & c[..., 1]) | (m2 & c[..., 2] & c[..., 3]) | (
+        m3 & c[..., 4] & c[..., 5]
+    )
+    registered = (s1 | s2 | s3) & ~double
+    slot = m2.astype(np.uint8) + 2 * m3.astype(np.uint8)
+    port = ((m1 & c[..., 1]) | (m2 & c[..., 3]) | (m3 & c[..., 5])).astype(np.uint8)
+    return registered, slot, port
+
+
+def outcome_counts(registered, slot, port, any_click) -> np.ndarray:
+    """Counts of the eight outcomes: six cells (slot-major), discard, none."""
+    cells = [np.count_nonzero(registered & (slot == s) & (port == j)) for s in range(3) for j in range(2)]
+    return np.array(cells + [np.count_nonzero(any_click & ~registered), np.count_nonzero(~any_click)])
 
 
 class TestClickProbability:
@@ -158,17 +208,17 @@ class TestGatingCost:
 class TestDetectPulse:
     def test_no_light_no_dark_never_fires(self):
         apd = ApdSpec(dark_per_gate=0.0)
-        q = cell_click_probabilities(ideal_dist(0), 0.0, apd).astype(np.float32)
-        registered, _, _, any_click = detect_batch(np.broadcast_to(q, (1000, 6)), np.random.default_rng(1))
+        q = cell_click_probabilities(ideal_dist(0), 0.0, apd)
+        registered, _, _, any_click = detect_alike(q, 1000, np.random.default_rng(1))
         assert not np.any(registered) and not np.any(any_click)
 
     def test_bright_pulses_register_only_first_slot(self):
         # with the early slot saturating, any surviving single-click event
         # must be in S1: later slots are shadowed by the first-fire rule
         apd = ApdSpec(efficiency=1.0, dark_per_gate=0.0)
-        q = cell_click_probabilities(ideal_dist(0), 50.0, apd).astype(np.float32)
+        q = cell_click_probabilities(ideal_dist(0), 50.0, apd)
         rng = RngHandle(7).indexed_stream(DOMAIN_DETECT, 0)
-        registered, slot, _, _ = detect_batch(np.broadcast_to(q, (10_000_000, 6)), rng)
+        registered, slot, _, _ = detect_alike(q, 10_000_000, rng)
         n_events = int(np.count_nonzero(registered))
         assert n_events > 0
         assert np.all(slot[registered] == 0)
@@ -177,9 +227,9 @@ class TestDetectPulse:
         apd = ApdSpec(efficiency=0.2, dark_per_gate=1e-4)
         dist = ideal_dist(2)
         n = 10_000_000
-        q = cell_click_probabilities(dist, 0.5, apd).astype(np.float32)
+        q = cell_click_probabilities(dist, 0.5, apd)
         rng = RngHandle(99).indexed_stream(DOMAIN_DETECT, 0)
-        registered, slot, port, _ = detect_batch(np.broadcast_to(q, (n, 6)), rng)
+        registered, slot, port, _ = detect_alike(q, n, rng)
         r = expected_event_rates(dist, 0.5, apd)
         for s in range(3):
             for p in range(2):
@@ -192,9 +242,9 @@ class TestDetectPulse:
         d = 1e-5
         apd = ApdSpec(dark_per_gate=d)
         n = 10_000_000
-        q = cell_click_probabilities(dark_only_dist(), 0.0, apd).astype(np.float32)
+        q = cell_click_probabilities(dark_only_dist(), 0.0, apd)
         rng = RngHandle(2024).indexed_stream(DOMAIN_DETECT, 0)
-        registered, slot, port, any_click = detect_batch(np.broadcast_to(q, (n, 6)), rng)
+        registered, slot, port, any_click = detect_alike(q, n, rng)
         p_any = 1 - (1 - d) ** 6
         got_any = int(np.count_nonzero(any_click))
         assert abs(got_any - n * p_any) <= 3 * math.sqrt(n * p_any * (1 - p_any))
@@ -206,22 +256,89 @@ class TestDetectPulse:
 
     def test_double_click_discard(self):
         # force both central-slot ports to click always: never registers
-        q = np.zeros(6, dtype=np.float32)
+        q = np.zeros(6)
         q[2] = q[3] = 1.0
         rng = np.random.default_rng(5)
-        registered, _, _, any_click = detect_batch(np.broadcast_to(q, (1000, 6)), rng)
+        registered, _, _, any_click = detect_alike(q, 1000, rng)
         assert not np.any(registered)
         assert np.all(any_click)
+
+
+SAMPLER_CASES = {
+    "asymmetric": (
+        ideal_dist(2), 0.5,
+        (ApdSpec(efficiency=0.05, dark_per_gate=1e-3), ApdSpec(efficiency=0.4, dark_per_gate=1e-2)),
+    ),
+    "single_gate": (ideal_dist(0), 2.0, ApdSpec(efficiency=0.5, dark_per_gate=1e-2, gates_per_pulse=1)),
+    "high_click": (ideal_dist(0), 4.0, ApdSpec(efficiency=1.0, dark_per_gate=0.05)),
+}
+
+
+class TestFirstFireSampler:
+    @pytest.mark.parametrize("case", SAMPLER_CASES)
+    def test_matches_bernoulli_oracle_and_exact_law(self, case):
+        """Both samplers' counts of all eight outcomes lie within the
+        Bernstein band at Z of the law from enumerating click patterns."""
+        dist, mu, apd = SAMPLER_CASES[case]
+        n = 400_000
+        q = cell_click_probabilities(dist, mu, apd)
+        reg, p_any = oracle.registration_by_enumeration(q)
+        law = np.append(reg.reshape(6), [p_any - reg.sum(), 1.0 - p_any])
+        assert np.max(np.abs(np.diff(first_fire_table(q), prepend=0.0) - law[:7])) < 1e-12
+        production = outcome_counts(*detect_alike(q, n, np.random.default_rng(11)))
+        clicks = sample_clicks(np.broadcast_to(q, (n, 6)), np.random.default_rng(12))
+        bernoulli = outcome_counts(*register_first_fire(clicks), clicks.any(axis=-1))
+        tol = Z * Z / 6.0 + np.sqrt(Z**4 / 36.0 + Z * Z * n * law * (1.0 - law))
+        for counts in (production, bernoulli):
+            assert counts.sum() == n
+            assert np.all(np.abs(counts - n * law) <= tol), (counts, n * law)
+            assert np.all(counts[law == 0.0] == 0)
+        if case == "high_click":
+            assert law[6] > 0.1  # the discard branch is well populated
+
+    @pytest.mark.parametrize(
+        "apds",
+        [
+            ApdSpec(efficiency=0.1, dark_per_gate=1e-5),
+            (ApdSpec(efficiency=0.05, dark_per_gate=1e-3), ApdSpec(efficiency=0.4, dark_per_gate=1e-6)),
+            ApdSpec(efficiency=0.9, dark_per_gate=1e-2, gates_per_pulse=1),
+        ],
+        ids=["equal", "unequal", "single_gate"],
+    )
+    def test_drift_bound_covers_every_phase(self, apds):
+        """The phase-independent bound is at least the any-click total of
+        every incoming state at every receiver phase on a dense grid."""
+        amz = AmzSpec(visibility=0.95, excess_loss_db=0.5, phase_offset_rad=0.3)
+        phases = np.linspace(-np.pi, np.pi, 20_001)
+        pair = apds if isinstance(apds, tuple) else (apds, apds)
+        states = [canonical_link_state(s).bins[:, 0] for s in CANONICAL_STATES] + [np.zeros(2)]
+        for early, late in states:
+            for mu in (0.03, 0.5, 5.0):
+                bound = click_bound(bob_transform(link_state(early, late), amz), mu, apds)
+                cells = np.stack(
+                    [np.broadcast_to(c, phases.shape)
+                     for row in slot_port_probabilities(early, late, amz, phases) for c in row],
+                    axis=-1,
+                )
+                q = np.zeros_like(cells)
+                for j in range(6):
+                    q[:, j] = click_probability(cells[:, j], mu, pair[j % 2])
+                if pair[0].gates_per_pulse == 1:
+                    q[:, [0, 1, 4, 5]] = 0.0
+                total = first_fire_table(q)[:, -1]
+                assert np.all(total <= bound)
+                if not isinstance(apds, tuple):
+                    assert bound - total.max() < 1e-11  # tight for equal efficiencies
 
 
 class TestDeterminism:
     def test_identical_seed_identical_stream(self):
         apd = ApdSpec(efficiency=0.3, dark_per_gate=1e-4)
-        q = cell_click_probabilities(ideal_dist(1), 0.3, apd).astype(np.float32)
+        q = cell_click_probabilities(ideal_dist(1), 0.3, apd)
 
         def stream(seed):
             rng = RngHandle(seed).indexed_stream(DOMAIN_DETECT, 0)
-            return detect_batch(np.broadcast_to(q, (100_000, 6)), rng)
+            return detect_alike(q, 100_000, rng)
 
         a = stream(42)
         b = stream(42)
@@ -265,8 +382,8 @@ class TestAsymmetricDetectors:
 
     def test_pair_in_batch_sampler(self):
         pair = (ApdSpec(efficiency=0.0, dark_per_gate=0.0), ApdSpec(efficiency=1.0, dark_per_gate=0.0))
-        q = cell_click_probabilities(ideal_dist(0), 5.0, pair).astype(np.float32)
-        registered, _, port, _ = detect_batch(np.broadcast_to(q, (500, 6)), np.random.default_rng(3))
+        q = cell_click_probabilities(ideal_dist(0), 5.0, pair)
+        registered, _, port, _ = detect_alike(q, 500, np.random.default_rng(3))
         assert np.any(registered)
         assert np.all(port[registered] == 1)  # the dead detector never clicks
 

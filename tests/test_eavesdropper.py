@@ -5,11 +5,13 @@ import math
 import numpy as np
 
 import matrix_oracle as oracle
+from timebin_bb84.detection import DOMAIN_EVE, RngHandle
 from timebin_bb84.eavesdrop import (
     OUTCOME_TO_STATE_INDEX,
     EveSpec,
     attack_batch,
     cumulative_outcomes,
+    drifted_columns,
     enumerate_attack_qber,
     outcome_probabilities,
     resend_state,
@@ -111,6 +113,40 @@ class TestAttackBranches:
                 assert np.max(np.abs(row - want)) < 1e-15
 
 
+class TestDriftedColumns:
+    def test_bit_identical_to_per_pulse_table(self):
+        """Under attacker drift, the column-at-a-time sampler gives the same
+        columns and outcomes, bit for bit, as building the per-pulse (m, 6)
+        cumulative table and sampling it from the same substream."""
+        spec = enabled_eve(excess_loss_db=0.7, visibility=0.9, phase_offset_rad=0.2)
+        amps = np.array([canonical_link_state(s).bins[:, 0] for s in CANONICAL_STATES])
+        amps[:, 1] *= np.exp(0.3j)  # a transmitter phase offset, as in a session
+        m = 300_000
+        gen = np.random.default_rng(8)
+        states = gen.integers(0, 4, size=m, dtype=np.uint8)
+        phases = 0.2 + 0.25 * gen.standard_normal(m)
+
+        table = np.empty((m, 6))
+        for k, (early, late) in enumerate(amps):
+            mask = states == k
+            table[mask] = cumulative_outcomes(early, late, spec, phases[mask])
+        u = RngHandle(5).indexed_stream(DOMAIN_EVE, 0).random(m)
+        want = np.zeros(m, dtype=np.uint8)
+        for column in table.T:
+            want += u >= column
+
+        columns = list(drifted_columns(amps, states, spec, phases))
+        assert len(columns) == 6
+        for j, column in enumerate(columns):
+            assert np.array_equal(column, table[:, j])
+        outcomes, resent = attack_batch(
+            m, drifted_columns(amps, states, spec, phases), RngHandle(5).indexed_stream(DOMAIN_EVE, 0)
+        )
+        assert np.array_equal(outcomes, want)
+        assert np.array_equal(resent, OUTCOME_TO_STATE_INDEX[want])
+        assert len(np.unique(outcomes)) == 7
+
+
 class TestMonteCarloInvariant:
     def sample_session(self, eve_spec, n, seed):
         """Single-photon sampling through the attack and a projective
@@ -119,7 +155,7 @@ class TestMonteCarloInvariant:
         states = rng.integers(0, 4, size=n).astype(np.uint8)
         amps = np.array([canonical_link_state(s).bins[:, 0] for s in CANONICAL_STATES])
         cum = cumulative_outcomes(amps[:, 0], amps[:, 1], eve_spec)
-        _, resent = attack_batch(cum, states, rng)
+        _, resent = attack_batch(n, (column[states] for column in cum.T), rng)
         # receiver: projective sample over the six cells per resent state
         tables = np.stack(
             [bob_transform(canonical_link_state(s), ideal_amz()).p.reshape(6) for s in CANONICAL_STATES]

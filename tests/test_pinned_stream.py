@@ -15,13 +15,13 @@ from timebin_bb84 import cli
 PINNED = [
     (
         "[session]\nn_pulses = 2000000\nseed = 20260101\n",
-        "8412495bbfd6255e1e9f83108c5095b338796c5f5b7b27334e9ba1345ac0e27e",
+        "95ddfa1d828601d4f7b76ccbbe5bdbbe138945116b56225268ed9f0fc9b9448c",
     ),
     (
         "[session]\nn_pulses = 2000000\nseed = 20260102\n"
         "[eve]\nenabled = true\n"
         "[bob_amz]\nphase_jitter_rad = 0.1\n",
-        "609550fcddb20e290ddeb56a9f4f32acce0d0b6aabd97d21bedf39ac5e3a7487",
+        "dd2a5218d3c9ebc5fdc6fe038d5d899301fee164284f9ad97f77b3c2a9f6841c",
     ),
     (
         "[session]\nn_pulses = 2000000\nseed = 20260103\n"
@@ -29,7 +29,7 @@ PINNED = [
         "[alice_amz]\nphase_jitter_rad = 0.05\n"
         "[eve_amz]\nphase_jitter_rad = 0.2\n"
         "[bob_amz]\nphase_jitter_rad = 0.1\n",
-        "c3e20763374882625c1816b509963206242287c15604f7d2db7ee8b81dc0ed64",
+        "77887b6421843532f840736c84da1e85ffba686a0ebffabce9bc57dcf16b1ea6",
     ),
 ]
 

@@ -1,5 +1,6 @@
 """End-to-end sessions: correctness, determinism, modes, sweeps, jitter."""
 
+import copy
 import dataclasses
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from timebin_bb84.channel import ChannelSpec
+from timebin_bb84 import detection, session
 from timebin_bb84.config import SessionConfig
 from timebin_bb84.detection import ApdSpec, SourceSpec, expected_event_rates
 from timebin_bb84.eavesdrop import EveSpec, enumerate_attack_qber, outcome_probabilities
@@ -175,6 +177,50 @@ class TestVisibilityAndPhase:
         want = (1 - math.exp(-0.5**2 / 2)) / 2
         sigma = math.sqrt(want * (1 - want) / split.conclusive_x)
         assert abs(split.true_qber_x - want) <= 4 * sigma + 1e-3
+
+
+THINNING_CONFIGS = {
+    "default": SessionConfig(n_pulses=300_000, seed=41),
+    "receiver_drift": SessionConfig(
+        n_pulses=300_000, seed=42,
+        alice_amz=AmzSpec(phase_jitter_rad=0.1), bob_amz=AmzSpec(phase_jitter_rad=0.3),
+    ),
+    "attacker_drift": SessionConfig(
+        n_pulses=300_000, seed=43,
+        eve=EveSpec(enabled=True, apparatus=AmzSpec(excess_loss_db=0.0, phase_jitter_rad=0.2)),
+        bob_amz=AmzSpec(phase_jitter_rad=0.1),
+    ),
+    "unequal_efficiencies": SessionConfig(
+        n_pulses=300_000, seed=44, source=SourceSpec(mu=1.0), channel=ChannelSpec(length_km=0.0),
+        apd_d0=ApdSpec(efficiency=0.05), apd_d1=ApdSpec(efficiency=0.6),
+        bob_amz=AmzSpec(phase_jitter_rad=0.2),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", THINNING_CONFIGS)
+def test_thinned_detection_equals_unthinned(monkeypatch, name):
+    """Within run_session, thinning gives bit-identical outcomes to
+    evaluating every pulse's first-fire row against the same uniforms."""
+    batches = []
+
+    def checked(limit, cumulative, rng):
+        reference_rng = copy.deepcopy(rng)
+        got = detection.detect_batch(limit, cumulative, rng)
+        u = reference_rng.random(len(limit))
+        cum = cumulative(np.arange(len(limit)))
+        assert np.all(cum[:, -1] <= limit)
+        outcome = (u[:, None] >= cum).sum(axis=1)
+        registered = outcome < 6
+        want = (registered, np.where(registered, outcome // 2, 0), np.where(registered, outcome % 2, 0), outcome < 7)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        batches.append(np.count_nonzero(u < limit) / len(limit))
+        return got
+
+    monkeypatch.setattr(session, "detect_batch", checked)
+    run_session(THINNING_CONFIGS[name])
+    assert batches and all(share < 0.5 for share in batches)
 
 
 class TestEveSessions:
