@@ -58,7 +58,6 @@ from .protocol import (
 from .session import (
     SessionResult,
     SessionSummary,
-    SessionTally,
     profile_rows,
     run_session,
     summarize,

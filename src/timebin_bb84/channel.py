@@ -11,6 +11,7 @@ interest.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -24,12 +25,10 @@ class ChannelSpec:
     fixed_insertion_db: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.length_km < 0:
-            raise ValueError("length_km must be >= 0")
-        if self.atten_db_per_km < 0:
-            raise ValueError("atten_db_per_km must be >= 0")
-        if self.fixed_insertion_db < 0:
-            raise ValueError("fixed_insertion_db must be >= 0")
+        for name in ("length_km", "atten_db_per_km", "fixed_insertion_db"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0")
 
 
 def transmittance(spec: ChannelSpec) -> float:

@@ -16,10 +16,11 @@ avalanches.  If both ports click in that slot the pulse is discarded.
 So a pulse has eight outcomes: six (slot, port) registrations, the
 discard, and no click.  Their cumulative probabilities have a closed form
 (:func:`first_fire_table`), and :func:`detect_batch` samples each pulse's
-outcome from one uniform.  Most pulses of a lossy link cannot click: a
-pulse whose uniform is at or above an upper bound on its click
-probability is "no click" without further work, and only the rest get
-their exact row evaluated.
+outcome from one uniform with :func:`sample_outcomes`, the sampler the
+attacker uses too.  Most pulses of a lossy link cannot click: a pulse
+whose uniform is at or above an upper bound on its click probability is
+"no click" without further work, and only the rest get their exact row
+evaluated.
 
 All randomness flows through :class:`RngHandle`, which derives named
 substreams (one per domain, batch or sweep point) from a single 64-bit
@@ -48,8 +49,8 @@ class SourceSpec:
     mu: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.mu < 0:
-            raise ValueError("mu must be >= 0")
+        if not (math.isfinite(self.mu) and self.mu >= 0):
+            raise ValueError("mu must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -200,31 +201,62 @@ def click_bound(dist: SlotPortDistribution, mu_arrived: float, apd: ApdSpec | Ap
     return 1.0 - dark * math.exp(-eta_max * mu_arrived * p_total) + 1e-12
 
 
+def sample_outcomes(
+    u: np.ndarray,
+    states: np.ndarray,
+    n_states: int,
+    rows: Callable[[int, np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """Outcome of each pulse from its uniform ``u`` and incoming state.
+
+    The pulses are taken one state at a time: for each k < ``n_states``,
+    ``rows(k, idx)`` gets the ascending indices ``idx`` of the pulses in
+    state k and returns cumulative outcome probabilities, either the
+    state's (K,) table row or, under phase drift, one (len(idx), K) row
+    per pulse.  A pulse's outcome is the number of row edges at or below
+    its uniform, so K means none of the K outcomes the row lists.  This
+    one sampler serves the attacker (:func:`eavesdrop.attack_batch`) and
+    the receiver (:func:`detect_batch`).
+    """
+    outcomes = np.zeros(len(u), dtype=np.uint8)
+    for k in range(n_states):
+        idx = np.flatnonzero(states == k)
+        u_k = u[idx]
+        count = np.zeros(idx.size, dtype=np.uint8)
+        for edge in np.transpose(rows(k, idx)):
+            count += u_k >= edge
+        outcomes[idx] = count
+    return outcomes
+
+
 def detect_batch(
-    limit: np.ndarray, cumulative: Callable[[np.ndarray], np.ndarray], rng: np.random.Generator
+    states: np.ndarray,
+    limits: np.ndarray,
+    rows: Callable[[int, np.ndarray], np.ndarray],
+    rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """First-fire detection of a batch from one float64 uniform per pulse.
 
-    ``limit`` holds one entry per pulse: at least that pulse's any-click
-    probability (the last column of its :func:`first_fire_table` row, or a
-    bound on it).  A pulse whose uniform is at or above its limit cannot
-    click, so only the others, the candidates, are evaluated:
-    ``cumulative(candidates)`` returns the (k, 7) first_fire_table rows of
-    the pulses at those indices, and each candidate's outcome is the number
-    of its row's edges at or below its uniform.  The result equals
-    evaluating every pulse.
+    ``states`` holds each pulse's incoming-state index and ``limits`` one
+    entry per state: at least the any-click probability (the last entry of
+    the :func:`first_fire_table` row) of every pulse in that state, or a
+    bound on it.  A pulse whose uniform is at or above its state's limit
+    cannot click, so only the others, the candidates, are sampled by
+    :func:`sample_outcomes`.  ``rows(k, idx)`` takes the batch indices of
+    the candidates in state k and returns the state's (7,) first-fire row
+    or one (len(idx), 7) row per pulse.  The result equals sampling every
+    pulse.
 
     Returns per-pulse (registered, slot, port, any_click); slot and port
     are zero where registered is False, and any_click counts double-click
     discards too, which is the quantity exposed to dark counts.
     """
-    n = len(limit)
+    n = len(states)
     u = rng.random(n)
-    candidates = np.flatnonzero(u < limit)
-    u_candidates = u[candidates]
-    outcome = np.zeros(candidates.size, dtype=np.uint8)
-    for edge in cumulative(candidates).T:
-        outcome += u_candidates >= edge
+    candidates = np.flatnonzero(u < limits[states])
+    outcome = sample_outcomes(
+        u[candidates], states[candidates], len(limits), lambda k, idx: rows(k, candidates[idx])
+    )
     registered = np.zeros(n, dtype=bool)
     any_click = np.zeros(n, dtype=bool)
     slot = np.zeros(n, dtype=np.uint8)

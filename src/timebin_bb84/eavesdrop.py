@@ -13,11 +13,12 @@ the enumeration confirms exactly 1/4 in both bases for ideal devices.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .detection import sample_outcomes
 from .optics import (
     CANONICAL_STATES,
     AmzSpec,
@@ -71,47 +72,22 @@ def cumulative_outcomes(early, late, spec: EveSpec, phase=None) -> np.ndarray:
     return np.cumsum(np.stack(np.broadcast_arrays(*cells), axis=-1), axis=-1)
 
 
-def drifted_columns(amps: np.ndarray, states: np.ndarray, spec: EveSpec, phase: np.ndarray):
-    """Yield the cumulative outcome probabilities of :func:`cumulative_outcomes`
-    for pulses with per-pulse attacker phases ``phase``, one (n,) column at
-    a time.  Pulse i has the link amplitudes ``amps[states[i]]``.
-
-    Each incoming state is evaluated with scalar amplitudes and the running
-    sum adds the cells in cumulative_outcomes' order, so every column is
-    bit-identical to that function's; only the two phase-dependent S2 cells
-    are held per pulse.
-    """
-    edges = np.empty((2, len(amps)))
-    s2 = np.empty((2, len(states)))
-    for k, (early, late) in enumerate(amps):
-        mask = states == k
-        s1, s2[:, mask], s3 = slot_port_probabilities(early, late, spec.apparatus, phase[mask])
-        edges[:, k] = s1[0], s3[0]
-    early_cell, late_cell = edges[:, states]
-    column = early_cell
-    yield column
-    for cell in (early_cell, s2[0], s2[1], late_cell, late_cell):
-        column = column + cell
-        yield column
-
-
 def attack_batch(
-    n: int, columns: Iterable[np.ndarray], rng: np.random.Generator
+    states: np.ndarray, rows: Callable[[int, np.ndarray], np.ndarray], rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sample the attacker's outcome for each of ``n`` pulses from one
-    float64 uniform per pulse.
+    """Sample the attacker's outcome for each pulse from one float64
+    uniform per pulse.
 
-    ``columns`` yields the six cumulative outcome probabilities (slot-major,
-    see :func:`cumulative_outcomes`) one column at a time, each with one
-    entry per pulse: a per-state table column gathered by input state, or
-    :func:`drifted_columns` under phase drift.  So no (n, 6) float array is
-    built per batch.  A uniform draw beyond the last entry is no outcome.
-    Returns (outcome index 0..6, resent-state index 0..4) per pulse.
+    ``states`` holds each pulse's canonical-state index.  ``rows(k, idx)``
+    takes the indices of the pulses in state k and returns the six
+    cumulative outcome probabilities of :func:`cumulative_outcomes`: the
+    state's (6,) table row, or one (len(idx), 6) row per pulse under phase
+    drift.  :func:`detection.sample_outcomes` does the sampling; a uniform
+    beyond the last entry is no outcome.  Returns (outcome index 0..6,
+    resent-state index 0..4) per pulse.
     """
-    u = rng.random(n)
-    outcomes = np.zeros(n, dtype=np.uint8)
-    for column in columns:
-        outcomes += u >= column
+    u = rng.random(len(states))
+    outcomes = sample_outcomes(u, states, len(CANONICAL_STATES), rows)
     return outcomes, OUTCOME_TO_STATE_INDEX[outcomes]
 
 

@@ -158,12 +158,14 @@ class AmzSpec:
     phase_jitter_rad: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.excess_loss_db < 0:
-            raise ValueError("excess_loss_db must be >= 0")
+        if not (math.isfinite(self.excess_loss_db) and self.excess_loss_db >= 0):
+            raise ValueError("excess_loss_db must be finite and >= 0")
+        if not math.isfinite(self.phase_offset_rad):
+            raise ValueError("phase_offset_rad must be finite")
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError("visibility must lie in [0, 1]")
-        if self.phase_jitter_rad < 0:
-            raise ValueError("phase_jitter_rad must be >= 0")
+        if not (math.isfinite(self.phase_jitter_rad) and self.phase_jitter_rad >= 0):
+            raise ValueError("phase_jitter_rad must be finite and >= 0")
 
     @property
     def excess_transmittance(self) -> float:
@@ -196,12 +198,6 @@ class SlotPortDistribution:
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"probabilities + p_lost = {total}, expected 1")
         object.__setattr__(self, "p", np.clip(arr, 0.0, None))
-
-    def cell(self, slot: Slot, port: Port) -> float:
-        return float(self.p[slot, port])
-
-    def total_detected(self) -> float:
-        return float(self.p.sum())
 
 
 def apply_coupler(a: complex, b: complex, t: float) -> tuple[complex, complex]:

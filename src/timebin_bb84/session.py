@@ -7,9 +7,11 @@ batches could in principle be evaluated in parallel and merged by pulse
 index.  Within a batch everything is vectorised over numpy arrays.  A
 session sees at most five distinct incoming states (the four canonical
 ones plus vacuum when the attacker suppresses a pulse), so click and
-attack-outcome probabilities come from per-state tables; only under phase
-drift are the phase-dependent ones recomputed, through the same optics and
-click formulas.
+attack-outcome probabilities come from per-state tables.  Both stations
+sample with ``detection.sample_outcomes``, one incoming state at a time:
+each gets a per-state ``rows(k, idx)`` that returns the state's table row,
+or under phase drift one row per pulse, recomputed from the pulses'
+phases through the same optics and click formulas.
 
 Per batch of m pulses the substreams give: DOMAIN_ALICE one
 integers(0, 4) state per pulse, written as bit = s & 1 and basis = s >> 1;
@@ -91,11 +93,11 @@ class SessionSummary:
     qber: float
     sifted_rate_per_pulse: float
     dark_fraction_estimate: float
-    conclusive_z: int = 0
-    conclusive_x: int = 0
-    true_qber: float = 0.0
-    true_qber_z: float = 0.0
-    true_qber_x: float = 0.0
+    conclusive_z: int
+    conclusive_x: int
+    true_qber: float
+    true_qber_z: float
+    true_qber_x: float
 
     CSV_COLUMNS = (
         "pulses_sent",
@@ -114,32 +116,6 @@ class SessionSummary:
 
 
 @dataclass
-class SessionTally:
-    """Raw material a finished (or empty) session hands to summarize()."""
-
-    n_pulses: int
-    events_registered: int
-    records: PulseTrain | None
-    classifications: ClassifiedEvents
-    alice_key: SiftedKey | None
-    bob_key: SiftedKey | None
-    dark_register_prob: float = 0.0
-
-    @staticmethod
-    def empty() -> "SessionTally":
-        return SessionTally(
-            n_pulses=0,
-            events_registered=0,
-            records=None,
-            classifications=ClassifiedEvents(
-                np.empty(0, np.int64), np.empty(0, np.uint8), np.empty(0, np.uint8)
-            ),
-            alice_key=None,
-            bob_key=None,
-        )
-
-
-@dataclass
 class SessionResult:
     summary: SessionSummary
     alice_key: SiftedKey
@@ -148,15 +124,22 @@ class SessionResult:
     classifications: ClassifiedEvents
 
 
-def summarize(tally: SessionTally) -> SessionSummary:
-    """Counts, rates and diagnostic error rates for a session tally."""
-    ev = tally.classifications
-    if tally.n_pulses == 0 or tally.records is None:
-        return SessionSummary(0, 0, 0, 0, 0.0, 0.0, 0.0)
-    matched = tally.records.bases[ev.pulse_indices] == ev.bases
+def summarize(
+    records: PulseTrain,
+    classifications: ClassifiedEvents,
+    key: SiftedKey,
+    events_registered: int,
+    dark_register_prob: float,
+) -> SessionSummary:
+    """Counts, rates and diagnostic error rates of a finished session;
+    ``key`` is the transmitter's sifted key and ``dark_register_prob`` the
+    per-pulse registration probability of dark counts alone."""
+    n = len(records)
+    ev = classifications
+    matched = records.bases[ev.pulse_indices] == ev.bases
     kept_idx = ev.pulse_indices[matched]
     kept_bases = ev.bases[matched]
-    errors = tally.records.bits[kept_idx] != ev.bits[matched]
+    errors = records.bits[kept_idx] != ev.bits[matched]
     conclusive = int(kept_idx.size)
     z_mask = kept_bases == 0
     conclusive_z = int(np.count_nonzero(z_mask))
@@ -165,25 +148,14 @@ def summarize(tally: SessionTally) -> SessionSummary:
     def _rate(err_mask: np.ndarray, denom: int) -> float:
         return float(np.count_nonzero(err_mask)) / denom if denom else 0.0
 
-    qber_estimate = 0.0
-    sifted_length = 0
-    if tally.alice_key is not None:
-        sifted_length = len(tally.alice_key)
-        if not math.isnan(tally.alice_key.qber_estimate):
-            qber_estimate = tally.alice_key.qber_estimate
-    dark_fraction = (
-        tally.n_pulses * tally.dark_register_prob / tally.events_registered
-        if tally.events_registered
-        else 0.0
-    )
     return SessionSummary(
-        pulses_sent=tally.n_pulses,
-        events_registered=tally.events_registered,
+        pulses_sent=n,
+        events_registered=events_registered,
         conclusive_count=conclusive,
-        sifted_length=sifted_length,
-        qber=qber_estimate,
-        sifted_rate_per_pulse=conclusive / tally.n_pulses,
-        dark_fraction_estimate=min(dark_fraction, 1.0),
+        sifted_length=len(key),
+        qber=key.qber_estimate,
+        sifted_rate_per_pulse=conclusive / n,
+        dark_fraction_estimate=min(n * dark_register_prob / events_registered, 1.0),
         conclusive_z=conclusive_z,
         conclusive_x=conclusive_x,
         true_qber=_rate(errors, conclusive),
@@ -218,25 +190,23 @@ def _receiver_distributions(arrived: np.ndarray, bob_amz: AmzSpec) -> list[SlotP
     return [bob_transform(link_state(early, late), bob_amz) for early, late in arrived]
 
 
-def _drifted_table(
-    q_table: np.ndarray,
-    incoming: np.ndarray,
-    states: np.ndarray,
+def _drifted_rows(
+    q_row: np.ndarray,
+    early: complex,
+    late: complex,
     phases: np.ndarray,
     bob_amz: AmzSpec,
     mu: float,
     apds: tuple[ApdSpec, ApdSpec],
 ) -> np.ndarray:
-    """(k, 7) first-fire tables of pulses in incoming states ``states`` at
-    receiver phases ``phases``.  Only the central slot depends on the
-    phase; the edge cells stay table-driven.  Each state is evaluated with
-    scalar amplitudes, which keeps the temporaries small."""
-    q = q_table[states]
-    for k, (early, late) in enumerate(incoming):
-        mask = states == k
-        _, s2, _ = slot_port_probabilities(early, late, bob_amz, phases[mask])
-        for port in (0, 1):
-            q[mask, 2 * Slot.S2 + port] = click_probability(s2[port], mu, apds[port])
+    """(len(phases), 7) first-fire rows of one incoming state, with link
+    amplitudes ``early``/``late``, at receiver phases ``phases``.  Only the
+    two S2 cells depend on the phase; the others keep the state's table
+    click probabilities ``q_row``."""
+    q = np.tile(q_row, (len(phases), 1))
+    _, s2, _ = slot_port_probabilities(early, late, bob_amz, phases)
+    for port in (0, 1):
+        q[:, 2 * Slot.S2 + port] = click_probability(s2[port], mu, apds[port])
     return first_fire_table(q)
 
 
@@ -310,30 +280,33 @@ def run_session(config: SessionConfig) -> SessionResult:
         np.bitwise_and(state_idx, 1, out=bits_all[lo:hi])
         np.right_shift(state_idx, 1, out=bases_all[lo:hi])
 
+        # Each station samples its outcomes one incoming state k at a time;
+        # rows(k, idx) is the state's table row, or under drift one row per
+        # pulse at idx from that pulse's phase.
         if eve_on:
             if sigma_eve_leg > 0.0:
                 j_rng = rng.indexed_stream(DOMAIN_JITTER, 2 * b)
                 deltas = config.eve.apparatus.phase_offset_rad + sigma_eve_leg * j_rng.standard_normal(m)
-                columns = eavesdrop.drifted_columns(prepared, state_idx, config.eve, deltas)
+                eve_rows = lambda k, idx: eavesdrop.cumulative_outcomes(
+                    *prepared[k], config.eve, deltas[idx]
+                )
             else:
-                columns = (column[state_idx] for column in eve_cum.T)
-            _, det_idx = eavesdrop.attack_batch(m, columns, rng.indexed_stream(DOMAIN_EVE, b))
+                eve_rows = lambda k, idx: eve_cum[k]
+            _, det_idx = eavesdrop.attack_batch(state_idx, eve_rows, rng.indexed_stream(DOMAIN_EVE, b))
         else:
             det_idx = state_idx
 
-        # detect_batch asks for the exact first-fire rows of its candidates
-        # (the pulses that can click) only.
         if sigma_bob_leg > 0.0:
             normals = rng.indexed_stream(DOMAIN_JITTER, 2 * b + 1).standard_normal(m)
-            cumulative = lambda c: _drifted_table(
-                q_table, incoming, det_idx[c], bob_amz.phase_offset_rad + sigma_bob_leg * normals[c],
+            bob_rows = lambda k, idx: _drifted_rows(
+                q_table[k], *incoming[k], bob_amz.phase_offset_rad + sigma_bob_leg * normals[idx],
                 bob_amz, mu, apds,
             )
         else:
-            cumulative = lambda c: cum_table[det_idx[c]]
+            bob_rows = lambda k, idx: cum_table[k]
 
         d_rng = rng.indexed_stream(DOMAIN_DETECT, b)
-        registered, slot, port, _ = detect_batch(limits[det_idx], cumulative, d_rng)
+        registered, slot, port, _ = detect_batch(det_idx, limits, bob_rows, d_rng)
         events_registered += int(np.count_nonzero(registered))
         keep = registered
         if config.conventional_mode:
@@ -356,17 +329,8 @@ def run_session(config: SessionConfig) -> SessionResult:
 
     vacuum_dist = SlotPortDistribution(np.zeros((3, 2)), 1.0)
     dark_register = float(expected_event_rates(vacuum_dist, 0.0, apds).sum())
-    tally = SessionTally(
-        n_pulses=n,
-        events_registered=events_registered,
-        records=records,
-        classifications=classifications,
-        alice_key=key_a,
-        bob_key=key_b,
-        dark_register_prob=dark_register,
-    )
     return SessionResult(
-        summary=summarize(tally),
+        summary=summarize(records, classifications, key_a, events_registered, dark_register),
         alice_key=key_a,
         bob_key=key_b,
         records=records,

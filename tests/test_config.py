@@ -2,6 +2,7 @@
 
 import pytest
 
+from timebin_bb84.cli import main
 from timebin_bb84.config import (
     DEFAULT_CONFIG_TEXT,
     ConfigError,
@@ -99,6 +100,27 @@ class TestRejection:
     def test_negative_mu(self, tmp_path):
         with pytest.raises(ConfigError, match="source"):
             parse_config(write(tmp_path, "[source]\nmu = -0.5\n"))
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("source", "mu"),
+            ("bob_amz", "excess_loss_db"),
+            ("bob_amz", "phase_offset_rad"),
+            ("bob_amz", "phase_jitter_rad"),
+            ("channel", "length_km"),
+            ("channel", "atten_db_per_km"),
+            ("channel", "fixed_insertion_db"),
+        ],
+    )
+    def test_non_finite_value(self, tmp_path, section, key, value):
+        with pytest.raises(ConfigError, match=rf"{section}: {key} must be finite"):
+            parse_config(write(tmp_path, f"[{section}]\n{key} = {value}\n"))
+
+    def test_non_finite_sweep_value_exits_1(self, tmp_path, capsys):
+        assert main(["sweep", "--axis", "mu", "--values", "nan", "--out", str(tmp_path)]) == 1
+        assert "mu must be finite" in capsys.readouterr().err
 
     def test_delay_mismatch(self, tmp_path):
         # the one-bin delay is fixed in the optics model; the key is gone

@@ -46,7 +46,7 @@ def detect_alike(q, n: int, rng: np.random.Generator):
     """The production sampler on n pulses that share the (6,) click
     probabilities ``q``."""
     cum = first_fire_table(q)
-    return detect_batch(np.broadcast_to(cum[-1], n), lambda c: np.broadcast_to(cum, (c.size, 7)), rng)
+    return detect_batch(np.zeros(n, dtype=np.uint8), cum[-1:], lambda k, idx: cum, rng)
 
 
 # Bernoulli oracle: one uniform per cell, then the first-fire rule applied to

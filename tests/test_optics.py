@@ -172,8 +172,8 @@ class TestBobTransform:
     def test_x_state_port_exclusivity(self):
         plus = bob_transform(canonical_link_state(CANONICAL_STATES[2]), ideal_amz())
         minus = bob_transform(canonical_link_state(CANONICAL_STATES[3]), ideal_amz())
-        assert plus.cell(Slot.S2, Port.D0) == 0.0
-        assert minus.cell(Slot.S2, Port.D1) == 0.0
+        assert plus.p[Slot.S2, Port.D0] == 0.0
+        assert minus.p[Slot.S2, Port.D1] == 0.0
 
     def test_excess_loss_goes_to_p_lost(self):
         spec = AmzSpec(excess_loss_db=2.0)
@@ -227,8 +227,8 @@ class TestBobTransform:
                 dist = bob_transform(canonical_link_state(state), spec)
                 want_major = (1 + v * math.cos(delta)) / 4
                 want_minor = (1 - v * math.cos(delta)) / 4
-                assert abs(dist.cell(Slot.S2, major_port) - want_major) < TOL
-                assert abs(dist.cell(Slot.S2, Port(1 - major_port)) - want_minor) < TOL
+                assert abs(dist.p[Slot.S2, major_port] - want_major) < TOL
+                assert abs(dist.p[Slot.S2, Port(1 - major_port)] - want_minor) < TOL
 
     def test_phase_derivative_finite_difference(self):
         rng = np.random.default_rng(99)
@@ -238,7 +238,7 @@ class TestBobTransform:
         for delta in rng.uniform(-math.pi, math.pi, size=5):
             def s2d0(d):
                 spec = AmzSpec(excess_loss_db=0.0, visibility=v, phase_offset_rad=float(d))
-                return bob_transform(state, spec).cell(Slot.S2, Port.D0)
+                return bob_transform(state, spec).p[Slot.S2, Port.D0]
 
             numeric = (s2d0(delta + h) - s2d0(delta - h)) / (2 * h)
             analytic = v * math.sin(delta) / 4.0

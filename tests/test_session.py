@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from timebin_bb84.channel import ChannelSpec
-from timebin_bb84 import detection, session
+from timebin_bb84.channel import ChannelSpec, transmittance
+from timebin_bb84 import detection, eavesdrop, session
 from timebin_bb84.config import SessionConfig
 from timebin_bb84.detection import ApdSpec, SourceSpec, expected_event_rates
 from timebin_bb84.eavesdrop import EveSpec, enumerate_attack_qber, outcome_probabilities
@@ -17,18 +17,13 @@ from timebin_bb84.optics import (
     CANONICAL_STATES,
     AmzSpec,
     Basis,
+    SlotPortDistribution,
     bob_transform,
     canonical_link_state,
     vacuum_state,
 )
 from timebin_bb84.protocol import InsufficientKeyError, run_protocol
-from timebin_bb84.session import (
-    SessionTally,
-    profile_rows,
-    run_session,
-    summarize,
-    sweep,
-)
+from timebin_bb84.session import profile_rows, run_session, sweep
 
 
 def ideal_config(**overrides) -> SessionConfig:
@@ -198,29 +193,75 @@ THINNING_CONFIGS = {
 }
 
 
+def every_pulse_row(states: np.ndarray, n_states: int, width: int, rows) -> np.ndarray:
+    """Each pulse's cumulative row, evaluating every state's ``rows`` at
+    all pulses of the batch and keeping each pulse's own state."""
+    everyone = np.arange(len(states))
+    table = np.zeros((len(states), width))
+    for k in range(n_states):
+        mask = states == k
+        table[mask] = np.broadcast_to(rows(k, everyone), table.shape)[mask]
+    return table
+
+
 @pytest.mark.parametrize("name", THINNING_CONFIGS)
 def test_thinned_detection_equals_unthinned(monkeypatch, name):
     """Within run_session, thinning gives bit-identical outcomes to
     evaluating every pulse's first-fire row against the same uniforms."""
     batches = []
 
-    def checked(limit, cumulative, rng):
+    def checked(states, limits, rows, rng):
         reference_rng = copy.deepcopy(rng)
-        got = detection.detect_batch(limit, cumulative, rng)
-        u = reference_rng.random(len(limit))
-        cum = cumulative(np.arange(len(limit)))
-        assert np.all(cum[:, -1] <= limit)
+        got = detection.detect_batch(states, limits, rows, rng)
+        u = reference_rng.random(len(states))
+        cum = every_pulse_row(states, len(limits), 7, rows)
+        assert np.all(cum[:, -1] <= limits[states])
         outcome = (u[:, None] >= cum).sum(axis=1)
         registered = outcome < 6
         want = (registered, np.where(registered, outcome // 2, 0), np.where(registered, outcome % 2, 0), outcome < 7)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
-        batches.append(np.count_nonzero(u < limit) / len(limit))
+        batches.append(np.count_nonzero(u < limits[states]) / len(states))
         return got
 
     monkeypatch.setattr(session, "detect_batch", checked)
     run_session(THINNING_CONFIGS[name])
     assert batches and all(share < 0.5 for share in batches)
+
+
+@pytest.mark.parametrize("jitter", [0.2, 0.0], ids=["drift", "steady"])
+def test_attacker_sampler_equals_per_pulse_rows(monkeypatch, jitter):
+    """Within run_session, the attacker's per-state sampler gives the same
+    outcomes, bit for bit, as sampling every pulse's full
+    cumulative_outcomes row against the same uniforms.  A lossy apparatus
+    makes all seven outcomes occur; without dark counts, no pulse the
+    attacker suppressed (vacuum resent) registers at the receiver."""
+    lossy = AmzSpec(excess_loss_db=1.0, phase_jitter_rad=jitter)
+    dark_free = ApdSpec(dark_per_gate=0.0)
+    config = SessionConfig(
+        n_pulses=300_000, seed=45, eve=EveSpec(enabled=True, apparatus=lossy),
+        bob_amz=AmzSpec(phase_jitter_rad=jitter / 2), apd_d0=dark_free, apd_d1=dark_free,
+    )
+    batches = []
+    attack_batch = eavesdrop.attack_batch
+
+    def checked(states, rows, rng):
+        reference_rng = copy.deepcopy(rng)
+        outcomes, resent = attack_batch(states, rows, rng)
+        u = reference_rng.random(len(states))
+        cum = every_pulse_row(states, 4, 6, rows)
+        want = (u[:, None] >= cum).sum(axis=1)
+        assert np.array_equal(outcomes, want)
+        assert np.array_equal(resent, OUTCOME_TO_STATE_INDEX[want])
+        batches.append(outcomes)
+        return outcomes, resent
+
+    monkeypatch.setattr(eavesdrop, "attack_batch", checked)
+    result = run_session(config)
+    outcomes = np.concatenate(batches)
+    assert len(outcomes) == config.n_pulses and len(np.unique(outcomes)) == 7
+    resent = OUTCOME_TO_STATE_INDEX[outcomes]
+    assert np.all(resent[result.classifications.pulse_indices] != eavesdrop.VACUUM_INDEX)
 
 
 class TestEveSessions:
@@ -326,13 +367,6 @@ def drifted_attack_qber(cfg: SessionConfig) -> dict[Basis, float]:
 
 
 class TestSummarize:
-    def test_empty_tally_is_all_zero(self):
-        s = summarize(SessionTally.empty())
-        assert s.pulses_sent == 0 and s.events_registered == 0
-        assert s.conclusive_count == 0 and s.sifted_length == 0
-        assert s.qber == 0.0 and s.sifted_rate_per_pulse == 0.0
-        assert s.dark_fraction_estimate == 0.0
-
     def test_zero_pulse_session_raises(self):
         with pytest.raises(InsufficientKeyError):
             run_session(SessionConfig(n_pulses=0))
@@ -343,11 +377,21 @@ class TestSummarize:
             run_session(cfg)
 
     def test_dark_fraction_estimate_tracks_truth(self):
+        """The estimate n * p_dark / events_registered lies in the band that
+        a two-sided Bernstein bound at Z = 5 on events_registered gives
+        around its exact expectation."""
         cfg = SessionConfig(n_pulses=2_000_000, seed=11)
         s = run_session(cfg).summary
-        # with d = 1e-5 per gate and ~0.63% signal rate, roughly 1% of
-        # events are dark-induced; the estimate should sit near that
-        assert 0.004 < s.dark_fraction_estimate < 0.02
+        apds = (cfg.apd_d0, cfg.apd_d1)
+        mu = cfg.source.mu * transmittance(cfg.channel)
+        p = np.mean([
+            expected_event_rates(bob_transform(canonical_link_state(st), cfg.bob_amz), mu, apds).sum()
+            for st in CANONICAL_STATES
+        ])
+        dark = expected_event_rates(SlotPortDistribution(np.zeros((3, 2)), 1.0), 0.0, apds).sum()
+        n, z = cfg.n_pulses, 5.0
+        tol = z * z / 6.0 + math.sqrt(z**4 / 36.0 + z * z * n * p * (1.0 - p))
+        assert n * dark / (n * p + tol) <= s.dark_fraction_estimate <= n * dark / (n * p - tol)
         assert 0.0 < s.true_qber < 3 * s.dark_fraction_estimate
 
 
