@@ -253,7 +253,8 @@ def detect_batch(
     """
     n = len(states)
     u = rng.random(n)
-    candidates = np.flatnonzero(u < limits[states])
+    candidates = np.flatnonzero(u < limits.max())
+    candidates = candidates[u[candidates] < limits[states[candidates]]]
     outcome = sample_outcomes(
         u[candidates], states[candidates], len(limits), lambda k, idx: rows(k, candidates[idx])
     )

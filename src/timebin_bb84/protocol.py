@@ -25,10 +25,18 @@ on the caller's thread.  On a byte stream, ``drive`` runs one endpoint over
 a transport; messages are newline-terminated, self-describing JSON records,
 and a record longer than the endpoint's ``max_line`` is refused.  Any
 malformed, out-of-order or out-of-range message aborts the session.
+
+Inside a record, a set of pulse indices is an object ``{"count", "width",
+"gaps"}``: the strictly increasing indices as little-endian unsigned gaps
+(the first gap is the first index + 1), ``width`` bytes each, in base64.
+The width is the narrowest of 1, 2, 4 or 8 bytes that holds the largest
+gap.  A bit string (bases, Z = 0 and X = 1, or disclosed bits) is an
+object ``{"count", "packed"}``: ``np.packbits`` output in base64.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import socket
@@ -143,7 +151,24 @@ ClassicalMessage = (
     BasisRequest | BobBasisAnnounce | AliceMatchReply | SampleIndices | SampleBits | QberReport
 )
 
-_BASIS_CHARS = np.array(["Z", "X"])
+_GAP_DTYPES = {d.itemsize: d for d in map(np.dtype, ("<u1", "<u2", "<u4", "<u8"))}
+
+
+def _b64(arr: np.ndarray) -> str:
+    return base64.b64encode(arr.tobytes()).decode("ascii")
+
+
+def _index_field(indices: np.ndarray) -> dict:
+    gaps = np.diff(np.asarray(indices, dtype=np.int64), prepend=-1)
+    if gaps.min(initial=1) < 1:
+        raise ProtocolError("cannot encode indices that are negative or not strictly increasing")
+    top = int(gaps.max(initial=0))
+    dtype = next(d for d in _GAP_DTYPES.values() if top < 256**d.itemsize)
+    return {"count": gaps.size, "width": dtype.itemsize, "gaps": _b64(gaps.astype(dtype))}
+
+
+def _bit_field(bits: np.ndarray) -> dict:
+    return {"count": np.asarray(bits).size, "packed": _b64(np.packbits(bits))}
 
 
 def encode_message(msg: ClassicalMessage) -> bytes:
@@ -153,15 +178,15 @@ def encode_message(msg: ClassicalMessage) -> bytes:
     elif isinstance(msg, BobBasisAnnounce):
         obj = {
             "type": "basis_announce",
-            "indices": np.asarray(msg.indices).tolist(),
-            "bases": "".join(_BASIS_CHARS[np.asarray(msg.bases)]),
+            "indices": _index_field(msg.indices),
+            "bases": _bit_field(msg.bases),
         }
     elif isinstance(msg, AliceMatchReply):
-        obj = {"type": "match_reply", "indices": np.asarray(msg.indices).tolist()}
+        obj = {"type": "match_reply", "indices": _index_field(msg.indices)}
     elif isinstance(msg, SampleIndices):
-        obj = {"type": "sample_indices", "indices": np.asarray(msg.indices).tolist()}
+        obj = {"type": "sample_indices", "indices": _index_field(msg.indices)}
     elif isinstance(msg, SampleBits):
-        obj = {"type": "sample_bits", "bits": "".join(map(str, np.asarray(msg.bits).tolist()))}
+        obj = {"type": "sample_bits", "bits": _bit_field(msg.bits)}
     elif isinstance(msg, QberReport):
         obj = {"type": "qber_report", "value": msg.value}
     else:
@@ -170,34 +195,56 @@ def encode_message(msg: ClassicalMessage) -> bytes:
 
 
 def _scalar(value, types: tuple[type, ...]):
+    """``value`` if its type is exactly one of ``types``: a JSON boolean is
+    not an int here, and an int is not a float unless ``types`` says so."""
     if type(value) not in types:
         raise ProtocolError(f"expected {' or '.join(t.__name__ for t in types)}, got {value!r}")
     return value
 
 
-def _indices(value) -> np.ndarray:
-    """A flat JSON list of integers as int64; checked by dtype, not per element."""
-    arr = np.asarray(value)
-    if arr.ndim != 1 or (arr.size and arr.dtype.kind != "i"):
-        raise ProtocolError("indices must be a flat list of integers")
-    return arr.astype(np.int64, copy=False)
+def _count(field) -> int:
+    count = _scalar(_scalar(field, (dict,))["count"], (int,))
+    if count < 0:
+        raise ProtocolError(f"negative count {count}")
+    return count
 
 
-def _symbols(value, alphabet: tuple[bytes, bytes], what: str) -> np.ndarray:
-    if not isinstance(value, str):
-        raise ProtocolError(f"{what} must be a string")
-    arr = np.frombuffer(value.encode("ascii"), dtype="S1")
-    if arr.size and not np.all(np.isin(arr, alphabet)):
-        raise ProtocolError(f"{what} contains a symbol outside {alphabet}")
-    return (arr == alphabet[1]).astype(np.uint8)
+def _payload(value, size: int, what: str) -> bytes:
+    raw = base64.b64decode(_scalar(value, (str,)), validate=True)
+    if len(raw) != size:
+        raise ProtocolError(f"{what} payload holds {len(raw)} bytes, not {size}")
+    return raw
+
+
+def _indices(field) -> np.ndarray:
+    """An index field as strictly increasing non-negative int64 indices."""
+    count = _count(field)
+    width = _scalar(field["width"], (int,))
+    if width not in _GAP_DTYPES:
+        raise ProtocolError(f"unknown index width {width}")
+    gaps = np.frombuffer(_payload(field["gaps"], count * width, "index"), _GAP_DTYPES[width])
+    if gaps.min(initial=1) == 0:
+        raise ProtocolError("index gap of 0: indices must strictly increase")
+    ends = np.cumsum(gaps, dtype=np.uint64)
+    # Only when count gaps of this width can pass 2**63 can the sum wrap.
+    if count * (256**width - 1) > 2**63 and (
+        ends[-1] > 2**63 or np.any(ends[1:] <= ends[:-1])
+    ):
+        raise ProtocolError("index gaps sum past the int64 range")
+    ends -= np.uint64(1)
+    return ends.view(np.int64)
+
+
+def _bits(field, what: str) -> np.ndarray:
+    """A bit field as a uint8 array of 0s and 1s."""
+    count = _count(field)
+    bits = np.unpackbits(np.frombuffer(_payload(field["packed"], -(-count // 8), what), np.uint8))
+    if bits[count:].any():
+        raise ProtocolError(f"{what} padding bits are not zero")
+    return bits[:count]
 
 
 def decode_message(line: bytes) -> ClassicalMessage:
-    # No field of any message is a boolean, and no valid string field can
-    # hold these letters; json would otherwise read true as 1 inside an
-    # integer list, where a dtype check cannot see it.
-    if b"true" in line or b"false" in line:
-        raise ProtocolError("malformed message: messages carry no boolean values")
     try:
         obj = json.loads(line)
         kind = obj["type"]
@@ -205,7 +252,7 @@ def decode_message(line: bytes) -> ClassicalMessage:
             return BasisRequest(_scalar(obj["start"], (int,)), _scalar(obj["stop"], (int,)))
         if kind == "basis_announce":
             indices = _indices(obj["indices"])
-            bases = _symbols(obj["bases"], (b"Z", b"X"), "basis_announce bases")
+            bases = _bits(obj["bases"], "basis_announce bases")
             if bases.size != indices.size:
                 raise ProtocolError("basis_announce has different numbers of indices and bases")
             return BobBasisAnnounce(indices=indices, bases=bases)
@@ -214,13 +261,15 @@ def decode_message(line: bytes) -> ClassicalMessage:
         if kind == "sample_indices":
             return SampleIndices(_indices(obj["indices"]))
         if kind == "sample_bits":
-            return SampleBits(_symbols(obj["bits"], (b"0", b"1"), "sample_bits"))
+            return SampleBits(_bits(obj["bits"], "sample_bits"))
         if kind == "qber_report":
             return QberReport(float(_scalar(obj["value"], (int, float))))
         raise ProtocolError(f"unknown message type {kind!r}")
     except ProtocolError:
         raise
-    except (KeyError, ValueError, TypeError, OverflowError, json.JSONDecodeError) as exc:
+    # binascii.Error from base64 is a ValueError; json raises RecursionError
+    # on deeply nested input.
+    except (KeyError, ValueError, TypeError, OverflowError, RecursionError) as exc:
         raise ProtocolError(f"malformed message: {exc}") from exc
 
 
@@ -292,10 +341,13 @@ class SiftedKey:
 
 
 def _max_line(count: int) -> int:
-    """Longest record an honest peer sends in a session whose messages list
-    at most ``count`` indices: 20 digits and a comma per index, one basis
-    or bit symbol each, and 256 bytes for the rest of the record."""
-    return 256 + 22 * count
+    """Bound on the longest record an honest peer sends in a session whose
+    messages list at most ``count`` indices.  At the widest width, 8 bytes
+    of gap per index take at most (32 * count + 8) / 3 bytes of base64, and
+    one packed basis bit per index at most count / 6 + 4; that is under
+    11 * count + 7.  The JSON keys, two counts of at most 20 digits and the
+    width take under 150 of the 256 bytes left."""
+    return 256 + 11 * count
 
 
 def _expect(msg: ClassicalMessage, kind: type | None) -> None:

@@ -1,6 +1,9 @@
 """Sifting/estimation state machines, wire codec and transports."""
 
+import base64
+import json
 import math
+import re
 import socket
 
 import numpy as np
@@ -187,6 +190,20 @@ class TestEstimateQber:
         assert len(key_a) == 400 - key_a.disclosed_count
 
 
+def index_field(*gaps, size=1, **field):
+    """An index field holding ``gaps`` at ``size`` bytes each; keyword
+    arguments replace its members."""
+    raw = np.array(gaps, f"<u{size}").tobytes()
+    return {"count": len(gaps), "width": size, "gaps": base64.b64encode(raw).decode()} | field
+
+
+def bit_field(*bits, **field):
+    """A bit field packing ``bits``, padding bits included; keyword
+    arguments replace its members."""
+    raw = np.packbits(np.array(bits, np.uint8)).tobytes()
+    return {"count": len(bits), "packed": base64.b64encode(raw).decode()} | field
+
+
 class TestCodec:
     @pytest.mark.parametrize(
         "msg",
@@ -211,44 +228,144 @@ class TestCodec:
             else:
                 assert got == value
 
+    def test_gaps_spelling_true_round_trip(self):
+        # Gaps 182, 187, 158 are the bytes b6 bb 9e, whose base64 is "true":
+        # a decoder that scanned records for JSON booleans refused this one.
+        line = encode_message(AliceMatchReply(np.array([181, 368, 526])))
+        assert b'"gaps":"true"' in line
+        assert decode_message(line).indices.tolist() == [181, 368, 526]
+
+    def test_width_is_narrowest_that_holds_largest_gap(self):
+        for top, width in [(255, 1), (256, 2), (2**16, 4), (2**32 - 1, 4), (2**32, 8)]:
+            line = encode_message(SampleIndices(np.array([3, 3 + top])))
+            assert json.loads(line)["indices"]["width"] == width
+
+    def test_unencodable_indices_refused(self):
+        for indices in ([-1, 4], [4, 4], [5, 2]):
+            with pytest.raises(ProtocolError, match="cannot encode"):
+                encode_message(AliceMatchReply(np.array(indices)))
+
     def test_malformed_rejected(self):
         with pytest.raises(ProtocolError):
             decode_message(b"not json\n")
         with pytest.raises(ProtocolError):
             decode_message(b'{"type":"mystery"}\n')
         with pytest.raises(ProtocolError):
-            decode_message(b'{"type":"basis_announce","indices":[1],"bases":"Q"}\n')
-        with pytest.raises(ProtocolError):
-            decode_message(b'{"type":"sample_bits","bits":"012"}\n')
-        with pytest.raises(ProtocolError):
             decode_message(b'{"type":"basis_request","start":0}\n')
 
     @pytest.mark.parametrize(
-        "line",
+        "record,error",
         [
-            b'{"type":"basis_announce","indices":[1,5,9],"bases":"Z"}',
-            b'{"type":"basis_announce","indices":[1.7,true,3],"bases":"ZZX"}',
-            b'{"type":"basis_announce","indices":[1,true,3],"bases":"ZZX"}',
-            b'{"type":"match_reply","indices":[2.0]}',
-            b'{"type":"sample_indices","indices":[false]}',
-            b'{"type":"sample_indices","indices":[1,99999999999999999999999]}',
-            b'{"type":"basis_request","start":0.9,"stop":true}',
-            b'{"type":"basis_request","start":0,"stop":"5"}',
-            b'{"type":"basis_announce","indices":[1],"bases":["Z"]}',
-            b'{"type":"sample_bits","bits":101}',
-            b'{"type":"match_reply","indices":[[1,2],[3,4]]}',
-            b'{"type":"qber_report","value":"0.5"}',
-            b'{"type":"qber_report","value":true}',
+            ({"type": "basis_announce", "indices": index_field(1, 5, 4), "bases": bit_field(1, 0)},
+             "different numbers of indices and bases"),
+            ({"type": "match_reply", "indices": index_field(1, count=1.7, width=True)},
+             "expected int, got 1.7"),
+            ({"type": "match_reply", "indices": index_field(1, width=True)}, "expected int, got True"),
+            ({"type": "match_reply", "indices": index_field(1, width=1.0)}, "expected int, got 1.0"),
+            ({"type": "match_reply", "indices": index_field(1, count=1.0)}, "expected int, got 1.0"),
+            ({"type": "sample_bits", "bits": bit_field(1, count=True)}, "expected int, got True"),
+            ({"type": "sample_bits", "bits": bit_field(count=-1)}, "negative count -1"),
+            ({"type": "sample_indices", "indices": index_field(2**64 - 1, 2, size=8)},
+             "index gaps sum past the int64 range"),
+            ({"type": "basis_request", "start": 0.9, "stop": True}, "expected int, got 0.9"),
+            ({"type": "basis_request", "start": 0, "stop": "5"}, "expected int, got '5'"),
+            ({"type": "basis_announce", "indices": index_field(1),
+              "bases": bit_field(1, packed=["gA=="])}, "expected str, got ['gA==']"),
+            ({"type": "sample_bits", "bits": bit_field(1, packed=101)}, "expected str, got 101"),
+            ({"type": "match_reply", "indices": index_field(1, gaps=101)}, "expected str, got 101"),
+            ({"type": "match_reply", "indices": [[1, 2], [3, 4]]}, "expected dict, got [[1, 2], [3, 4]]"),
+            ({"type": "qber_report", "value": "0.5"}, "expected int or float, got '0.5'"),
+            ({"type": "qber_report", "value": True}, "expected int or float, got True"),
+            ({"type": "sample_indices", "indices": index_field(1, 0)},
+             "index gap of 0: indices must strictly increase"),
+            ({"type": "sample_indices", "indices": index_field(1, count=2)},
+             "index payload holds 1 bytes, not 2"),
+            ({"type": "sample_indices", "indices": index_field(1, gaps="A!==")},
+             "Only base64 data is allowed"),
+            ({"type": "sample_bits", "bits": bit_field(1, 0, 0, 0, 0, 0, 0, 1, count=1)},
+             "sample_bits padding bits are not zero"),
+            ({"type": "sample_indices", "indices": index_field(1, width=3)}, "unknown index width 3"),
         ],
         ids=[
-            "length_mismatch", "float_and_bool", "bool_among_ints", "float", "bool",
-            "overflow", "range_not_int", "range_string", "bases_not_string",
-            "bits_not_string", "two_dimensional", "qber_string", "qber_bool",
+            "length_mismatch", "float_and_bool", "bool_among_ints", "float", "count_float", "bool",
+            "count_negative", "overflow", "range_not_int", "range_string", "bases_not_string",
+            "bits_not_string", "gaps_not_string", "two_dimensional", "qber_string", "qber_bool",
+            "gap_zero", "byte_length", "not_base64", "padding_bits", "unknown_width",
         ],
     )
-    def test_malformed_fields_rejected(self, line):
-        with pytest.raises(ProtocolError):
-            decode_message(line + b"\n")
+    def test_malformed_fields_rejected(self, record, error):
+        with pytest.raises(ProtocolError, match=re.escape(error)):
+            decode_message(json.dumps(record).encode() + b"\n")
+
+    def test_deep_nesting_rejected(self):
+        with pytest.raises(ProtocolError, match="recursion"):
+            decode_message(b"[" * 5000 + b"\n")
+
+
+# Gaps that force each index width: the largest gap is at least ``lo``.
+WIDTH_GAPS = {1: (1, 2**8 - 1), 2: (2**8, 2**16 - 1), 4: (2**16, 2**32 - 1), 8: (2**32, 2**40)}
+
+
+@st.composite
+def wide_session(draw):
+    """An all-Z, all-zero pulse train (a broadcast view, so a train of
+    2**40 pulses takes no memory) and receiver events whose announce needs
+    a given index width.  Up to 600 events, all of them in Z when
+    ``x_share`` is 0, so the match reply can reach the receiver's cap."""
+    width = draw(st.sampled_from(sorted(WIDTH_GAPS)))
+    lo, hi = WIDTH_GAPS[width]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gaps = rng.integers(1, hi, draw(st.integers(0, 600)), endpoint=True)
+    gaps = np.insert(gaps, draw(st.integers(0, gaps.size)), draw(st.integers(lo, hi)))
+    idx = np.cumsum(gaps) - 1
+    x_share = draw(st.sampled_from([0.0, 0.5]))
+    bases = (rng.random(idx.size) < x_share).astype(np.uint8)
+    bases[draw(st.integers(0, idx.size - 1))] = 0  # at least one sifted event
+    bits = rng.integers(0, 2, idx.size, dtype=np.uint8)
+    n = int(idx[-1]) + 1 + draw(st.integers(0, 1000))
+    zeros = np.broadcast_to(np.uint8(0), (n,))
+    sifted = int(np.count_nonzero(bases == 0))
+    fraction = min(1.0, (draw(st.integers(1, sifted)) + 0.5) / sifted)
+    return width, PulseTrain(zeros, zeros), ClassifiedEvents(idx, bases, bits), fraction
+
+
+def assert_same_message(back, msg):
+    assert type(back) is type(msg)
+    for name, value in vars(msg).items():
+        got = getattr(back, name)
+        if isinstance(value, np.ndarray):
+            assert got.tolist() == value.tolist()
+        else:
+            assert got == value
+
+
+class TestRecordCap:
+    @settings(max_examples=60, deadline=None)
+    @given(wide_session())
+    def test_honest_records_fit_recipient_cap(self, session):
+        width, records, events, fraction = session
+        alice_cap = AliceEndpoint(records, fraction, np.random.default_rng(0)).max_line
+        bob_cap = BobEndpoint(events).max_line
+        _, _, transcript = run_protocol(records, events, fraction, np.random.default_rng(5))
+        assert json.loads(encode_message(transcript[1]))["indices"]["width"] == width
+        for msg in transcript:
+            line = encode_message(msg)
+            to_alice = isinstance(msg, (BobBasisAnnounce, SampleBits))
+            assert len(line) <= (alice_cap if to_alice else bob_cap)
+            assert_same_message(decode_message(line), msg)
+
+    def test_empty_records_fit_cap(self):
+        cap = BobEndpoint(make_events()).max_line
+        empty = np.empty(0, np.int64)
+        for msg in [
+            BobBasisAnnounce(empty, np.empty(0, np.uint8)),
+            AliceMatchReply(empty),
+            SampleIndices(empty),
+            SampleBits(np.empty(0, np.uint8)),
+        ]:
+            line = encode_message(msg)
+            assert len(line) <= cap
+            assert_same_message(decode_message(line), msg)
 
 
 def run_over_sockets(records, events, sample_fraction, seed):
