@@ -15,12 +15,15 @@ least one click counts, which also neutralises after-pulsing from earlier
 avalanches.  If both ports click in that slot the pulse is discarded.
 So a pulse has eight outcomes: six (slot, port) registrations, the
 discard, and no click.  Their cumulative probabilities have a closed form
-(:func:`first_fire_table`), and :func:`detect_batch` samples each pulse's
-outcome from one uniform with :func:`sample_outcomes`, the sampler the
-attacker uses too.  Most pulses of a lossy link cannot click: a pulse
-whose uniform is at or above an upper bound on its click probability is
-"no click" without further work, and only the rest get their exact row
-evaluated.
+(:func:`first_fire_table`), and a pulse's outcome is sampled from one
+uniform with :func:`sample_outcomes`, the sampler the attacker uses too.
+Most pulses of a lossy link cannot click: a pulse whose uniform is at or
+above an upper bound ``p`` on every click probability is "no click"
+without further work.  So :func:`draw_candidates` draws only the pulses
+whose uniform lies below ``p`` (the candidates), as geometric gaps between
+positions, and gives each the uniform ``p * v``, ``v`` uniform on [0, 1):
+exactly the law of a uniform given that it lies below ``p``.
+:func:`detect_batch` then evaluates only those candidates.
 
 All randomness flows through :class:`RngHandle`, which derives named
 substreams (one per domain, batch or sweep point) from a single 64-bit
@@ -80,12 +83,15 @@ class ApdSpec:
 #   numpy.random.SeedSequence((seed, domain[, index]))
 # with index = batch number for batched domains (DOMAIN_JITTER uses 2*batch
 # for the attacker's leg and 2*batch + 1 for the receiver's), or sweep-point
-# number.  Per batch of m pulses, DOMAIN_ALICE gives one integers(0, 4)
-# uint8 state per pulse (bit = s & 1, basis = s >> 1), DOMAIN_EVE one
-# float64 uniform per pulse, DOMAIN_DETECT one float64 uniform per pulse,
-# and each DOMAIN_JITTER leg one standard normal per pulse.  The rule and
-# these draws are part of the reproducibility contract and must not change
-# between releases.
+# number.  DOMAIN_ALICE gives one 64-bit key (child_seed with index 0),
+# from which protocol.PulseTrain computes each pulse's state.  Per batch,
+# DOMAIN_DETECT gives the candidates (draw_candidates): standard
+# exponentials for the gaps between candidate positions, drawn in blocks
+# until the batch is passed, then one float64 uniform per candidate.
+# DOMAIN_EVE (attacker on) gives one float64 uniform per candidate and each
+# drifting DOMAIN_JITTER leg one standard normal per candidate.  The rule
+# and these draws are part of the reproducibility contract and must not
+# change between releases.
 DOMAIN_ALICE = 1
 DOMAIN_EVE = 2
 DOMAIN_DETECT = 3
@@ -191,14 +197,15 @@ def click_bound(dist: SlotPortDistribution, mu_arrived: float, apd: ApdSpec | Ap
     Only the two S2 cells depend on the phase, and they always sum to the
     same weight, so p_total (the gated weight of ``dist``) does not.  The
     added 1e-12 covers rounding: the totals :func:`first_fire_table`
-    computes can exceed the exact value by a few ulps.
+    computes can exceed the exact value by a few ulps.  A probability
+    cannot exceed 1, so neither does the bound.
     """
     pair = as_apd_pair(apd)
     gates = pair[0].gates_per_pulse
     p_total = float(dist.p[Slot.S2].sum() if gates == 1 else dist.p.sum())
     eta_max = max(a.efficiency for a in pair)
     dark = ((1.0 - pair[0].dark_per_gate) * (1.0 - pair[1].dark_per_gate)) ** gates
-    return 1.0 - dark * math.exp(-eta_max * mu_arrived * p_total) + 1e-12
+    return min(1.0, 1.0 - dark * math.exp(-eta_max * mu_arrived * p_total) + 1e-12)
 
 
 def sample_outcomes(
@@ -229,46 +236,89 @@ def sample_outcomes(
     return outcomes
 
 
+@dataclass(frozen=True)
+class Candidates:
+    """The pulses of a batch of ``size`` pulses that can click: ``offsets``
+    holds their ascending positions in the batch and ``u`` their detection
+    uniforms.  ``len()`` is the batch's pulse count."""
+
+    size: int
+    offsets: np.ndarray
+    u: np.ndarray
+
+    def __len__(self) -> int:
+        return self.size
+
+
+def draw_candidates(m: int, p: float, rng: np.random.Generator) -> Candidates:
+    """The pulses of an m-pulse batch whose detection uniform lies below ``p``.
+
+    Their positions are separated by geometric gaps on {1, 2, ...} with
+    success probability ``p``, each ``floor(E / -log1p(-p)) + 1`` with E
+    standard exponential; the exponentials are drawn in blocks of about
+    ``m * p`` until the positions pass the batch.  Then each candidate gets
+    the uniform ``p * v``, v uniform on [0, 1).  ``p <= 0`` gives no
+    candidates and ``p >= 1`` every pulse.
+    """
+    if p >= 1.0:
+        offsets = np.arange(m)
+    elif p <= 0.0:
+        offsets = np.empty(0, dtype=np.int64)
+    else:
+        rate = -math.log1p(-p)
+        block = int(m * p + 6.0 * math.sqrt(m * p)) + 16
+        blocks = []
+        last = -1
+        while last < m - 1:
+            # A gap past the batch ends it, so gaps are capped at m + 1; the
+            # cap also keeps a tiny rate's overflow out of the integer cast.
+            gaps = rng.standard_exponential(block)
+            with np.errstate(over="ignore"):
+                gaps /= rate
+            positions = np.minimum(gaps, m, out=gaps).astype(np.int64)
+            positions[0] += last
+            positions += 1
+            np.cumsum(positions, out=positions)
+            blocks.append(positions)
+            last = int(positions[-1])
+        offsets = np.concatenate(blocks)
+        offsets = offsets[: np.searchsorted(offsets, m)]
+    return Candidates(m, offsets, min(p, 1.0) * rng.random(offsets.size))
+
+
 def detect_batch(
+    batch: Candidates,
     states: np.ndarray,
     limits: np.ndarray,
     rows: Callable[[int, np.ndarray], np.ndarray],
-    rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """First-fire detection of a batch from one float64 uniform per pulse.
+    """First-fire detection of the candidates of a batch.
 
-    ``states`` holds each pulse's incoming-state index and ``limits`` one
-    entry per state: at least the any-click probability (the last entry of
-    the :func:`first_fire_table` row) of every pulse in that state, or a
-    bound on it.  A pulse whose uniform is at or above its state's limit
-    cannot click, so only the others, the candidates, are sampled by
-    :func:`sample_outcomes`.  ``rows(k, idx)`` takes the batch indices of
-    the candidates in state k and returns the state's (7,) first-fire row
-    or one (len(idx), 7) row per pulse.  The result equals sampling every
-    pulse.
+    ``states`` holds each candidate's incoming-state index and ``limits``
+    one entry per state: at least the any-click probability (the last
+    entry of the :func:`first_fire_table` row) of every pulse in that
+    state, or a bound on it.  The candidates must have been drawn with
+    ``p >= limits.max()``, so a pulse that is not a candidate cannot click.
+    A candidate whose uniform is at or above its state's limit cannot click
+    either, so only the others are sampled by :func:`sample_outcomes`.
+    ``rows(k, idx)`` takes the positions in ``states`` of those candidates
+    in state k and returns the state's (7,) first-fire row or one
+    (len(idx), 7) row per candidate.
 
-    Returns per-pulse (registered, slot, port, any_click); slot and port
-    are zero where registered is False, and any_click counts double-click
-    discards too, which is the quantity exposed to dark counts.
+    Returns per-candidate (registered, slot, port, any_click).  slot and
+    port are meaningful only where registered; any_click counts
+    double-click discards too, which is the quantity exposed to dark counts.
     """
-    n = len(states)
-    u = rng.random(n)
-    candidates = np.flatnonzero(u < limits.max())
-    candidates = candidates[u[candidates] < limits[states[candidates]]]
-    outcome = sample_outcomes(
-        u[candidates], states[candidates], len(limits), lambda k, idx: rows(k, candidates[idx])
-    )
-    registered = np.zeros(n, dtype=bool)
-    any_click = np.zeros(n, dtype=bool)
-    slot = np.zeros(n, dtype=np.uint8)
-    port = np.zeros(n, dtype=np.uint8)
-    cell = outcome < N_CELLS
-    hits = candidates[cell]
-    registered[hits] = True
-    slot[hits] = outcome[cell] // 2
-    port[hits] = outcome[cell] % 2
-    any_click[candidates[outcome <= N_CELLS]] = True
-    return registered, slot, port, any_click
+    if limits.min() == limits.max():
+        # Every candidate lies below its state's limit: nothing to thin.
+        outcome = sample_outcomes(batch.u, states, len(limits), rows)
+    else:
+        outcome = np.full(len(states), N_CELLS + 1, dtype=np.uint8)
+        live = np.flatnonzero(batch.u < limits[states])
+        outcome[live] = sample_outcomes(
+            batch.u[live], states[live], len(limits), lambda k, idx: rows(k, live[idx])
+        )
+    return outcome < N_CELLS, outcome // 2, outcome % 2, outcome <= N_CELLS
 
 
 def expected_event_rates(

@@ -62,19 +62,45 @@ class InsufficientKeyError(ProtocolError):
 
 
 class PulseTrain:
-    """Transmitter's per-pulse (bit, basis) choices, stored as arrays;
-    basis codes are 0 = Z, 1 = X."""
+    """Transmitter's per-pulse (bit, basis) choices, computed on demand
+    from a 64-bit ``key``, so the train holds no per-pulse data.
 
-    def __init__(self, bits: np.ndarray, bases: np.ndarray):
-        bits = np.asarray(bits, dtype=np.uint8)
-        bases = np.asarray(bases, dtype=np.uint8)
-        if bits.shape != bases.shape or bits.ndim != 1:
-            raise ValueError("bits and bases must be 1-D arrays of equal length")
-        self.bits = bits
-        self.bases = bases
+    Pulse i's state index s = 2 * basis + bit (basis codes 0 = Z, 1 = X)
+    is the top two bits of the SplitMix64 finaliser (Steele, Lea and Flood
+    2014) of ``key + i * 0x9E3779B97F4A7C15`` in wrapping 64-bit arithmetic.
+    """
+
+    _CHUNK = 1 << 16  # indices hashed per pass: keeps the temporaries in cache
+
+    def __init__(self, n: int, key: int):
+        if n < 0 or not 0 <= key < 2**64:
+            raise ValueError("a train needs n >= 0 and a 64-bit unsigned key")
+        self.n = n
+        self.key = np.uint64(key)
 
     def __len__(self) -> int:
-        return self.bits.size
+        return self.n
+
+    def states(self, idx: np.ndarray) -> np.ndarray:
+        """uint8 state index of each pulse in ``idx``."""
+        idx = np.asarray(idx)
+        out = np.empty(idx.size, dtype=np.uint8)
+        for lo in range(0, idx.size, self._CHUNK):
+            z = idx[lo : lo + self._CHUNK].astype(np.uint64)
+            z *= np.uint64(0x9E3779B97F4A7C15)
+            z += self.key
+            z ^= z >> np.uint64(30)
+            z *= np.uint64(0xBF58476D1CE4E5B9)
+            z ^= z >> np.uint64(27)
+            z *= np.uint64(0x94D049BB133111EB)
+            z ^= z >> np.uint64(31)
+            out[lo : lo + self._CHUNK] = z >> np.uint64(62)
+        return out
+
+    def choices(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(bits, bases) of the pulses in ``idx``."""
+        s = self.states(idx)
+        return s & 1, s >> 1
 
 
 class ClassifiedEvents:
@@ -407,14 +433,16 @@ class AliceEndpoint:
             _require_strictly_increasing(msg.indices, "announced")
             if msg.indices.size and (msg.indices[0] < 0 or msg.indices[-1] >= n):
                 raise ProtocolError("announced pulse index out of session range")
-            kept = msg.indices[self.records.bases[msg.indices] == msg.bases]
+            bits, bases = self.records.choices(msg.indices)
+            matched = bases == msg.bases
+            kept = msg.indices[matched]
             n_sample = int(self.sample_fraction * kept.size)
             if n_sample < 1:
                 raise InsufficientKeyError(
                     f"sifted key of {kept.size} bits cannot support a "
                     f"{self.sample_fraction} disclosure fraction"
                 )
-            self._kept, self._bits = kept, self.records.bits[kept]
+            self._kept, self._bits = kept, bits[matched]
             self._pick = np.sort(self.rng.choice(kept.size, size=n_sample, replace=False))
             self._next = SampleBits
             return [AliceMatchReply(kept), SampleIndices(kept[self._pick])]

@@ -13,16 +13,21 @@ each gets a per-state ``rows(k, idx)`` that returns the state's table row,
 or under phase drift one row per pulse, recomputed from the pulses'
 phases through the same optics and click formulas.
 
-Per batch of m pulses the substreams give: DOMAIN_ALICE one
-integers(0, 4) state per pulse, written as bit = s & 1 and basis = s >> 1;
-DOMAIN_EVE (attacker on) one float64 uniform per pulse; DOMAIN_JITTER one
-standard normal per pulse for each drifting leg (index 2*batch for the
-attacker's, 2*batch + 1 for the receiver's); DOMAIN_DETECT one float64
-uniform per pulse, which picks the pulse's first-fire outcome.  Detection
-is thinned: a pulse whose uniform is at or above its state's click
-probability (under receiver drift, a phase-independent bound on it) cannot
-click, so the receiver's drifted S2 cells and first-fire row are computed
-only for the others, well under 1% of pulses on a 25 km link.
+The transmitter's choices come from one 64-bit DOMAIN_ALICE key through
+the counter-based ``PulseTrain``, so they cost nothing until read.  Per
+batch of m pulses, the session first draws the candidates on
+DOMAIN_DETECT (``detection.draw_candidates``): exponential gaps between
+the positions of the pulses whose detection uniform lies below p, the
+largest click bound over the incoming states, and then those pulses'
+uniforms.  A pulse that is not a candidate cannot click whatever the
+attacker forwards, so everything else runs on the candidates only, well
+under 1% of pulses on a 25 km link: their states are read from the train;
+the attacker (on) takes one DOMAIN_EVE uniform each; each drifting leg
+takes one DOMAIN_JITTER standard normal each (index 2*batch for the
+attacker's, 2*batch + 1 for the receiver's); and ``detect_batch`` thins
+them against their own state's click probability (under receiver drift, a
+phase-independent bound on it) before sampling, so the receiver's drifted
+S2 cells and first-fire rows are computed only for the survivors.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ from .detection import (
     click_bound,
     click_probability,
     detect_batch,
+    draw_candidates,
     expected_event_rates,
     first_fire_table,
 )
@@ -136,11 +142,11 @@ def summarize(
     per-pulse registration probability of dark counts alone."""
     n = len(records)
     ev = classifications
-    matched = records.bases[ev.pulse_indices] == ev.bases
-    kept_idx = ev.pulse_indices[matched]
+    bits, bases = records.choices(ev.pulse_indices)
+    matched = bases == ev.bases
     kept_bases = ev.bases[matched]
-    errors = records.bits[kept_idx] != ev.bits[matched]
-    conclusive = int(kept_idx.size)
+    errors = bits[matched] != ev.bits[matched]
+    conclusive = int(kept_bases.size)
     z_mask = kept_bases == 0
     conclusive_z = int(np.count_nonzero(z_mask))
     conclusive_x = conclusive - conclusive_z
@@ -257,15 +263,14 @@ def run_session(config: SessionConfig) -> SessionResult:
     q_table = np.stack([cell_click_probabilities(d, mu, apds) for d in dists])
     cum_table = first_fire_table(q_table)
     # Under receiver drift a pulse's click probability moves with its
-    # phase, so candidates are thinned against a phase-independent bound.
+    # phase, so pulses are thinned against a phase-independent bound.
     limits = (
         np.array([click_bound(d, mu, apds) for d in dists])
         if sigma_bob_leg > 0.0
         else cum_table[:, -1]
     )
 
-    bits_all = np.empty(n, dtype=np.uint8)
-    bases_all = np.empty(n, dtype=np.uint8)
+    records = PulseTrain(n, rng.child_seed(DOMAIN_ALICE, 0))
     ev_idx: list[np.ndarray] = []
     ev_slot: list[np.ndarray] = []
     ev_port: list[np.ndarray] = []
@@ -275,29 +280,29 @@ def run_session(config: SessionConfig) -> SessionResult:
     for b in range(n_batches):
         lo = b * BATCH_SIZE
         hi = min(lo + BATCH_SIZE, n)
-        m = hi - lo
-        state_idx = rng.indexed_stream(DOMAIN_ALICE, b).integers(0, 4, size=m, dtype=np.uint8)
-        np.bitwise_and(state_idx, 1, out=bits_all[lo:hi])
-        np.right_shift(state_idx, 1, out=bases_all[lo:hi])
+        batch = draw_candidates(hi - lo, limits.max(), rng.indexed_stream(DOMAIN_DETECT, b))
+        pulses = lo + batch.offsets
+        states = records.states(pulses)
 
         # Each station samples its outcomes one incoming state k at a time;
         # rows(k, idx) is the state's table row, or under drift one row per
-        # pulse at idx from that pulse's phase.
+        # candidate at idx from that candidate's phase.
         if eve_on:
             if sigma_eve_leg > 0.0:
                 j_rng = rng.indexed_stream(DOMAIN_JITTER, 2 * b)
-                deltas = config.eve.apparatus.phase_offset_rad + sigma_eve_leg * j_rng.standard_normal(m)
+                deltas = (
+                    config.eve.apparatus.phase_offset_rad
+                    + sigma_eve_leg * j_rng.standard_normal(pulses.size)
+                )
                 eve_rows = lambda k, idx: eavesdrop.cumulative_outcomes(
                     *prepared[k], config.eve, deltas[idx]
                 )
             else:
                 eve_rows = lambda k, idx: eve_cum[k]
-            _, det_idx = eavesdrop.attack_batch(state_idx, eve_rows, rng.indexed_stream(DOMAIN_EVE, b))
-        else:
-            det_idx = state_idx
+            _, states = eavesdrop.attack_batch(states, eve_rows, rng.indexed_stream(DOMAIN_EVE, b))
 
         if sigma_bob_leg > 0.0:
-            normals = rng.indexed_stream(DOMAIN_JITTER, 2 * b + 1).standard_normal(m)
+            normals = rng.indexed_stream(DOMAIN_JITTER, 2 * b + 1).standard_normal(pulses.size)
             bob_rows = lambda k, idx: _drifted_rows(
                 q_table[k], *incoming[k], bob_amz.phase_offset_rad + sigma_bob_leg * normals[idx],
                 bob_amz, mu, apds,
@@ -305,21 +310,18 @@ def run_session(config: SessionConfig) -> SessionResult:
         else:
             bob_rows = lambda k, idx: cum_table[k]
 
-        d_rng = rng.indexed_stream(DOMAIN_DETECT, b)
-        registered, slot, port, _ = detect_batch(det_idx, limits, bob_rows, d_rng)
+        registered, slot, port, _ = detect_batch(batch, states, limits, bob_rows)
         events_registered += int(np.count_nonzero(registered))
         keep = registered
         if config.conventional_mode:
             keep = registered & (slot != Slot.S3)
-        where = np.nonzero(keep)[0]
-        ev_idx.append(where.astype(np.int64) + lo)
-        ev_slot.append(slot[where])
-        ev_port.append(port[where])
+        ev_idx.append(pulses[keep])
+        ev_slot.append(slot[keep])
+        ev_port.append(port[keep])
 
-    records = PulseTrain(bits_all, bases_all)
-    idx = np.concatenate(ev_idx) if ev_idx else np.empty(0, np.int64)
-    slots = np.concatenate(ev_slot) if ev_slot else np.empty(0, np.uint8)
-    ports = np.concatenate(ev_port) if ev_port else np.empty(0, np.uint8)
+    idx = np.concatenate(ev_idx)
+    slots = np.concatenate(ev_slot)
+    ports = np.concatenate(ev_port)
     meas_bases, meas_bits = classify_arrays(slots, ports)
     classifications = ClassifiedEvents(idx, meas_bases, meas_bits)
 

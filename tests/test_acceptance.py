@@ -24,6 +24,7 @@ from timebin_bb84.detection import (
     any_click_probability,
     cell_click_probabilities,
     detect_batch,
+    draw_candidates,
     first_fire_table,
 )
 from timebin_bb84.eavesdrop import EveSpec, enumerate_attack_qber
@@ -163,7 +164,9 @@ def test_criterion_4_dark_exposure():
         p_exact[gates] = any_click_probability(vacuum, 0.0, apd)
         cum = first_fire_table(cell_click_probabilities(vacuum, 0.0, apd))
         rng = RngHandle(440_001).indexed_stream(DOMAIN_DETECT, gates)
-        _, _, _, any_click = detect_batch(np.zeros(n, dtype=np.uint8), cum[-1:], lambda k, idx: cum, rng)
+        batch = draw_candidates(n, cum[-1], rng)
+        states = np.zeros(batch.offsets.size, dtype=np.uint8)
+        _, _, _, any_click = detect_batch(batch, states, cum[-1:], lambda k, idx: cum)
         counts[gates] = int(np.count_nonzero(any_click))
 
     formula_ok = abs(p_exact[3] / p_exact[1] - analytic_ratio) < 1e-9
@@ -219,8 +222,8 @@ def test_criterion_6_passive_basis():
     cfg = lossless_config(n_pulses=10_000_000, seed=660_001)
     result = run_session(cfg)
     ev = result.classifications
-    records = result.records
-    alice_x = records.bases[ev.pulse_indices].astype(bool)
+    _, alice_bases = result.records.choices(ev.pulse_indices)
+    alice_x = alice_bases.astype(bool)
     bob_x = ev.bases.astype(bool)
     n = len(ev)
 

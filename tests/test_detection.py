@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import matrix_oracle as oracle
+import per_pulse
 from timebin_bb84.detection import (
     DOMAIN_DETECT,
     ApdSpec,
@@ -16,6 +17,7 @@ from timebin_bb84.detection import (
     click_bound,
     click_probability,
     detect_batch,
+    draw_candidates,
     expected_event_rates,
     first_fire_table,
 )
@@ -44,9 +46,16 @@ def dark_only_dist() -> SlotPortDistribution:
 
 def detect_alike(q, n: int, rng: np.random.Generator):
     """The production sampler on n pulses that share the (6,) click
-    probabilities ``q``."""
+    probabilities ``q``, its per-candidate results spread over all n
+    pulses: (registered, slot, port, any_click)."""
     cum = first_fire_table(q)
-    return detect_batch(np.zeros(n, dtype=np.uint8), cum[-1:], lambda k, idx: cum, rng)
+    batch = draw_candidates(n, cum[-1], rng)
+    states = np.zeros(batch.offsets.size, dtype=np.uint8)
+    got = detect_batch(batch, states, cum[-1:], lambda k, idx: cum)
+    spread = tuple(np.zeros(n, dtype=g.dtype) for g in got)
+    for whole, part in zip(spread, got):
+        whole[batch.offsets] = part
+    return spread
 
 
 # Bernoulli oracle: one uniform per cell, then the first-fire rule applied to
@@ -329,6 +338,85 @@ class TestFirstFireSampler:
                 assert np.all(total <= bound)
                 if not isinstance(apds, tuple):
                     assert bound - total.max() < 1e-11  # tight for equal efficiencies
+
+
+def drifted_rows(early, late, amz: AmzSpec, phases: np.ndarray, mu: float, apds) -> np.ndarray:
+    """(len(phases), 7) first-fire rows of one incoming state at receiver
+    phases ``phases``, every cell recomputed from the optics."""
+    pair = apds if isinstance(apds, tuple) else (apds, apds)
+    cells = [np.broadcast_to(c, phases.shape) for row in slot_port_probabilities(early, late, amz, phases) for c in row]
+    q = np.stack([click_probability(c, mu, pair[j % 2]) for j, c in enumerate(cells)], axis=-1)
+    return first_fire_table(q)
+
+
+class TestCandidates:
+    @pytest.mark.parametrize("p", [0.0066, 0.39])
+    def test_count_and_gap_law(self, p):
+        """A batch's candidate count is Binomial(m, p) and its gaps are
+        geometric: the share of gaps of 1 is p."""
+        m = 1 << 20
+        batch = draw_candidates(m, p, RngHandle(8).indexed_stream(DOMAIN_DETECT, 0))
+        k = batch.offsets.size
+        assert len(batch) == m and batch.u.size == k
+        assert np.all(np.diff(batch.offsets) > 0) and 0 <= batch.offsets[0] and batch.offsets[-1] < m
+        assert np.all((0.0 <= batch.u) & (batch.u < p))
+        assert abs(k - m * p) <= per_pulse.bernstein_tolerance(m * p * (1 - p), Z)
+        ones = np.count_nonzero(np.diff(batch.offsets, prepend=-1) == 1)
+        assert abs(ones - k * p) <= per_pulse.bernstein_tolerance(k * p * (1 - p), Z)
+        # Given u < p, u / p is uniform: its mean is 1/2 within the band.
+        assert abs(batch.u.sum() / p - k / 2) <= per_pulse.bernstein_tolerance(k / 12, Z)
+
+    def test_bounds_at_the_edges(self):
+        rng = np.random.default_rng(4)
+        assert draw_candidates(1000, 0.0, rng).offsets.size == 0
+        assert draw_candidates(1000, 1e-310, rng).offsets.size == 0  # no overflow warning
+        for p in (1.0, 1.0 + 1e-12):
+            batch = draw_candidates(1000, p, rng)
+            assert np.array_equal(batch.offsets, np.arange(1000)) and np.all(batch.u < 1.0)
+
+    @pytest.mark.parametrize("sigma", [0.3, 0.0], ids=["drift", "steady"])
+    def test_candidates_follow_the_per_pulse_law(self, sigma):
+        """Counts of all eight outcomes from the candidates, and from the
+        per-pulse sampler on every pulse, both lie within the band at Z of
+        the exact per-pulse law.  Five incoming states with unequal limits
+        (vacuum among them) make the per-state thinning remove candidates;
+        under drift every pulse has its own row."""
+        m = 300_000
+        amz = AmzSpec(visibility=0.95, excess_loss_db=0.5, phase_offset_rad=0.3)
+        apds = (ApdSpec(efficiency=0.3, dark_per_gate=1e-3), ApdSpec(efficiency=0.6, dark_per_gate=1e-2))
+        mu = 0.4
+        amps = [canonical_link_state(s).bins[:, 0] for s in CANONICAL_STATES] + [np.zeros(2)]
+        rng = np.random.default_rng(17)
+        states = rng.integers(0, 5, m).astype(np.uint8)
+        phases = amz.phase_offset_rad + sigma * rng.standard_normal(m)
+        flat = AmzSpec(visibility=0.95, excess_loss_db=0.5)
+        cum = np.zeros((m, 7))
+        for k, (early, late) in enumerate(amps):
+            cum[states == k] = drifted_rows(early, late, flat, phases[states == k], mu, apds)
+        if sigma > 0.0:
+            limits = np.array([click_bound(bob_transform(link_state(*a), amz), mu, apds) for a in amps])
+        else:
+            limits = np.array([cum[states == k][0, -1] for k in range(5)])
+        assert np.all(cum[:, -1] <= limits[states])
+        law = per_pulse.first_fire_increments(cum)
+        want = law.sum(axis=0)
+        tol = per_pulse.bernstein_tolerance((law * (1.0 - law)).sum(axis=0), Z)
+
+        batch = draw_candidates(m, limits.max(), np.random.default_rng(18))
+        live = batch.u < limits[states[batch.offsets]]
+        assert not np.all(live)  # the per-state thinning removes candidates
+        registered, slot, port, any_click = detect_batch(
+            batch, states[batch.offsets], limits, lambda k, idx: cum[batch.offsets[idx]]
+        )
+        production = outcome_counts(registered, slot, port, any_click)
+        production[7] += m - batch.offsets.size
+        oracle_rows = lambda k, idx: cum[idx]
+        every = np.bincount(
+            per_pulse.detect_every_pulse(states, 5, oracle_rows, np.random.default_rng(19)), minlength=8
+        )
+        for counts in (production, every):
+            assert counts.sum() == m
+            assert np.all(np.abs(counts - want) <= tol), (counts, want)
 
 
 class TestDeterminism:

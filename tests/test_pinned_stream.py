@@ -15,13 +15,13 @@ from timebin_bb84 import cli
 PINNED = [
     (
         "[session]\nn_pulses = 2000000\nseed = 20260101\n",
-        "95ddfa1d828601d4f7b76ccbbe5bdbbe138945116b56225268ed9f0fc9b9448c",
+        "e6e2e0556490b8e8fa5a6f637c82cd7f6e9f592ec146d298f7bbba3f4af98580",
     ),
     (
         "[session]\nn_pulses = 2000000\nseed = 20260102\n"
         "[eve]\nenabled = true\n"
         "[bob_amz]\nphase_jitter_rad = 0.1\n",
-        "dd2a5218d3c9ebc5fdc6fe038d5d899301fee164284f9ad97f77b3c2a9f6841c",
+        "3f85cabf1afd3774e725826f8507e3c310287821c779def4e311a3da044af17f",
     ),
     (
         "[session]\nn_pulses = 2000000\nseed = 20260103\n"
@@ -29,7 +29,7 @@ PINNED = [
         "[alice_amz]\nphase_jitter_rad = 0.05\n"
         "[eve_amz]\nphase_jitter_rad = 0.2\n"
         "[bob_amz]\nphase_jitter_rad = 0.1\n",
-        "77887b6421843532f840736c84da1e85ffba686a0ebffabce9bc57dcf16b1ea6",
+        "8118dc4174951edddb5e9d7783c25c008fa1728109882275b332b953ffad700d",
     ),
 ]
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from per_pulse import ArrayTrain
 from timebin_bb84 import protocol
 from timebin_bb84.config import SessionConfig
 from timebin_bb84.optics import Basis, Port, Slot
@@ -38,26 +39,55 @@ from timebin_bb84.protocol import (
 from timebin_bb84.session import run_session
 
 
-def random_train(n: int, rng: np.random.Generator) -> PulseTrain:
-    return PulseTrain(rng.integers(0, 2, n, dtype=np.uint8), rng.integers(0, 2, n, dtype=np.uint8))
+def random_train(n: int, rng: np.random.Generator) -> ArrayTrain:
+    return ArrayTrain(rng.integers(0, 2, n, dtype=np.uint8), rng.integers(0, 2, n, dtype=np.uint8))
+
+
+def splitmix64(x: int) -> int:
+    """The SplitMix64 finaliser in Python integers, as a reference."""
+    mask = (1 << 64) - 1
+    z = x & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
 
 
 class TestAliceGenerate:
-    """The transmitter's bit and basis draws, as a session makes them."""
+    """The transmitter's bit and basis choices, as a session makes them."""
 
     def test_reproducible(self):
         cfg = SessionConfig(n_pulses=20_000, seed=9)
-        a = run_session(cfg).records
-        b = run_session(cfg).records
-        assert np.array_equal(a.bits, b.bits) and np.array_equal(a.bases, b.bases)
-        assert set(np.unique(a.bits)) == {0, 1} and set(np.unique(a.bases)) == {0, 1}
+        idx = np.arange(cfg.n_pulses)
+        bits, bases = run_session(cfg).records.choices(idx)
+        again = run_session(cfg).records.choices(idx)
+        assert np.array_equal(bits, again[0]) and np.array_equal(bases, again[1])
+        assert set(np.unique(bits)) == {0, 1} and set(np.unique(bases)) == {0, 1}
 
     def test_uniform_frequencies(self):
         n = 1_000_000
         train = run_session(SessionConfig(n_pulses=n, seed=31337)).records
-        sigma = math.sqrt(n * 0.25)
-        assert abs(int(train.bases.sum()) - n / 2) <= 4 * sigma
-        assert abs(int(train.bits.sum()) - n / 2) <= 4 * sigma
+        bits, bases = train.choices(np.arange(n))
+        counts = np.bincount(2 * bases + bits, minlength=4)
+        sigma = math.sqrt(n * 0.25 * 0.75)
+        assert np.all(np.abs(counts - n / 4) <= 4 * sigma)
+
+    def test_state_is_top_bits_of_splitmix64(self):
+        """Across several hashing chunks, a subset read equals the full
+        read, and both equal the Python-integer reference."""
+        key = 0xDEADBEEF12345678
+        train = PulseTrain(200_000, key)
+        bits, bases = train.choices(np.arange(200_000))
+        idx = np.array([0, 1, 65_535, 65_536, 131_073, 199_999])
+        sub_bits, sub_bases = train.choices(idx)
+        assert np.array_equal(sub_bits, bits[idx]) and np.array_equal(sub_bases, bases[idx])
+        for i, bit, basis in zip(idx, sub_bits, sub_bases):
+            state = splitmix64(key + int(i) * 0x9E3779B97F4A7C15) >> 62
+            assert (bit, basis) == (state & 1, state >> 1)
+
+    def test_train_domain(self):
+        for n, key in ((-1, 0), (10, -1), (10, 2**64)):
+            with pytest.raises(ValueError):
+                PulseTrain(n, key)
 
 
 CELLS = [
@@ -98,7 +128,7 @@ class TestSift:
         bits = np.zeros(12, np.uint8)
         bases = np.zeros(12, np.uint8)
         bases[9] = 1  # pulse 9 sent in X
-        records = PulseTrain(bits, bases)
+        records = ArrayTrain(bits, bases)
         events = make_events((7, 0, 0), (9, 0, 1))  # receiver measured Z at both
         key_a, key_b, transcript = run_protocol(records, events, 1.0, np.random.default_rng(0))
         assert transcript[2].indices.tolist() == [7]
@@ -108,7 +138,7 @@ class TestSift:
         assert len(key_a) == len(key_b) == 0
 
     def test_incompatible_basis_discarded(self):
-        records = PulseTrain(np.zeros(10, np.uint8), np.ones(10, np.uint8))  # all X
+        records = ArrayTrain(np.zeros(10, np.uint8), np.ones(10, np.uint8))  # all X
         events = make_events((3, 0, 0), (5, 0, 1))  # receiver measured Z
         with pytest.raises(InsufficientKeyError):
             run_protocol(records, events, 1.0, np.random.default_rng(0))
@@ -148,7 +178,7 @@ class TestEstimateQber:
         flip = rng.choice(n, size=n_errors, replace=False)
         bits_b[flip] ^= 1
         zeros = np.zeros(n, np.uint8)
-        return PulseTrain(bits_a, zeros), ClassifiedEvents(np.arange(n), zeros, bits_b)
+        return ArrayTrain(bits_a, zeros), ClassifiedEvents(np.arange(n), zeros, bits_b)
 
     def test_identical_keys_zero(self):
         stations = self.make_stations(200, 0)
@@ -326,7 +356,7 @@ def wide_session(draw):
     zeros = np.broadcast_to(np.uint8(0), (n,))
     sifted = int(np.count_nonzero(bases == 0))
     fraction = min(1.0, (draw(st.integers(1, sifted)) + 0.5) / sifted)
-    return width, PulseTrain(zeros, zeros), ClassifiedEvents(idx, bases, bits), fraction
+    return width, ArrayTrain(zeros, zeros), ClassifiedEvents(idx, bases, bits), fraction
 
 
 def assert_same_message(back, msg):
@@ -437,14 +467,14 @@ class TestAborts:
             bob.receive(SampleIndices(np.array([1])))  # before any basis_request
 
     def test_announce_out_of_range(self):
-        records = PulseTrain(np.zeros(4, np.uint8), np.zeros(4, np.uint8))
+        records = ArrayTrain(np.zeros(4, np.uint8), np.zeros(4, np.uint8))
         alice = AliceEndpoint(records, 0.5, np.random.default_rng(0))
         alice.start()
         with pytest.raises(ProtocolError, match="out of session range"):
             alice.receive(BobBasisAnnounce(np.array([2, 9]), np.array([0, 0], np.uint8)))
 
     def test_announce_not_monotone(self):
-        records = PulseTrain(np.zeros(4, np.uint8), np.zeros(4, np.uint8))
+        records = ArrayTrain(np.zeros(4, np.uint8), np.zeros(4, np.uint8))
         alice = AliceEndpoint(records, 0.5, np.random.default_rng(0))
         alice.start()
         with pytest.raises(ProtocolError, match="strictly increasing"):
@@ -471,7 +501,7 @@ class TestAborts:
             bob.receive(AliceMatchReply(np.array([2])))
 
     def test_message_after_completion(self):
-        records = PulseTrain(np.zeros(8, np.uint8), np.zeros(8, np.uint8))
+        records = ArrayTrain(np.zeros(8, np.uint8), np.zeros(8, np.uint8))
         bob = BobEndpoint(make_events((0, 0, 0), (2, 0, 0)))
         _, _, transcript = run_protocol(records, bob.classifications, 0.5, np.random.default_rng(0))
         for msg in transcript:
@@ -484,7 +514,7 @@ class TestAborts:
 
 class TestTranscript:
     def run_recorded(self, bits):
-        records = PulseTrain(bits, np.zeros(8, np.uint8))
+        records = ArrayTrain(bits, np.zeros(8, np.uint8))
         events = make_events((0, 0, 0), (2, 0, 1), (5, 0, 0))
         _, _, transcript = run_protocol(records, events, 0.5, np.random.default_rng(3))
         return transcript

@@ -3,9 +3,12 @@
 import copy
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+
+import per_pulse
 
 from timebin_bb84.channel import ChannelSpec, transmittance
 from timebin_bb84 import detection, eavesdrop, session
@@ -193,49 +196,51 @@ THINNING_CONFIGS = {
 }
 
 
-def every_pulse_row(states: np.ndarray, n_states: int, width: int, rows) -> np.ndarray:
-    """Each pulse's cumulative row, evaluating every state's ``rows`` at
-    all pulses of the batch and keeping each pulse's own state."""
-    everyone = np.arange(len(states))
-    table = np.zeros((len(states), width))
-    for k in range(n_states):
-        mask = states == k
-        table[mask] = np.broadcast_to(rows(k, everyone), table.shape)[mask]
-    return table
+Z = 5.0  # statistical bands: two-sided Bernstein bound, miss rate < 2 exp(-Z^2/2)
 
 
 @pytest.mark.parametrize("name", THINNING_CONFIGS)
 def test_thinned_detection_equals_unthinned(monkeypatch, name):
-    """Within run_session, thinning gives bit-identical outcomes to
-    evaluating every pulse's first-fire row against the same uniforms."""
+    """Within run_session, detection on the candidates follows the law of
+    sampling every pulse: each candidate's uniform lies below p, the
+    largest limit; every row's total lies at or below its state's limit;
+    and the counts of the six (slot, port) cells and the discard lie
+    within the band at Z of the exact law given the candidates' rows, a
+    candidate taking outcome j with probability (row increment j) / p."""
     batches = []
+    counts = np.zeros(7)
+    want = np.zeros(7)
+    var = np.zeros(7)
 
-    def checked(states, limits, rows, rng):
-        reference_rng = copy.deepcopy(rng)
-        got = detection.detect_batch(states, limits, rows, rng)
-        u = reference_rng.random(len(states))
-        cum = every_pulse_row(states, len(limits), 7, rows)
-        assert np.all(cum[:, -1] <= limits[states])
-        outcome = (u[:, None] >= cum).sum(axis=1)
-        registered = outcome < 6
-        want = (registered, np.where(registered, outcome // 2, 0), np.where(registered, outcome % 2, 0), outcome < 7)
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
-        batches.append(np.count_nonzero(u < limits[states]) / len(states))
+    def checked(batch, states, limits, rows):
+        got = detection.detect_batch(batch, states, limits, rows)
+        p = min(1.0, limits.max())
+        cum = per_pulse.every_pulse_row(states, len(limits), 7, rows)
+        assert np.all(batch.u < p) and np.all(cum[:, -1] <= limits[states])
+        law = per_pulse.first_fire_increments(cum)[:, :7] / p
+        want[:] += law.sum(axis=0)
+        var[:] += (law * (1.0 - law)).sum(axis=0)
+        registered, slot, port, any_click = got
+        cells = 2 * slot[registered] + port[registered]
+        counts[:] += np.append(np.bincount(cells, minlength=6), np.count_nonzero(any_click & ~registered))
+        batches.append(batch.offsets.size / len(batch))
         return got
 
     monkeypatch.setattr(session, "detect_batch", checked)
     run_session(THINNING_CONFIGS[name])
     assert batches and all(share < 0.5 for share in batches)
+    assert np.all(np.abs(counts - want) <= per_pulse.bernstein_tolerance(var, Z)), (counts, want)
 
 
 @pytest.mark.parametrize("jitter", [0.2, 0.0], ids=["drift", "steady"])
 def test_attacker_sampler_equals_per_pulse_rows(monkeypatch, jitter):
     """Within run_session, the attacker's per-state sampler gives the same
-    outcomes, bit for bit, as sampling every pulse's full
-    cumulative_outcomes row against the same uniforms.  A lossy apparatus
-    makes all seven outcomes occur; without dark counts, no pulse the
-    attacker suppressed (vacuum resent) registers at the receiver."""
+    outcomes, bit for bit, as sampling every candidate's full
+    cumulative_outcomes row against the same uniforms, and the counts of
+    its seven outcomes lie within the band at Z of their exact law.  A
+    lossy apparatus makes all seven occur; without dark counts, no
+    candidate the attacker suppressed (vacuum resent) registers at the
+    receiver.  The attacker sees exactly the detection candidates."""
     lossy = AmzSpec(excess_loss_db=1.0, phase_jitter_rad=jitter)
     dark_free = ApdSpec(dark_per_gate=0.0)
     config = SessionConfig(
@@ -243,25 +248,87 @@ def test_attacker_sampler_equals_per_pulse_rows(monkeypatch, jitter):
         bob_amz=AmzSpec(phase_jitter_rad=jitter / 2), apd_d0=dark_free, apd_d1=dark_free,
     )
     batches = []
+    candidates = []
+    want = np.zeros(7)
+    var = np.zeros(7)
     attack_batch = eavesdrop.attack_batch
 
-    def checked(states, rows, rng):
+    def attacked(states, rows, rng):
         reference_rng = copy.deepcopy(rng)
         outcomes, resent = attack_batch(states, rows, rng)
         u = reference_rng.random(len(states))
-        cum = every_pulse_row(states, 4, 6, rows)
-        want = (u[:, None] >= cum).sum(axis=1)
-        assert np.array_equal(outcomes, want)
-        assert np.array_equal(resent, OUTCOME_TO_STATE_INDEX[want])
+        cum = per_pulse.every_pulse_row(states, 4, 6, rows)
+        expected = per_pulse.outcomes_every_pulse(u, cum)
+        assert np.array_equal(outcomes, expected)
+        assert np.array_equal(resent, OUTCOME_TO_STATE_INDEX[expected])
+        law = np.diff(cum, prepend=0.0, append=1.0, axis=-1)
+        want[:] += law.sum(axis=0)
+        var[:] += (law * (1.0 - law)).sum(axis=0)
         batches.append(outcomes)
         return outcomes, resent
 
-    monkeypatch.setattr(eavesdrop, "attack_batch", checked)
-    result = run_session(config)
+    def detected(batch, states, limits, rows):
+        got = detection.detect_batch(batch, states, limits, rows)
+        assert not np.any(got[0] & (states == eavesdrop.VACUUM_INDEX))
+        candidates.append(batch.offsets.size)
+        return got
+
+    monkeypatch.setattr(eavesdrop, "attack_batch", attacked)
+    monkeypatch.setattr(session, "detect_batch", detected)
+    run_session(config)
     outcomes = np.concatenate(batches)
-    assert len(outcomes) == config.n_pulses and len(np.unique(outcomes)) == 7
-    resent = OUTCOME_TO_STATE_INDEX[outcomes]
-    assert np.all(resent[result.classifications.pulse_indices] != eavesdrop.VACUUM_INDEX)
+    assert [len(b) for b in batches] == candidates and len(np.unique(outcomes)) == 7
+    counts = np.bincount(outcomes, minlength=7)
+    assert np.all(np.abs(counts - want) <= per_pulse.bernstein_tolerance(var, Z)), (counts, want)
+
+
+class TestClickBoundEdges:
+    def test_certain_click_makes_every_pulse_a_candidate(self, monkeypatch):
+        """At dark_per_gate = 0.999 under receiver drift the click bound
+        reaches 1: every pulse is a candidate, with no warning."""
+        noisy = ApdSpec(dark_per_gate=0.999)
+        vacuum = SlotPortDistribution(np.zeros((3, 2)), 1.0)
+        assert detection.click_bound(vacuum, 0.0, noisy) == 1.0
+        config = SessionConfig(
+            n_pulses=50_000, seed=46, apd_d0=noisy, apd_d1=noisy,
+            bob_amz=AmzSpec(phase_jitter_rad=0.1),
+        )
+        shares = []
+
+        def counted(batch, states, limits, rows):
+            shares.append(batch.offsets.size / len(batch))
+            return detection.detect_batch(batch, states, limits, rows)
+
+        monkeypatch.setattr(session, "detect_batch", counted)
+        assert run_session(config).summary.events_registered > 0
+        assert shares == [1.0]
+
+    def test_zero_bound_gives_no_candidates(self, monkeypatch):
+        """mu = 0 without dark counts: no pulse can click, so no batch has a
+        candidate and the session has no key."""
+        cfg = ideal_config(n_pulses=2 * session.BATCH_SIZE + 5, source=SourceSpec(mu=0.0))
+        sizes = []
+
+        def counted(batch, states, limits, rows):
+            sizes.append(batch.offsets.size)
+            return detection.detect_batch(batch, states, limits, rows)
+
+        monkeypatch.setattr(session, "detect_batch", counted)
+        with pytest.raises(InsufficientKeyError):
+            run_session(cfg)
+        assert sizes == [0, 0, 0]
+
+
+def test_memory_follows_events_not_pulses():
+    """A 1e8-pulse default session's traced allocation peak stays under
+    64 MB: the session holds nothing per pulse, only its ~6e5 events."""
+    tracemalloc.start()
+    try:
+        run_session(SessionConfig(n_pulses=100_000_000, seed=47))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.0f} MB"
 
 
 class TestEveSessions:
@@ -483,8 +550,8 @@ efficiency = 0.2
     assert result.summary.events_registered > 0
     # the X0 state feeds D1 only: with eta_d1 = 4 * eta_d0 the X-conclusive
     # set skews toward bit 0
-    x_mask = (result.records.bases[ev.pulse_indices] == 1) & (ev.bases == 1)
-    x_bits = result.records.bits[ev.pulse_indices[x_mask]]
+    bits, bases = result.records.choices(ev.pulse_indices)
+    x_bits = bits[(bases == 1) & (ev.bases == 1)]
     assert np.count_nonzero(x_bits == 0) > np.count_nonzero(x_bits == 1)
 
 
