@@ -143,12 +143,13 @@ def summarize(
     n = len(records)
     ev = classifications
     bits, bases = records.choices(ev.pulse_indices)
+    # Masks over all events: a boolean gather of the matched half costs
+    # more than these elementwise passes.
     matched = bases == ev.bases
-    kept_bases = ev.bases[matched]
-    errors = bits[matched] != ev.bits[matched]
-    conclusive = int(kept_bases.size)
-    z_mask = kept_bases == 0
-    conclusive_z = int(np.count_nonzero(z_mask))
+    errors = matched & (bits != ev.bits)
+    z_mask = ev.bases == 0
+    conclusive = int(np.count_nonzero(matched))
+    conclusive_z = int(np.count_nonzero(matched & z_mask))
     conclusive_x = conclusive - conclusive_z
 
     def _rate(err_mask: np.ndarray, denom: int) -> float:
