@@ -52,9 +52,9 @@ def detect_every_pulse(states: np.ndarray, n_states: int, rows, rng: np.random.G
     return outcomes_every_pulse(u, every_pulse_row(states, n_states, 7, rows))
 
 
-def first_fire_increments(cum: np.ndarray) -> np.ndarray:
-    """(..., 8) probabilities of the eight first-fire outcomes of
-    cumulative (..., 7) rows: six cells, discard, no click."""
+def row_increments(cum: np.ndarray) -> np.ndarray:
+    """Outcome probabilities of cumulative (..., K) rows: (..., K + 1),
+    the last being the remainder up to 1 (no click, or no outcome)."""
     return np.diff(cum, prepend=0.0, append=1.0, axis=-1)
 
 

@@ -398,7 +398,7 @@ class TestCandidates:
         else:
             limits = np.array([cum[states == k][0, -1] for k in range(5)])
         assert np.all(cum[:, -1] <= limits[states])
-        law = per_pulse.first_fire_increments(cum)
+        law = per_pulse.row_increments(cum)
         want = law.sum(axis=0)
         tol = per_pulse.bernstein_tolerance((law * (1.0 - law)).sum(axis=0), Z)
 

@@ -217,7 +217,7 @@ def test_thinned_detection_equals_unthinned(monkeypatch, name):
         p = min(1.0, limits.max())
         cum = per_pulse.every_pulse_row(states, len(limits), 7, rows)
         assert np.all(batch.u < p) and np.all(cum[:, -1] <= limits[states])
-        law = per_pulse.first_fire_increments(cum)[:, :7] / p
+        law = per_pulse.row_increments(cum)[:, :7] / p
         want[:] += law.sum(axis=0)
         var[:] += (law * (1.0 - law)).sum(axis=0)
         registered, slot, port, any_click = got
@@ -261,7 +261,7 @@ def test_attacker_sampler_equals_per_pulse_rows(monkeypatch, jitter):
         expected = per_pulse.outcomes_every_pulse(u, cum)
         assert np.array_equal(outcomes, expected)
         assert np.array_equal(resent, OUTCOME_TO_STATE_INDEX[expected])
-        law = np.diff(cum, prepend=0.0, append=1.0, axis=-1)
+        law = per_pulse.row_increments(cum)
         want[:] += law.sum(axis=0)
         var[:] += (law * (1.0 - law)).sum(axis=0)
         batches.append(outcomes)
