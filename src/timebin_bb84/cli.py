@@ -11,7 +11,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .config import ConfigError, parse_config
+from .config import ConfigError, integer, parse_config
 from .protocol import ProtocolError
 from .reporting import (
     format_profile_text,
@@ -38,21 +38,10 @@ class SystemExit_Usage(Exception):
     pass
 
 
-def _int_arg(text: str) -> int:
-    """Integer argument, accepting scientific notation like 1e7."""
-    try:
-        return int(text)
-    except ValueError:
-        value = float(text)
-        if not value.is_integer():
-            raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-        return int(value)
-
-
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", metavar="PATH", help="INI config file (defaults used if omitted)")
-    sub.add_argument("--seed", type=_int_arg, metavar="N", help="override session.seed")
-    sub.add_argument("--pulses", type=_int_arg, metavar="N", help="override session.n_pulses")
+    sub.add_argument("--seed", type=integer, metavar="N", help="override session.seed")
+    sub.add_argument("--pulses", type=integer, metavar="N", help="override session.n_pulses")
     sub.add_argument("--eve", action="store_true", help="enable the intercept-resend attacker")
     sub.add_argument(
         "--conventional-mode",
@@ -70,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_profile)
     p_profile.add_argument(
         "--sampled",
-        type=int,
+        type=integer,
         default=0,
         metavar="N",
         help="estimate receiver rows from N Monte Carlo pulses instead of exactly",
@@ -100,7 +89,6 @@ def _load_config(args: argparse.Namespace):
         )
     if args.conventional_mode:
         config = dataclasses.replace(config, conventional_mode=True)
-    config.validate()
     return config
 
 

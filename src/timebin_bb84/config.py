@@ -1,9 +1,12 @@
 """Session configuration: defaults, file parsing and cross-field checks.
 
-The config file is INI-style with one section per subsystem (see
-DEFAULT_CONFIG_TEXT for the full schema).  Every key has a default, so an
-empty file is valid.  Unknown sections or keys are rejected rather than
-ignored, and validation failures carry the offending ``section.key`` path.
+The config file is INI-style and the spec dataclasses are its schema: one
+section per spec, named after its field in SessionConfig (but see
+_SECTION_NAMES), whose keys are the spec's scalar fields, parsed by their
+annotated type and defaulting to the field default, so an empty file is
+valid.  DEFAULT_CONFIG_TEXT is generated from ``SessionConfig()``.  Unknown
+sections or keys are rejected rather than ignored, and validation failures
+carry the offending ``section.key`` path.
 
 Provenance of defaults: ~2 dB excess interferometer loss and >20 dB
 achievable extinction describe the modeled hardware (whose one-bin, 5 ns
@@ -16,14 +19,15 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 from .channel import ChannelSpec
 from .detection import ApdSpec, SourceSpec
 from .eavesdrop import EveSpec
-from .optics import AmzSpec, ideal_amz
+from .optics import AmzSpec
 
 
 class ConfigError(ValueError):
@@ -50,7 +54,7 @@ class SessionConfig:
     sample_fraction: float = 0.1
     conventional_mode: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_pulses < 0:
             raise ConfigError("must be >= 0", "session.n_pulses")
         if not 0 <= self.seed < 2**64:
@@ -64,7 +68,8 @@ class SessionConfig:
             )
 
 
-def _to_int(text: str) -> int:
+def integer(text: str) -> int:
+    """An integer, also in scientific notation like 1e7."""
     try:
         return int(text)
     except ValueError:
@@ -83,63 +88,29 @@ def _to_bool(text: str) -> bool:
     raise ValueError(f"{text!r} is not a boolean")
 
 
-_AMZ_KEYS: dict[str, Callable[[str], Any]] = {
-    "excess_loss_db": float,
-    "phase_offset_rad": float,
-    "visibility": float,
-    "phase_jitter_rad": float,
-}
+_PARSERS: dict[str, Callable[[str], Any]] = {"float": float, "int": integer, "bool": _to_bool}
 
-_APD_KEYS: dict[str, Callable[[str], Any]] = {
-    "efficiency": float,
-    "dark_per_gate": float,
-    "gates_per_pulse": _to_int,
-}
-
-_SECTION_KEYS: dict[str, dict[str, Callable[[str], Any]]] = {
-    "session": {
-        "n_pulses": _to_int,
-        "seed": _to_int,
-        "sample_fraction": float,
-        "conventional_mode": _to_bool,
-    },
-    "source": {"mu": float},
-    "alice_amz": _AMZ_KEYS,
-    "bob_amz": _AMZ_KEYS,
-    "channel": {
-        "length_km": float,
-        "atten_db_per_km": float,
-        "fixed_insertion_db": float,
-    },
-    "apd_d0": _APD_KEYS,
-    "apd_d1": _APD_KEYS,
-    "eve": {"enabled": _to_bool},
-    "eve_amz": _AMZ_KEYS,
-}
+# Sections are named after their field path in SessionConfig, except these.
+_SECTION_NAMES = {"": "session", "eve.apparatus": "eve_amz"}
 
 
-def _section_kwargs(
-    parser: configparser.ConfigParser, section: str
-) -> dict[str, Any]:
-    if not parser.has_section(section):
-        return {}
-    schema = _SECTION_KEYS[section]
-    kwargs: dict[str, Any] = {}
-    for key, raw in parser.items(section):
-        if key not in schema:
-            raise ConfigError("unknown key", f"{section}.{key}")
-        try:
-            kwargs[key] = schema[key](raw)
-        except ValueError as exc:
-            raise ConfigError(str(exc), f"{section}.{key}") from exc
-    return kwargs
+def _sections(spec: Any, path: str = "") -> Iterator[tuple]:
+    """(section, field path, default spec, key parsers, nested (field,
+    path) pairs) of ``spec`` and of every spec nested in it, parents first.
+    A spec's keys are its scalar fields."""
+    keys, nested = {}, []
+    for f in dataclasses.fields(spec):
+        if dataclasses.is_dataclass(getattr(spec, f.name)):
+            nested.append((f.name, f"{path}.{f.name}" if path else f.name))
+        else:
+            keys[f.name] = _PARSERS[f.type]
+    yield _SECTION_NAMES.get(path, path), path, spec, keys, nested
+    for name, child in nested:
+        yield from _sections(getattr(spec, name), child)
 
 
-def _build(section: str, factory: Callable[..., Any], kwargs: dict[str, Any]) -> Any:
-    try:
-        return factory(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc), section) from exc
+# section -> (field path, default spec, key parsers, nested specs)
+_SECTIONS = {s[0]: s[1:] for s in _sections(SessionConfig())}
 
 
 def parse_config(path: str | Path | None) -> SessionConfig:
@@ -155,28 +126,28 @@ def parse_config(path: str | Path | None) -> SessionConfig:
         except configparser.Error as exc:
             raise ConfigError(f"parse error: {exc}") from exc
     for section in parser.sections():
-        if section not in _SECTION_KEYS:
+        if section not in _SECTIONS:
             raise ConfigError("unknown section", section)
 
-    session_kwargs = _section_kwargs(parser, "session")
-    eve_kwargs = _section_kwargs(parser, "eve")
-    eve_amz_kwargs = _section_kwargs(parser, "eve_amz")
-    if eve_amz_kwargs:
-        base = dataclasses.asdict(ideal_amz()) | eve_amz_kwargs
-        eve_kwargs["apparatus"] = _build("eve_amz", AmzSpec, base)
-
-    config = SessionConfig(
-        source=_build("source", SourceSpec, _section_kwargs(parser, "source")),
-        alice_amz=_build("alice_amz", AmzSpec, _section_kwargs(parser, "alice_amz")),
-        bob_amz=_build("bob_amz", AmzSpec, _section_kwargs(parser, "bob_amz")),
-        channel=_build("channel", ChannelSpec, _section_kwargs(parser, "channel")),
-        apd_d0=_build("apd_d0", ApdSpec, _section_kwargs(parser, "apd_d0")),
-        apd_d1=_build("apd_d1", ApdSpec, _section_kwargs(parser, "apd_d1")),
-        eve=_build("eve", EveSpec, eve_kwargs),
-        **{k: v for k, v in session_kwargs.items()},
-    )
-    config.validate()
-    return config
+    # Children before parents, so that each spec, SessionConfig last, is
+    # built once from its own keys and its finished children.
+    built: dict[str, Any] = {}
+    for section, (field_path, spec, keys, nested) in reversed(_SECTIONS.items()):
+        values = {name: built[child] for name, child in nested}
+        for key, raw in parser.items(section) if parser.has_section(section) else ():
+            if key not in keys:
+                raise ConfigError("unknown key", f"{section}.{key}")
+            try:
+                values[key] = keys[key](raw)
+            except ValueError as exc:
+                raise ConfigError(str(exc), f"{section}.{key}") from exc
+        try:
+            built[field_path] = dataclasses.replace(spec, **values)
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(str(exc), section) from exc
+    return built[""]
 
 
 DEFAULT_CONFIG_TEXT = """\
@@ -184,49 +155,7 @@ DEFAULT_CONFIG_TEXT = """\
 # Hardware-derived value: alice_amz/bob_amz excess_loss_db ~2 dB.
 # Assumed typical values: apd efficiency/dark counts, channel attenuation,
 # source mu.
-
-[session]
-n_pulses = 100000
-seed = 1
-sample_fraction = 0.1
-conventional_mode = false
-
-[source]
-mu = 0.1
-
-[alice_amz]
-excess_loss_db = 2.0
-phase_offset_rad = 0.0
-visibility = 1.0
-phase_jitter_rad = 0.0
-
-[bob_amz]
-excess_loss_db = 2.0
-phase_offset_rad = 0.0
-visibility = 1.0
-phase_jitter_rad = 0.0
-
-[channel]
-length_km = 0.0
-atten_db_per_km = 0.2
-fixed_insertion_db = 0.0
-
-[apd_d0]
-efficiency = 0.1
-dark_per_gate = 1e-5
-gates_per_pulse = 3
-
-[apd_d1]
-efficiency = 0.1
-dark_per_gate = 1e-5
-gates_per_pulse = 3
-
-[eve]
-enabled = false
-
-[eve_amz]
-excess_loss_db = 0.0
-phase_offset_rad = 0.0
-visibility = 1.0
-phase_jitter_rad = 0.0
-"""
+""" + "".join(
+    f"\n[{section}]\n" + "".join(f"{key} = {str(getattr(spec, key)).lower()}\n" for key in keys)
+    for section, (_, spec, keys, _) in _SECTIONS.items()
+)

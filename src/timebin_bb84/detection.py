@@ -117,7 +117,8 @@ class RngHandle:
         return np.random.default_rng(np.random.SeedSequence((self.seed, domain, index)))
 
     def child_seed(self, domain: int, index: int) -> int:
-        """A derived 64-bit seed (used for per-point sweep sessions)."""
+        """A derived 64-bit seed: the transmitter's DOMAIN_ALICE key
+        (index 0) and the seeds of per-point sweep sessions."""
         ss = np.random.SeedSequence((self.seed, domain, index))
         return int(ss.generate_state(1, dtype=np.uint64)[0])
 

@@ -4,13 +4,14 @@ Every CSV written here has a fixed, documented column order and round-trips
 through the readers in this module:
 
     profile.csv   state,slot,port,probability
-    summary.csv   SessionSummary.CSV_COLUMNS, one data row
+    summary.csv   the SessionSummary fields in declaration order, one data row
     sweep.csv     <axis>,registered_rate,sifted_rate,qber
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 from pathlib import Path
 
 from .session import ProfileRow, SessionSummary
@@ -65,24 +66,22 @@ def format_profile_text(rows: list[ProfileRow]) -> str:
 
 
 def write_summary_csv(path: str | Path, summary: SessionSummary) -> None:
+    values = dataclasses.asdict(summary)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(SessionSummary.CSV_COLUMNS)
-        writer.writerow([repr(getattr(summary, c)) for c in SessionSummary.CSV_COLUMNS])
+        writer.writerow(values)
+        writer.writerow([repr(v) for v in values.values()])
 
 
 def read_summary_csv(path: str | Path) -> SessionSummary:
+    fields = dataclasses.fields(SessionSummary)
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != SessionSummary.CSV_COLUMNS:
+        if tuple(reader.fieldnames or ()) != tuple(f.name for f in fields):
             raise ValueError(f"unexpected summary columns: {reader.fieldnames}")
         row = next(iter(reader))
-    ints = {
-        "pulses_sent", "events_registered", "conclusive_count", "sifted_length",
-        "conclusive_z", "conclusive_x",
-    }
     return SessionSummary(
-        **{c: (int(row[c]) if c in ints else float(row[c])) for c in SessionSummary.CSV_COLUMNS}
+        **{f.name: (int if f.type == "int" else float)(row[f.name]) for f in fields}
     )
 
 
@@ -103,20 +102,21 @@ def format_summary_text(summary: SessionSummary) -> str:
     )
 
 
+def _sweep_rows(results: list[tuple[float, SessionSummary]]) -> list[tuple[float, ...]]:
+    """(axis value, registered_rate, sifted_rate, qber) per sweep point."""
+    return [
+        (value, s.events_registered / s.pulses_sent, s.sifted_rate_per_pulse, s.qber)
+        for value, s in results
+    ]
+
+
 def write_sweep_csv(
     path: str | Path, axis: str, results: list[tuple[float, SessionSummary]]
 ) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow((axis,) + SWEEP_VALUE_COLUMNS)
-        for value, summary in results:
-            registered = (
-                summary.events_registered / summary.pulses_sent if summary.pulses_sent else 0.0
-            )
-            writer.writerow(
-                [repr(value), repr(registered), repr(summary.sifted_rate_per_pulse),
-                 repr(summary.qber)]
-            )
+        writer.writerows([repr(x) for x in row] for row in _sweep_rows(results))
 
 
 def read_sweep_csv(path: str | Path) -> tuple[str, list[dict[str, float]]]:
@@ -132,12 +132,6 @@ def read_sweep_csv(path: str | Path) -> tuple[str, list[dict[str, float]]]:
 
 def format_sweep_text(axis: str, results: list[tuple[float, SessionSummary]]) -> str:
     lines = [f"{axis:>12} {'registered':>12} {'sifted':>12} {'qber':>10}"]
-    for value, summary in results:
-        registered = (
-            summary.events_registered / summary.pulses_sent if summary.pulses_sent else 0.0
-        )
-        lines.append(
-            f"{value:>12.6g} {registered:>12.6g} "
-            f"{summary.sifted_rate_per_pulse:>12.6g} {summary.qber:>10.6g}"
-        )
+    for value, registered, sifted, qber in _sweep_rows(results):
+        lines.append(f"{value:>12.6g} {registered:>12.6g} {sifted:>12.6g} {qber:>10.6g}")
     return "\n".join(lines)

@@ -66,6 +66,12 @@ class TestProfileCommand:
         }
         assert abs(by_key[("Z0", "S1", "D0")] - 0.25) < 0.02
 
+    def test_negative_sampled_count_exits_1(self, tmp_path, capsys):
+        code = main(["profile", "--sampled", "-5", "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "sampled_pulses" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "profile.csv").exists()
+
 
 class TestRunCommand:
     def test_run_outputs(self, tmp_path, ideal_cfg, capsys):
@@ -163,6 +169,10 @@ class TestExitCodes:
     def test_usage_error_is_1(self, capsys):
         assert main(["frobnicate"]) == 1
         assert main(["sweep"]) == 1  # missing required --axis/--values
+
+    def test_non_integer_count_is_1(self, capsys):
+        assert main(["run", "--pulses", "1.5"]) == 1
+        assert "invalid integer value: '1.5'" in capsys.readouterr().err
 
     def test_config_error_is_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"

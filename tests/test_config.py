@@ -1,5 +1,8 @@
 """Config file parsing, defaults, and cross-field validation."""
 
+import configparser
+import dataclasses
+
 import pytest
 
 from timebin_bb84.cli import main
@@ -17,6 +20,55 @@ def write(tmp_path, text):
     return path
 
 
+# Every settable key: (section, key, file text, SessionConfig field, parsed
+# value).  Written out rather than derived from the schema, so that a key
+# the parser drops or parses with the wrong type fails here.
+ALL_KEYS = [
+    ("session", "n_pulses", "2e3", "n_pulses", 2000),
+    ("session", "seed", "7", "seed", 7),
+    ("session", "sample_fraction", "0.5", "sample_fraction", 0.5),
+    ("session", "conventional_mode", "on", "conventional_mode", True),
+    ("source", "mu", "0.3", "source.mu", 0.3),
+    ("alice_amz", "excess_loss_db", "1.5", "alice_amz.excess_loss_db", 1.5),
+    ("alice_amz", "phase_offset_rad", "0.25", "alice_amz.phase_offset_rad", 0.25),
+    ("alice_amz", "visibility", "0.9", "alice_amz.visibility", 0.9),
+    ("alice_amz", "phase_jitter_rad", "0.05", "alice_amz.phase_jitter_rad", 0.05),
+    ("bob_amz", "excess_loss_db", "1", "bob_amz.excess_loss_db", 1.0),
+    ("bob_amz", "phase_offset_rad", "-0.5", "bob_amz.phase_offset_rad", -0.5),
+    ("bob_amz", "visibility", "0.95", "bob_amz.visibility", 0.95),
+    ("bob_amz", "phase_jitter_rad", "0.1", "bob_amz.phase_jitter_rad", 0.1),
+    ("channel", "length_km", "25", "channel.length_km", 25.0),
+    ("channel", "atten_db_per_km", "0.25", "channel.atten_db_per_km", 0.25),
+    ("channel", "fixed_insertion_db", "3", "channel.fixed_insertion_db", 3.0),
+    ("apd_d0", "efficiency", "0.2", "apd_d0.efficiency", 0.2),
+    ("apd_d0", "dark_per_gate", "1e-6", "apd_d0.dark_per_gate", 1e-6),
+    ("apd_d0", "gates_per_pulse", "1", "apd_d0.gates_per_pulse", 1),
+    ("apd_d1", "efficiency", "0.3", "apd_d1.efficiency", 0.3),
+    ("apd_d1", "dark_per_gate", "2e-5", "apd_d1.dark_per_gate", 2e-5),
+    ("apd_d1", "gates_per_pulse", "1.0", "apd_d1.gates_per_pulse", 1),
+    ("eve", "enabled", "yes", "eve.enabled", True),
+    ("eve_amz", "excess_loss_db", "0.5", "eve.apparatus.excess_loss_db", 0.5),
+    ("eve_amz", "phase_offset_rad", "0.1", "eve.apparatus.phase_offset_rad", 0.1),
+    ("eve_amz", "visibility", "0.8", "eve.apparatus.visibility", 0.8),
+    ("eve_amz", "phase_jitter_rad", "0.2", "eve.apparatus.phase_jitter_rad", 0.2),
+]
+
+
+def leaves(config):
+    """{dotted field path: value} of every scalar in a SessionConfig."""
+    out = {}
+
+    def walk(obj, prefix):
+        for name, value in obj.items():
+            if isinstance(value, dict):
+                walk(value, f"{prefix}{name}.")
+            else:
+                out[f"{prefix}{name}"] = value
+
+    walk(dataclasses.asdict(config), "")
+    return out
+
+
 class TestParsing:
     def test_missing_path_means_defaults(self):
         assert parse_config(None) == SessionConfig()
@@ -26,6 +78,32 @@ class TestParsing:
 
     def test_default_text_round_trips_to_defaults(self, tmp_path):
         assert parse_config(write(tmp_path, DEFAULT_CONFIG_TEXT)) == SessionConfig()
+
+    def test_default_text_lists_every_key(self):
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string(DEFAULT_CONFIG_TEXT)
+        assert parser.sections() == [
+            "session", "source", "alice_amz", "bob_amz", "channel",
+            "apd_d0", "apd_d1", "eve", "eve_amz",
+        ]
+        listed = [(s, k) for s in parser.sections() for k in parser[s]]
+        assert len(listed) == 27
+        assert sorted(listed) == sorted((s, k) for s, k, *_ in ALL_KEYS)
+
+    @pytest.mark.parametrize(
+        "section, key, text, field, value", ALL_KEYS, ids=[f"{s}.{k}" for s, k, *_ in ALL_KEYS]
+    )
+    def test_each_key_sets_its_field(self, tmp_path, section, key, text, field, value):
+        ini = f"[{section}]\n{key} = {text}\n"
+        expected = {field: value}
+        if key == "gates_per_pulse":  # both detectors must share the gating scheme
+            other = "apd_d1" if section == "apd_d0" else "apd_d0"
+            ini += f"[{other}]\n{key} = 1\n"
+            expected[f"{other}.{key}"] = 1
+        got = leaves(parse_config(write(tmp_path, ini)))
+        defaults = leaves(SessionConfig())
+        assert {k: v for k, v in got.items() if v != defaults[k]} == expected
+        assert type(got[field]) is type(value)
 
     def test_nonexistent_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -153,6 +231,5 @@ class TestRejection:
             parse_config(write(tmp_path, "[session]\nsample_fraction = 1.5\n"))
 
     def test_validate_direct(self):
-        cfg = SessionConfig(n_pulses=-1)
         with pytest.raises(ConfigError, match=r"session\.n_pulses"):
-            cfg.validate()
+            SessionConfig(n_pulses=-1)

@@ -43,3 +43,16 @@ def test_run_outputs_match_pinned_digest(tmp_path, capsys, ini, digest):
     capsys.readouterr()
     blob = b"".join((out / name).read_bytes() for name in ("summary.csv", "alice.key", "bob.key"))
     assert hashlib.sha256(blob).hexdigest() == digest
+
+
+# sha256 of profile.csv from ``profile --seed 20260104 --sampled 1000000``
+# on the default config: one binomial click count per receiver cell.
+PINNED_SAMPLED_PROFILE = "cc523087d9538d3cf112b36bd0c85226fdb89feebd3703b1bd720afa00a0512d"
+
+
+def test_sampled_profile_matches_pinned_digest(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["profile", "--seed", "20260104", "--sampled", "1000000", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    capsys.readouterr()
+    assert hashlib.sha256((out / "profile.csv").read_bytes()).hexdigest() == PINNED_SAMPLED_PROFILE
