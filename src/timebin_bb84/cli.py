@@ -145,8 +145,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit_Usage as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ProtocolError as exc:
         print(f"session abort: {exc}", file=sys.stderr)

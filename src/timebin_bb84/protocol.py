@@ -2,19 +2,19 @@
 
 The measurement basis on the receiving side is passive: the arrival slot
 decides it, so the receiver is the one announcing (pulse index, measured
-basis) pairs and the transmitter replies with the subset where her
-preparation basis matches.  The transmitter's bits never appear on the
-classical channel before that reply; only a disclosed sample is revealed
-afterwards for error estimation, and those bits are discarded from both
-keys.
+basis) pairs and the transmitter replies with the positions in that list
+where her preparation basis matches.  The transmitter's bits never appear
+on the classical channel before that reply; only a disclosed sample is
+revealed afterwards for error estimation, and those bits are discarded
+from both keys.
 
 Message flow (each message exactly once per session):
 
     A -> B   basis_request      pulse index range of the session
     B -> A   basis_announce     (pulse_idx, basis) of every registered event
-    A -> B   match_reply        indices where bases agree (the sifted set)
-    A -> B   sample_indices     random subset disclosed for QBER estimation
-    B -> A   sample_bits        receiver's bits at the disclosed indices
+    A -> B   match_reply        announce positions where bases agree (sifted set)
+    A -> B   sample_indices     sifted-set positions disclosed for QBER estimation
+    B -> A   sample_bits        receiver's bits at the disclosed positions
     A -> B   qber_report        observed mismatch fraction
 
 Each station is a state machine without I/O: ``start()`` returns its
@@ -26,12 +26,13 @@ a transport; messages are newline-terminated, self-describing JSON records,
 and a record longer than the endpoint's ``max_line`` is refused.  Any
 malformed, out-of-order or out-of-range message aborts the session.
 
-Inside a record, a set of pulse indices is an object ``{"count", "width",
-"gaps"}``: the strictly increasing indices as little-endian unsigned gaps
-(the first gap is the first index + 1), ``width`` bytes each, in base64.
-The width is the narrowest of 1, 2, 4 or 8 bytes that holds the largest
-gap.  A bit string (bases, Z = 0 and X = 1, or disclosed bits) is an
-object ``{"count", "packed"}``: ``np.packbits`` output in base64.
+Inside a record, a set of pulse indices or positions is an object
+``{"count", "width", "gaps"}``: the strictly increasing indices as
+little-endian unsigned gaps (the first gap is the first index + 1),
+``width`` bytes each, in base64.  The width is the narrowest of 1, 2, 4 or
+8 bytes that holds the largest gap.  A bit string (bases, Z = 0 and X = 1,
+or disclosed bits) is an object ``{"count", "packed"}``: ``np.packbits``
+output in base64.
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ class ClassifiedEvents:
         bits = np.asarray(bits, dtype=np.uint8)
         if not (idx.shape == bases.shape == bits.shape) or idx.ndim != 1:
             raise ValueError("index, basis and bit arrays must be 1-D and equal length")
-        if idx.size and np.any(np.diff(idx) <= 0):
+        if np.any(idx[1:] <= idx[:-1]):
             raise ValueError("pulse indices must be strictly increasing")
         self.pulse_indices = idx
         self.bases = bases
@@ -384,21 +385,15 @@ def _expect(msg: ClassicalMessage, kind: type | None) -> None:
         )
 
 
-def _require_strictly_increasing(indices: np.ndarray, what: str) -> None:
-    if indices.size and np.any(np.diff(indices) <= 0):
+def _require_increasing_within(
+    indices: np.ndarray, size: int, what: str, outside: str = "position outside the agreed set"
+) -> None:
+    """Abort unless ``indices`` strictly increase inside ``range(size)``;
+    ``outside`` completes the error for an index out of that range."""
+    if np.any(indices[1:] <= indices[:-1]):
         raise ProtocolError(f"{what} indices are not strictly increasing")
-
-
-def _require_subset(indices: np.ndarray, universe: np.ndarray, what: str) -> np.ndarray:
-    """Positions of ``indices`` inside sorted ``universe``; abort if not a subset."""
-    pos = np.searchsorted(universe, indices)
-    if indices.size:
-        inside = pos < universe.size
-        ok = inside.copy()
-        ok[inside] = universe[pos[inside]] == indices[inside]
-        if not np.all(ok):
-            raise ProtocolError(f"{what} contains indices outside the agreed set")
-    return pos
+    if indices.size and (indices[0] < 0 or indices[-1] >= size):
+        raise ProtocolError(f"{what} {outside}")
 
 
 def _undisclosed(
@@ -407,7 +402,8 @@ def _undisclosed(
     """The sifted key without the positions ``disclosed`` for estimation."""
     keep = np.ones(indices.size, dtype=bool)
     keep[disclosed] = False
-    return SiftedKey(bits[keep], indices[keep], qber, int(disclosed.size))
+    at = np.flatnonzero(keep)
+    return SiftedKey(bits.take(at), indices.take(at), qber, int(disclosed.size))
 
 
 class AliceEndpoint:
@@ -429,23 +425,21 @@ class AliceEndpoint:
     def receive(self, msg: ClassicalMessage) -> list[ClassicalMessage]:
         _expect(msg, self._next)
         if isinstance(msg, BobBasisAnnounce):
-            n = len(self.records)
-            _require_strictly_increasing(msg.indices, "announced")
-            if msg.indices.size and (msg.indices[0] < 0 or msg.indices[-1] >= n):
-                raise ProtocolError("announced pulse index out of session range")
+            _require_increasing_within(
+                msg.indices, len(self.records), "announced", "pulse index out of session range"
+            )
             bits, bases = self.records.choices(msg.indices)
-            matched = bases == msg.bases
-            kept = msg.indices[matched]
-            n_sample = int(self.sample_fraction * kept.size)
+            matched = np.flatnonzero(bases == msg.bases)
+            n_sample = int(self.sample_fraction * matched.size)
             if n_sample < 1:
                 raise InsufficientKeyError(
-                    f"sifted key of {kept.size} bits cannot support a "
+                    f"sifted key of {matched.size} bits cannot support a "
                     f"{self.sample_fraction} disclosure fraction"
                 )
-            self._kept, self._bits = kept, bits[matched]
-            self._pick = np.sort(self.rng.choice(kept.size, size=n_sample, replace=False))
+            self._kept, self._bits = msg.indices.take(matched), bits.take(matched)
+            self._pick = np.sort(self.rng.choice(matched.size, size=n_sample, replace=False))
             self._next = SampleBits
-            return [AliceMatchReply(kept), SampleIndices(kept[self._pick])]
+            return [AliceMatchReply(matched), SampleIndices(self._pick)]
         if msg.bits.size != self._pick.size:
             raise ProtocolError("sample_bits length does not match the disclosed set")
         qber = float(np.mean(msg.bits != self._bits[self._pick]))
@@ -477,14 +471,14 @@ class BobEndpoint:
             self._next = AliceMatchReply
             return [BobBasisAnnounce(ev.pulse_indices, ev.bases)]
         if isinstance(msg, AliceMatchReply):
-            _require_strictly_increasing(msg.indices, "match reply")
-            pos = _require_subset(msg.indices, ev.pulse_indices, "match reply")
-            self._kept, self._bits = msg.indices, ev.bits[pos]
+            _require_increasing_within(msg.indices, len(ev), "match reply")
+            self._kept = ev.pulse_indices.take(msg.indices)
+            self._bits = ev.bits.take(msg.indices)
             self._next = SampleIndices
             return []
         if isinstance(msg, SampleIndices):
-            _require_strictly_increasing(msg.indices, "sample")
-            self._pick = _require_subset(msg.indices, self._kept, "sample request")
+            _require_increasing_within(msg.indices, self._kept.size, "sample")
+            self._pick = msg.indices
             self._next = QberReport
             return [SampleBits(self._bits[self._pick])]
         if not 0.0 <= msg.value <= 1.0:

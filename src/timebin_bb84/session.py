@@ -301,9 +301,10 @@ def run_session(config: SessionConfig) -> SessionResult:
         keep = registered
         if config.conventional_mode:
             keep = registered & (slot != Slot.S3)
-        ev_idx.append(pulses[keep])
-        ev_slot.append(slot[keep])
-        ev_port.append(port[keep])
+        at = np.flatnonzero(keep)
+        ev_idx.append(pulses.take(at))
+        ev_slot.append(slot.take(at))
+        ev_port.append(port.take(at))
 
     idx = np.concatenate(ev_idx)
     slots = np.concatenate(ev_slot)

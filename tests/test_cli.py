@@ -57,7 +57,7 @@ class TestProfileCommand:
     def test_sampled_profile(self, tmp_path, ideal_cfg):
         out = tmp_path / "out"
         code = main(
-            ["profile", "--config", str(ideal_cfg), "--out", str(out), "--sampled", "200000"]
+            ["profile", "--config", str(ideal_cfg), "--out", str(out), "--sampled", "2000000"]
         )
         assert code == 0
         by_key = {
@@ -178,6 +178,15 @@ class TestExitCodes:
         bad = tmp_path / "bad.ini"
         bad.write_text("[source]\nmu = -1\n")
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        assert "config error" in capsys.readouterr().err
+
+    def test_only_config_faults_labelled_config_error(self, tmp_path, capsys):
+        assert main(["profile", "--sampled", "-5", "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "sampled_pulses" in err and "config error" not in err
+        bad = tmp_path / "bad.ini"
+        bad.write_text("[source]\nbogus_key = 1\n")
+        assert main(["profile", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
         assert "config error" in capsys.readouterr().err
 
     def test_missing_config_is_1(self, tmp_path):

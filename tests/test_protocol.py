@@ -131,9 +131,10 @@ class TestSift:
         records = ArrayTrain(bits, bases)
         events = make_events((7, 0, 0), (9, 0, 1))  # receiver measured Z at both
         key_a, key_b, transcript = run_protocol(records, events, 1.0, np.random.default_rng(0))
-        assert transcript[2].indices.tolist() == [7]
+        # the reply names pulse 7 by its position in the announce
+        assert transcript[2].indices.tolist() == [0]
         # the one sifted bit is disclosed, and both stations hold 0 there
-        assert transcript[3].indices.tolist() == [7]
+        assert transcript[3].indices.tolist() == [0]
         assert key_a.qber_estimate == key_b.qber_estimate == 0.0
         assert len(key_a) == len(key_b) == 0
 
@@ -154,8 +155,11 @@ class TestSift:
         )
         key_a, key_b, transcript = run_protocol(records, events, 0.1, np.random.default_rng(1))
         assert np.array_equal(key_a.source_indices, key_b.source_indices)
-        matched = idx[records.bases[idx] == events.bases]
+        matched = np.flatnonzero(records.bases[idx] == events.bases)
         assert np.array_equal(transcript[2].indices, matched)
+        # disclosed positions index the sifted set, whose other bits remain
+        kept = np.delete(idx[matched], transcript[3].indices)
+        assert np.array_equal(key_a.source_indices, kept)
 
     def test_noiseless_keys_agree(self):
         rng = np.random.default_rng(8)
@@ -483,22 +487,42 @@ class TestAborts:
     def test_sample_outside_sifted_set(self):
         bob = BobEndpoint(make_events((4, 0, 0), (5, 1, 1), (8, 0, 1)))
         bob.receive(BasisRequest(0, 10))
-        bob.receive(AliceMatchReply(np.array([4, 8])))
+        bob.receive(AliceMatchReply(np.array([0, 2])))  # pulses 4 and 8
         with pytest.raises(ProtocolError, match="outside the agreed set"):
-            bob.receive(SampleIndices(np.array([5])))
+            bob.receive(SampleIndices(np.array([2])))
 
     def test_sample_not_monotone(self):
         bob = BobEndpoint(make_events((4, 0, 0), (8, 0, 1)))
         bob.receive(BasisRequest(0, 10))
-        bob.receive(AliceMatchReply(np.array([4, 8])))
+        bob.receive(AliceMatchReply(np.array([0, 1])))
         with pytest.raises(ProtocolError, match="strictly increasing"):
-            bob.receive(SampleIndices(np.array([8, 8])))
+            bob.receive(SampleIndices(np.array([1, 1])))
 
     def test_reply_not_subset_of_announce(self):
         bob = BobEndpoint(make_events((1, 0, 0), (3, 1, 1)))
         bob.receive(BasisRequest(0, 10))
         with pytest.raises(ProtocolError, match="outside the agreed set"):
             bob.receive(AliceMatchReply(np.array([2])))
+
+    @pytest.mark.parametrize(
+        "reply,error",
+        [([0, 3], "outside the agreed set"), ([-1, 1], "outside the agreed set"),
+         ([2, 0], "strictly increasing")],
+        ids=["past_announce", "negative", "not_monotone"],
+    )
+    def test_reply_positions_checked(self, reply, error):
+        bob = BobEndpoint(make_events((4, 0, 0), (5, 1, 1), (8, 0, 1)))
+        bob.receive(BasisRequest(0, 10))
+        with pytest.raises(ProtocolError, match=error):
+            bob.receive(AliceMatchReply(np.array(reply)))
+
+    @pytest.mark.parametrize("sample", [[0, 2], [7]], ids=["at_size", "far_past"])
+    def test_sample_past_sifted_set(self, sample):
+        bob = BobEndpoint(make_events((4, 0, 0), (5, 1, 1), (8, 0, 1)))
+        bob.receive(BasisRequest(0, 10))
+        bob.receive(AliceMatchReply(np.array([0, 1])))  # a sifted set of 2
+        with pytest.raises(ProtocolError, match="outside the agreed set"):
+            bob.receive(SampleIndices(np.array(sample)))
 
     def test_message_after_completion(self):
         records = ArrayTrain(np.zeros(8, np.uint8), np.zeros(8, np.uint8))
