@@ -397,10 +397,12 @@ def _require_increasing_within(
 
 
 def _undisclosed(
-    bits: np.ndarray, indices: np.ndarray, disclosed: np.ndarray, qber: float
+    bits: np.ndarray, indices: np.ndarray, sifted: np.ndarray, disclosed: np.ndarray, qber: float
 ) -> SiftedKey:
-    """The sifted key without the positions ``disclosed`` for estimation."""
-    keep = np.ones(indices.size, dtype=bool)
+    """The key at announce positions ``sifted`` but not ``disclosed``, from
+    the per-announced-event ``bits`` and pulse ``indices``."""
+    keep = np.zeros(indices.size, dtype=bool)
+    keep[sifted] = True
     keep[disclosed] = False
     at = np.flatnonzero(keep)
     return SiftedKey(bits.take(at), indices.take(at), qber, int(disclosed.size))
@@ -436,14 +438,15 @@ class AliceEndpoint:
                     f"sifted key of {matched.size} bits cannot support a "
                     f"{self.sample_fraction} disclosure fraction"
                 )
-            self._kept, self._bits = msg.indices.take(matched), bits.take(matched)
-            self._pick = np.sort(self.rng.choice(matched.size, size=n_sample, replace=False))
+            pick = np.sort(self.rng.choice(matched.size, size=n_sample, replace=False))
+            self._announced, self._bits, self._sifted = msg.indices, bits, matched
+            self._shown = matched.take(pick)
             self._next = SampleBits
-            return [AliceMatchReply(matched), SampleIndices(self._pick)]
-        if msg.bits.size != self._pick.size:
+            return [AliceMatchReply(matched), SampleIndices(pick)]
+        if msg.bits.size != self._shown.size:
             raise ProtocolError("sample_bits length does not match the disclosed set")
-        qber = float(np.mean(msg.bits != self._bits[self._pick]))
-        self.key = _undisclosed(self._bits, self._kept, self._pick, qber)
+        qber = float(np.mean(msg.bits != self._bits.take(self._shown)))
+        self.key = _undisclosed(self._bits, self._announced, self._sifted, self._shown, qber)
         self._next = None
         return [QberReport(qber)]
 
@@ -472,18 +475,17 @@ class BobEndpoint:
             return [BobBasisAnnounce(ev.pulse_indices, ev.bases)]
         if isinstance(msg, AliceMatchReply):
             _require_increasing_within(msg.indices, len(ev), "match reply")
-            self._kept = ev.pulse_indices.take(msg.indices)
-            self._bits = ev.bits.take(msg.indices)
+            self._sifted = msg.indices
             self._next = SampleIndices
             return []
         if isinstance(msg, SampleIndices):
-            _require_increasing_within(msg.indices, self._kept.size, "sample")
-            self._pick = msg.indices
+            _require_increasing_within(msg.indices, self._sifted.size, "sample")
+            self._shown = self._sifted.take(msg.indices)
             self._next = QberReport
-            return [SampleBits(self._bits[self._pick])]
+            return [SampleBits(ev.bits.take(self._shown))]
         if not 0.0 <= msg.value <= 1.0:
             raise ProtocolError(f"reported QBER {msg.value} outside [0, 1]")
-        self.key = _undisclosed(self._bits, self._kept, self._pick, msg.value)
+        self.key = _undisclosed(ev.bits, ev.pulse_indices, self._sifted, self._shown, msg.value)
         self._next = None
         return []
 
