@@ -126,16 +126,6 @@ class RngHandle:
 ApdPair = tuple[ApdSpec, ApdSpec]
 
 
-def as_apd_pair(apd: ApdSpec | ApdPair) -> ApdPair:
-    """Accept one spec for both ports or an explicit (D0, D1) pair."""
-    if isinstance(apd, ApdSpec):
-        return (apd, apd)
-    d0, d1 = apd
-    if d0.gates_per_pulse != d1.gates_per_pulse:
-        raise ValueError("both detectors must use the same gating scheme")
-    return (d0, d1)
-
-
 def click_probability(p_slot_port, mu_arrived: float, apd: ApdSpec):
     """Per-gate click probability of (slot, port) cells with probability
     weights ``p_slot_port`` (a scalar or an array of any shape)."""
@@ -146,13 +136,11 @@ def click_probability(p_slot_port, mu_arrived: float, apd: ApdSpec):
     )
 
 
-def cell_click_probabilities(
-    dist: SlotPortDistribution, mu_arrived: float, apd: ApdSpec | ApdPair
-) -> np.ndarray:
-    """Flattened (6,) click probabilities; ungated cells are zero."""
-    pair = as_apd_pair(apd)
-    q = np.stack([click_probability(dist.p[:, port], mu_arrived, pair[port]) for port in (0, 1)], axis=1)
-    if pair[0].gates_per_pulse == 1:
+def cell_click_probabilities(dist: SlotPortDistribution, mu_arrived: float, apds: ApdPair) -> np.ndarray:
+    """Flattened (6,) click probabilities with the (D0, D1) detectors
+    ``apds``, which share one gating scheme; ungated cells are zero."""
+    q = np.stack([click_probability(dist.p[:, port], mu_arrived, apds[port]) for port in (0, 1)], axis=1)
+    if apds[0].gates_per_pulse == 1:
         q[[Slot.S1, Slot.S3]] = 0.0
     return q.reshape(N_CELLS)
 
@@ -185,13 +173,12 @@ def first_fire_table(q) -> np.ndarray:
         r[s, j] = prod_{s' < s} (1-q[s',0])(1-q[s',1]) * q[s,j] * (1-q[s,1-j])
 
     and the pulse is discarded iff both ports click in its first firing
-    slot.  :func:`expected_event_rates` and :func:`any_click_probability`
-    read the same closed form.
+    slot.  :func:`expected_event_rates` reads the same closed form.
     """
     return np.cumsum(_first_fire_increments(q), axis=-1)
 
 
-def click_bound(dist: SlotPortDistribution, mu_arrived: float, apd: ApdSpec | ApdPair) -> float:
+def click_bound(dist: SlotPortDistribution, mu_arrived: float, apds: ApdPair) -> float:
     """Upper bound on the any-click probability of ``dist`` at every
     receiver phase: 1 - prod(1-d) * exp(-eta_max * mu * p_total).
 
@@ -201,11 +188,10 @@ def click_bound(dist: SlotPortDistribution, mu_arrived: float, apd: ApdSpec | Ap
     computes can exceed the exact value by a few ulps.  A probability
     cannot exceed 1, so neither does the bound.
     """
-    pair = as_apd_pair(apd)
-    gates = pair[0].gates_per_pulse
+    gates = apds[0].gates_per_pulse
     p_total = float(dist.p[Slot.S2].sum() if gates == 1 else dist.p.sum())
-    eta_max = max(a.efficiency for a in pair)
-    dark = ((1.0 - pair[0].dark_per_gate) * (1.0 - pair[1].dark_per_gate)) ** gates
+    eta_max = max(a.efficiency for a in apds)
+    dark = ((1.0 - apds[0].dark_per_gate) * (1.0 - apds[1].dark_per_gate)) ** gates
     return min(1.0, 1.0 - dark * math.exp(-eta_max * mu_arrived * p_total) + 1e-12)
 
 
@@ -322,18 +308,8 @@ def detect_batch(
     return outcome < N_CELLS, outcome // 2, outcome % 2, outcome <= N_CELLS
 
 
-def expected_event_rates(
-    dist: SlotPortDistribution, mu_arrived: float, apd: ApdSpec | ApdPair
-) -> np.ndarray:
+def expected_event_rates(dist: SlotPortDistribution, mu_arrived: float, apds: ApdPair) -> np.ndarray:
     """Exact (3, 2) per-cell registration probabilities under first-fire:
     the six cell increments of :func:`first_fire_table`."""
-    q = cell_click_probabilities(dist, mu_arrived, apd)
+    q = cell_click_probabilities(dist, mu_arrived, apds)
     return _first_fire_increments(q)[:N_CELLS].reshape(3, 2)
-
-
-def any_click_probability(
-    dist: SlotPortDistribution, mu_arrived: float, apd: ApdSpec | ApdPair
-) -> float:
-    """Probability that at least one gated cell clicks (pre-discard): the
-    total of :func:`first_fire_table`."""
-    return float(first_fire_table(cell_click_probabilities(dist, mu_arrived, apd))[N_CELLS])

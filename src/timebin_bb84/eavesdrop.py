@@ -7,8 +7,9 @@ re-prepares the corresponding canonical state at full amplitude and
 forwards it; pulses that produce no outcome are suppressed (vacuum
 forwarded).  Because her measurement is the passive three-slot one rather
 than a random two-basis projection, the induced error rate is worth
-deriving by exhaustive enumeration instead of assuming the textbook 25%:
-the enumeration confirms exactly 1/4 in both bases for ideal devices.
+computing exactly, over every (sent state, attacker outcome, receiver
+cell) branch, instead of assuming the textbook 25%: the computation
+confirms exactly 1/4 in both bases for ideal devices.
 """
 
 from __future__ import annotations
@@ -20,23 +21,19 @@ import numpy as np
 
 from .detection import sample_outcomes
 from .optics import (
+    CANONICAL_AMPLITUDES,
     CANONICAL_STATES,
+    CELL_STATE,
     AmzSpec,
     Basis,
-    Port,
-    Slot,
-    TimeBinState,
-    bob_transform,
-    canonical_link_state,
     ideal_amz,
     slot_port_probabilities,
-    vacuum_state,
 )
 
-# Flattened-cell (slot-major) classification to canonical-state index; 6 = no
-# outcome -> vacuum resend.
+# Resent-state index per attacker outcome: the cell's canonical state, and
+# for outcome 6 (none) the vacuum.
 VACUUM_INDEX = 4
-OUTCOME_TO_STATE_INDEX = np.array([0, 0, 3, 2, 1, 1, VACUUM_INDEX], dtype=np.uint8)
+OUTCOME_TO_STATE_INDEX = np.append(CELL_STATE, np.uint8(VACUUM_INDEX))
 
 
 @dataclass(frozen=True)
@@ -46,21 +43,6 @@ class EveSpec:
 
     enabled: bool = False
     apparatus: AmzSpec = field(default_factory=ideal_amz)
-
-
-def outcome_probabilities(state: TimeBinState, spec: EveSpec) -> np.ndarray:
-    """(7,) vector: six slot/port outcome probabilities plus no-outcome."""
-    dist = bob_transform(state, spec.apparatus)
-    flat = dist.p.reshape(6)
-    return np.concatenate([flat, [1.0 - flat.sum()]])
-
-
-def resend_state(outcome: int) -> TimeBinState:
-    """Canonical state (or vacuum) for a flattened outcome index."""
-    idx = int(OUTCOME_TO_STATE_INDEX[outcome])
-    if idx == VACUUM_INDEX:
-        return vacuum_state()
-    return canonical_link_state(CANONICAL_STATES[idx])
 
 
 def cumulative_outcomes(early, late, spec: EveSpec, phase=None) -> np.ndarray:
@@ -91,50 +73,37 @@ def attack_batch(
     return outcomes, OUTCOME_TO_STATE_INDEX[outcomes]
 
 
-def _classify_cell(cell: int) -> tuple[Basis, int]:
-    slot, port = Slot(cell // 2), Port(cell % 2)
-    if slot == Slot.S1:
-        return Basis.Z, 0
-    if slot == Slot.S3:
-        return Basis.Z, 1
-    return Basis.X, 0 if port == Port.D1 else 1
-
-
 def enumerate_attack_qber(
     spec: EveSpec, bob_spec: AmzSpec | None = None
 ) -> dict[Basis, float]:
-    """Exact sifted QBER per basis via the full probability tree.
+    """Exact sifted QBER per basis over every (sent state, attacker
+    outcome, receiver cell) branch.
 
     Single-photon abstraction: each stage yields an outcome with
-    probability equal to its cell weight.  The transmitter's four states
-    are equiprobable; only receiver outcomes whose measured basis matches
-    the preparation basis contribute (the sifted set).  Channel loss
-    between the attacker and receiver scales every branch equally and so
-    cancels; it is omitted.
+    probability equal to its cell weight.  ``eve[k, o]`` is the weight of
+    outcome o for sent state k, ``bob[j, c]`` that of receiver cell c for
+    resent state j; outcome o resends state ``CELL_STATE[o]``, so
+    ``eve @ bob[CELL_STATE]`` weighs each (sent state, receiver cell)
+    pair.  The no-outcome branch forwards vacuum and yields no events.
+    The transmitter's four states are equiprobable; only receiver cells
+    whose read basis matches the sent one contribute (the sifted set).
+    Channel loss between the attacker and receiver scales every branch
+    equally and so cancels; it is omitted.
     """
     bob_spec = bob_spec if bob_spec is not None else ideal_amz()
     if not spec.enabled:
         return {Basis.Z: 0.0, Basis.X: 0.0}
-    errors = {Basis.Z: 0.0, Basis.X: 0.0}
-    sifted = {Basis.Z: 0.0, Basis.X: 0.0}
-    for state in CANONICAL_STATES:
-        weight_state = 0.25
-        eve_probs = outcome_probabilities(canonical_link_state(state), spec)
-        for outcome in range(6):  # no-outcome branch forwards vacuum: no events
-            w1 = float(eve_probs[outcome])
-            if w1 == 0.0:
-                continue
-            forwarded = resend_state(outcome)
-            bob_probs = bob_transform(forwarded, bob_spec).p.reshape(6)
-            for cell in range(6):
-                w2 = float(bob_probs[cell])
-                if w2 == 0.0:
-                    continue
-                measured_basis, measured_bit = _classify_cell(cell)
-                if measured_basis != state.basis:
-                    continue
-                branch = weight_state * w1 * w2
-                sifted[measured_basis] += branch
-                if measured_bit != state.bit:
-                    errors[measured_basis] += branch
-    return {b: (errors[b] / sifted[b] if sifted[b] > 0 else 0.0) for b in (Basis.Z, Basis.X)}
+    early, late = CANONICAL_AMPLITUDES.T
+    eve = np.diff(cumulative_outcomes(early, late, spec), prepend=0.0)
+    bob = np.array(slot_port_probabilities(early, late, bob_spec)).reshape(6, -1).T
+    joint = eve @ bob[CELL_STATE]
+    sent = np.arange(len(CANONICAL_STATES))[:, None]
+    sifted = np.where(CELL_STATE >> 1 == sent >> 1, joint, 0.0)
+    errors = np.where(CELL_STATE != sent, sifted, 0.0)
+    # Rows 0-1 are the Z states, rows 2-3 the X states.
+    n_sifted = sifted.reshape(2, -1).sum(axis=1)
+    n_errors = errors.reshape(2, -1).sum(axis=1)
+    return {
+        b: float(n_errors[i] / n_sifted[i]) if n_sifted[i] > 0 else 0.0
+        for i, b in enumerate((Basis.Z, Basis.X))
+    }

@@ -81,46 +81,35 @@ CANONICAL_STATES: tuple[CanonicalState, ...] = (
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
-# Normalized two-bin link amplitudes (early, late) per canonical state.
-_CANONICAL_AMPLITUDES: dict[CanonicalState, tuple[complex, complex]] = {
-    CANONICAL_STATES[0]: (1.0 + 0.0j, 0.0j),
-    CANONICAL_STATES[1]: (0.0j, 1.0 + 0.0j),
-    CANONICAL_STATES[2]: (_SQRT_HALF + 0.0j, _SQRT_HALF + 0.0j),
-    CANONICAL_STATES[3]: (_SQRT_HALF + 0.0j, -_SQRT_HALF + 0.0j),
-}
+# Normalized two-bin link amplitudes (early, late), one row per canonical state.
+CANONICAL_AMPLITUDES = np.array(
+    [[1.0, 0.0], [0.0, 1.0], [_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]], dtype=complex
+)
+
+# Canonical-state index that a click in each slot-major (slot, port) cell
+# reads as: S1 -> (Z,0), S3 -> (Z,1), S2 -> (X,1) on D0 and (X,0) on D1.
+CELL_STATE = np.array([0, 0, 3, 2, 1, 1], dtype=np.uint8)
 
 
 @dataclass(frozen=True)
 class TimeBinState:
-    """Per-bin, per-port complex amplitudes of a single-photon wavepacket.
-
-    ``bins`` has shape (n_bins, n_ports); squared moduli sum to at most 1,
-    any deficit being probability already lost upstream.
+    """Complex (early, late) amplitudes of a single-photon wavepacket on the
+    link, as a (2, 1) ``bins`` array; squared moduli sum to at most 1, any
+    deficit being probability already lost upstream.
     """
 
     bins: np.ndarray
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.bins, dtype=complex)
-        if arr.ndim != 2:
-            raise ValueError("bins must be a 2-D (n_bins, n_ports) array")
+        if arr.shape != (2, 1):
+            raise ValueError(f"bins must have shape (2, 1), got {arr.shape}")
         if not np.all(np.isfinite(arr.view(float))):
             raise ValueError("amplitudes must be finite")
         total = float(np.sum(np.abs(arr) ** 2))
         if total > 1.0 + NORM_TOL:
             raise ValueError(f"total probability {total} exceeds 1")
         object.__setattr__(self, "bins", arr)
-
-    @property
-    def n_bins(self) -> int:
-        return self.bins.shape[0]
-
-    @property
-    def port_count(self) -> int:
-        return self.bins.shape[1]
-
-    def total_probability(self) -> float:
-        return float(np.sum(np.abs(self.bins) ** 2))
 
     def scaled(self, amplitude_factor: complex) -> "TimeBinState":
         return TimeBinState(self.bins * amplitude_factor)
@@ -136,8 +125,7 @@ def vacuum_state() -> TimeBinState:
 
 
 def canonical_link_state(state: CanonicalState) -> TimeBinState:
-    early, late = _CANONICAL_AMPLITUDES[state]
-    return link_state(early, late)
+    return link_state(*CANONICAL_AMPLITUDES[CANONICAL_STATES.index(state)])
 
 
 @dataclass(frozen=True)
@@ -179,24 +167,18 @@ def ideal_amz() -> AmzSpec:
 
 @dataclass(frozen=True)
 class SlotPortDistribution:
-    """Probabilities over 3 arrival slots x 2 detector ports.
-
-    p_lost absorbs device loss, channel loss and the unused monitor port,
-    so that ``p.sum() + p_lost == 1``.
+    """Probabilities over 3 arrival slots x 2 detector ports; the remainder
+    up to 1 is lost to device loss, channel loss and the unused monitor port.
     """
 
     p: np.ndarray
-    p_lost: float
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.p, dtype=float)
         if arr.shape != (3, 2):
             raise ValueError("p must have shape (3, 2)")
-        if np.any(arr < -NORM_TOL):
-            raise ValueError("probabilities must be non-negative")
-        total = float(arr.sum()) + self.p_lost
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"probabilities + p_lost = {total}, expected 1")
+        if np.any(arr < -NORM_TOL) or arr.sum() > 1.0 + 1e-9:
+            raise ValueError("probabilities must be non-negative and sum to at most 1")
         object.__setattr__(self, "p", np.clip(arr, 0.0, None))
 
 
@@ -296,16 +278,8 @@ def slot_port_probabilities(early, late, spec: AmzSpec, phase=None):
 
 def bob_transform(state: TimeBinState, spec: AmzSpec) -> SlotPortDistribution:
     """Slot/port probabilities of one link state after the receiver
-    interferometer (see :func:`slot_port_probabilities`); excess loss and
-    any norm deficit of the input go to p_lost.
-    """
-    if state.port_count != 1 or state.n_bins != 2:
-        raise ValueError(
-            f"expected a 2-bin single-port link state, got {state.n_bins} bins x "
-            f"{state.port_count} ports"
-        )
-    p = np.array(slot_port_probabilities(state.bins[0, 0], state.bins[1, 0], spec), dtype=float)
-    return SlotPortDistribution(p=p, p_lost=1.0 - float(p.sum()))
+    interferometer (see :func:`slot_port_probabilities`)."""
+    return SlotPortDistribution(np.array(slot_port_probabilities(*state.bins[:, 0], spec), dtype=float))
 
 
 def visibility_to_extinction_db(visibility: float) -> float:

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optics import Port, Slot
+from .optics import CELL_STATE
 
 
 class ProtocolError(RuntimeError):
@@ -128,13 +128,11 @@ def classify_arrays(slots: np.ndarray, ports: np.ndarray) -> tuple[np.ndarray, n
 
     Edge slots carry the arrival-time basis regardless of port (S1 -> (Z,0),
     S3 -> (Z,1)); in the central slot the port carries the superposition
-    basis bit (D1 -> (X,0), D0 -> (X,1)).
+    basis bit (D1 -> (X,0), D0 -> (X,1)): the cell's ``CELL_STATE``, whose
+    index is 2 * basis + bit.
     """
-    slots = np.asarray(slots)
-    ports = np.asarray(ports)
-    bases = (slots == Slot.S2).astype(np.uint8)
-    bits = np.where(slots == Slot.S2, (ports == Port.D0), slots == Slot.S3)
-    return bases, bits.astype(np.uint8)
+    states = CELL_STATE[2 * np.asarray(slots) + np.asarray(ports)]
+    return states >> 1, states & 1
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import eavesdrop
-from .channel import ChannelSpec, transmittance
+from .channel import transmittance
 from .config import SessionConfig
 from .detection import (
     DOMAIN_ALICE,
@@ -59,12 +59,12 @@ from .detection import (
     first_fire_table,
 )
 from .optics import (
+    CANONICAL_AMPLITUDES,
     CANONICAL_STATES,
     AmzSpec,
     Slot,
     SlotPortDistribution,
     bob_transform,
-    canonical_link_state,
     link_state,
     slot_port_probabilities,
 )
@@ -162,21 +162,11 @@ def summarize(
 # ---------------------------------------------------------------------------
 
 
-def _canonical_amplitudes() -> np.ndarray:
-    """(4, 2) complex (early, late) link amplitudes of the canonical states."""
-    return np.array([canonical_link_state(s).bins[:, 0] for s in CANONICAL_STATES])
-
-
 def _prepared_amplitudes(alice_amz: AmzSpec) -> np.ndarray:
     """Canonical amplitudes with the transmitter's phase offset on the late bin."""
-    amps = _canonical_amplitudes()
+    amps = CANONICAL_AMPLITUDES.copy()
     amps[:, 1] *= np.exp(1j * alice_amz.phase_offset_rad)
     return amps
-
-
-def _through_fiber(amps: np.ndarray, chan: ChannelSpec) -> np.ndarray:
-    """The fiber scales every amplitude by sqrt(transmittance)."""
-    return math.sqrt(transmittance(chan)) * amps
 
 
 def _receiver_distributions(arrived: np.ndarray, bob_amz: AmzSpec) -> list[SlotPortDistribution]:
@@ -236,7 +226,7 @@ def run_session(config: SessionConfig) -> SessionResult:
         # Re-prepared states are fresh canonical ones, or vacuum for a
         # suppressed pulse: only the receiver's own jitter acts on the
         # final leg.
-        incoming = np.vstack([_canonical_amplitudes(), np.zeros(2)])
+        incoming = np.vstack([CANONICAL_AMPLITUDES, np.zeros(2)])
         sigma_bob_leg = config.bob_amz.phase_jitter_rad
     else:
         incoming = prepared
@@ -244,7 +234,8 @@ def run_session(config: SessionConfig) -> SessionResult:
             config.alice_amz.phase_jitter_rad, config.bob_amz.phase_jitter_rad
         )
 
-    incoming = _through_fiber(incoming, config.channel)
+    # The fiber scales every amplitude by sqrt(transmittance).
+    incoming = math.sqrt(transmittance(config.channel)) * incoming
     dists = _receiver_distributions(incoming, bob_amz)
     q_table = np.stack([cell_click_probabilities(d, mu, apds) for d in dists])
     cum_table = first_fire_table(q_table)
@@ -316,7 +307,7 @@ def run_session(config: SessionConfig) -> SessionResult:
         records, classifications, config.sample_fraction, rng.stream(DOMAIN_SAMPLE)
     )
 
-    vacuum_dist = SlotPortDistribution(np.zeros((3, 2)), 1.0)
+    vacuum_dist = SlotPortDistribution(np.zeros((3, 2)))
     dark_register = float(expected_event_rates(vacuum_dist, 0.0, apds).sum())
     return SessionResult(
         summary=summarize(records, classifications, key_a, events_registered, dark_register),
@@ -354,7 +345,8 @@ def profile_rows(config: SessionConfig, sampled_pulses: int = 0) -> list[Profile
     rng = RngHandle(config.seed)
     apds = (config.apd_d0, config.apd_d1)
     prepared = _prepared_amplitudes(config.alice_amz)
-    dists = _receiver_distributions(_through_fiber(prepared, config.channel), config.bob_amz)
+    arrived = math.sqrt(transmittance(config.channel)) * prepared
+    dists = _receiver_distributions(arrived, config.bob_amz)
     rows: list[ProfileRow] = []
     for k, state in enumerate(CANONICAL_STATES):
         label = state.label()

@@ -104,19 +104,26 @@ def classify_cell(slot: int, port: int) -> tuple[str, int]:
     return ("X", 0) if port == 1 else ("X", 1)
 
 
-def attack_tree_qber(eve_visibility: float = 1.0) -> dict[str, float]:
-    """Intercept-resend QBER per basis from the exhaustive branch tree."""
+def attack_tree_qber(
+    eve_visibility: float = 1.0,
+    eve_delta: float = 0.0,
+    bob_visibility: float = 1.0,
+    bob_delta: float = 0.0,
+) -> dict[str, float]:
+    """Intercept-resend QBER per basis from the exhaustive branch tree, for
+    an attacker and a receiver interferometer of the given visibility and
+    phase offset (both lossless: loss scales every branch and cancels)."""
     errors = {"Z": 0.0, "X": 0.0}
     sifted = {"Z": 0.0, "X": 0.0}
     for label, bins in CANONICAL_BINS.items():
         basis, bit = label[0], int(label[1])
-        eve_p = receiver_table(bins, visibility=eve_visibility)
+        eve_p = receiver_table(bins, visibility=eve_visibility, delta=eve_delta)
         for es, ep in itertools.product(range(3), range(2)):
             w1 = eve_p[es, ep]
             if w1 == 0.0:
                 continue
             resend_label = "".join(map(str, classify_cell(es, ep)))
-            bob_p = receiver_table(CANONICAL_BINS[resend_label])
+            bob_p = receiver_table(CANONICAL_BINS[resend_label], visibility=bob_visibility, delta=bob_delta)
             for bs, bp in itertools.product(range(3), range(2)):
                 mbasis, mbit = classify_cell(bs, bp)
                 if mbasis != basis:

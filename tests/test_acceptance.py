@@ -21,7 +21,6 @@ from timebin_bb84.detection import (
     ApdSpec,
     RngHandle,
     SourceSpec,
-    any_click_probability,
     cell_click_probabilities,
     detect_batch,
     draw_candidates,
@@ -154,15 +153,15 @@ def test_criterion_4_dark_exposure():
     """Three gated slots triple the dark exposure of a single-gate system."""
     d = 1e-3
     n = 10_000_000
-    vacuum = SlotPortDistribution(np.zeros((3, 2)), 1.0)
+    vacuum = SlotPortDistribution(np.zeros((3, 2)))
     analytic_ratio = (1 - (1 - d) ** 6) / (1 - (1 - d) ** 2)
 
     counts = {}
     p_exact = {}
     for gates in (3, 1):
         apd = ApdSpec(efficiency=0.1, dark_per_gate=d, gates_per_pulse=gates)
-        p_exact[gates] = any_click_probability(vacuum, 0.0, apd)
-        cum = first_fire_table(cell_click_probabilities(vacuum, 0.0, apd))
+        cum = first_fire_table(cell_click_probabilities(vacuum, 0.0, (apd, apd)))
+        p_exact[gates] = float(cum[-1])  # any gated cell clicks
         rng = RngHandle(440_001).indexed_stream(DOMAIN_DETECT, gates)
         batch = draw_candidates(n, cum[-1], rng)
         states = np.zeros(batch.offsets.size, dtype=np.uint8)
@@ -281,8 +280,11 @@ def test_criterion_7_conservation_properties():
             phase_offset_rad=float(rng.uniform(-math.pi, math.pi)),
             visibility=float(rng.random()),
         )
+        # The six cells hold the excess transmittance times the input
+        # norm |a|^2 + |b|^2: the S2 cross term cancels between the ports.
         dist = bob_transform(link_state(*amps), spec)
-        worst_norm = max(worst_norm, abs(dist.p.sum() + dist.p_lost - 1.0))
+        norm = float(np.sum(np.abs(amps) ** 2))
+        worst_norm = max(worst_norm, abs(dist.p.sum() - spec.excess_transmittance * norm))
 
         rotated = bob_transform(
             link_state(*(amps * np.exp(1j * rng.uniform(0, 2 * math.pi)))), spec

@@ -1,5 +1,7 @@
 """CLI subcommands, exit codes, file outputs and CSV round-trips."""
 
+import math
+
 import pytest
 
 from timebin_bb84.cli import main
@@ -55,16 +57,23 @@ class TestProfileCommand:
         assert read_profile_csv(out / "profile.csv") == written
 
     def test_sampled_profile(self, tmp_path, ideal_cfg):
+        """The sampled Z0 S1 D0 weight lies within Z = 5 sigma of 0.25.  It
+        is -log(1 - f) / (eta mu) for the cell's click frequency f over N
+        pulses, whose click probability is q = 1 - exp(-eta mu 0.25); by
+        the delta method sigma = sqrt(q (1 - q) / N) / (eta mu (1 - q))."""
+        n, eta_mu = 2_000_000, 0.1 * 0.1
         out = tmp_path / "out"
         code = main(
-            ["profile", "--config", str(ideal_cfg), "--out", str(out), "--sampled", "2000000"]
+            ["profile", "--config", str(ideal_cfg), "--out", str(out), "--sampled", str(n)]
         )
         assert code == 0
         by_key = {
             (r.state, r.slot, r.port): r.probability
             for r in read_profile_csv(out / "profile.csv")
         }
-        assert abs(by_key[("Z0", "S1", "D0")] - 0.25) < 0.02
+        q = 1.0 - math.exp(-eta_mu * 0.25)
+        sigma = math.sqrt(q * (1.0 - q) / n) / (eta_mu * (1.0 - q))
+        assert abs(by_key[("Z0", "S1", "D0")] - 0.25) < 5.0 * sigma  # about 0.0177
 
     def test_negative_sampled_count_exits_1(self, tmp_path, capsys):
         code = main(["profile", "--sampled", "-5", "--out", str(tmp_path / "out")])

@@ -7,12 +7,12 @@ import pytest
 
 import matrix_oracle as oracle
 import per_pulse
+from timebin_bb84.config import SessionConfig
 from timebin_bb84.detection import (
     DOMAIN_DETECT,
     ApdSpec,
     RngHandle,
     SourceSpec,
-    any_click_probability,
     cell_click_probabilities,
     click_bound,
     click_probability,
@@ -41,7 +41,13 @@ def ideal_dist(state_idx: int) -> SlotPortDistribution:
 
 
 def dark_only_dist() -> SlotPortDistribution:
-    return SlotPortDistribution(np.zeros((3, 2)), 1.0)
+    return SlotPortDistribution(np.zeros((3, 2)))
+
+
+def any_click_probability(dist: SlotPortDistribution, mu: float, apd: ApdSpec) -> float:
+    """Probability that at least one gated cell clicks, with ``apd`` on
+    both ports: the total of the first-fire table."""
+    return float(first_fire_table(cell_click_probabilities(dist, mu, (apd, apd)))[-1])
 
 
 def detect_alike(q, n: int, rng: np.random.Generator):
@@ -129,7 +135,7 @@ class TestExpectedRates:
         mu = 1e-9
         for k in range(4):
             dist = ideal_dist(k)
-            r = expected_event_rates(dist, mu, apd)
+            r = expected_event_rates(dist, mu, (apd, apd))
             expected = apd.efficiency * mu * dist.p
             nonzero = dist.p > 0
             rel = np.abs(r[nonzero] - expected[nonzero]) / expected[nonzero]
@@ -137,7 +143,7 @@ class TestExpectedRates:
 
     def test_early_bin_example(self):
         apd = ApdSpec(efficiency=0.1, dark_per_gate=0.0)
-        r = expected_event_rates(ideal_dist(0), 0.1, apd)
+        r = expected_event_rates(ideal_dist(0), 0.1, (apd, apd))
         q = 1 - math.exp(-0.0025)
         assert np.max(np.abs(r[0] - 0.0024969)) < 1e-5
         # central slot additionally shadowed by the early one
@@ -155,21 +161,21 @@ class TestExpectedRates:
         for _ in range(50):
             p = rng.random((3, 2))
             p *= rng.random() / p.sum()
-            dist = SlotPortDistribution(p, 1.0 - p.sum())
+            dist = SlotPortDistribution(p)
             apd = ApdSpec(
                 efficiency=float(rng.random()),
                 dark_per_gate=float(rng.random() * 0.2),
                 gates_per_pulse=3 if rng.random() < 0.7 else 1,
             )
             mu = float(rng.random() * 3)
-            q = cell_click_probabilities(dist, mu, apd)
+            q = cell_click_probabilities(dist, mu, (apd, apd))
             ref, ref_any = oracle.registration_by_enumeration(q)
-            assert np.max(np.abs(expected_event_rates(dist, mu, apd) - ref)) < 1e-12
+            assert np.max(np.abs(expected_event_rates(dist, mu, (apd, apd)) - ref)) < 1e-12
             assert abs(any_click_probability(dist, mu, apd) - ref_any) < 1e-12
 
     def test_single_gate_only_central_slot(self):
         apd = ApdSpec(efficiency=0.5, dark_per_gate=1e-3, gates_per_pulse=1)
-        r = expected_event_rates(ideal_dist(0), 0.2, apd)
+        r = expected_event_rates(ideal_dist(0), 0.2, (apd, apd))
         assert np.all(r[0] == 0.0) and np.all(r[2] == 0.0)
         assert np.all(r[1] > 0.0)
 
@@ -180,9 +186,8 @@ class TestExpectedRates:
         dist = ideal_dist(0)
 
         def s1_rate(mu, eta, d):
-            return expected_event_rates(
-                dist, mu, ApdSpec(efficiency=eta, dark_per_gate=d)
-            )[0].sum()
+            apd = ApdSpec(efficiency=eta, dark_per_gate=d)
+            return expected_event_rates(dist, mu, (apd, apd))[0].sum()
 
         for grid, key in (
             (np.linspace(0.01, 2.0, 30), "mu"),
@@ -217,7 +222,7 @@ class TestGatingCost:
 class TestDetectPulse:
     def test_no_light_no_dark_never_fires(self):
         apd = ApdSpec(dark_per_gate=0.0)
-        q = cell_click_probabilities(ideal_dist(0), 0.0, apd)
+        q = cell_click_probabilities(ideal_dist(0), 0.0, (apd, apd))
         registered, _, _, any_click = detect_alike(q, 1000, np.random.default_rng(1))
         assert not np.any(registered) and not np.any(any_click)
 
@@ -225,7 +230,7 @@ class TestDetectPulse:
         # with the early slot saturating, any surviving single-click event
         # must be in S1: later slots are shadowed by the first-fire rule
         apd = ApdSpec(efficiency=1.0, dark_per_gate=0.0)
-        q = cell_click_probabilities(ideal_dist(0), 50.0, apd)
+        q = cell_click_probabilities(ideal_dist(0), 50.0, (apd, apd))
         rng = RngHandle(7).indexed_stream(DOMAIN_DETECT, 0)
         registered, slot, _, _ = detect_alike(q, 10_000_000, rng)
         n_events = int(np.count_nonzero(registered))
@@ -236,10 +241,10 @@ class TestDetectPulse:
         apd = ApdSpec(efficiency=0.2, dark_per_gate=1e-4)
         dist = ideal_dist(2)
         n = 10_000_000
-        q = cell_click_probabilities(dist, 0.5, apd)
+        q = cell_click_probabilities(dist, 0.5, (apd, apd))
         rng = RngHandle(99).indexed_stream(DOMAIN_DETECT, 0)
         registered, slot, port, _ = detect_alike(q, n, rng)
-        r = expected_event_rates(dist, 0.5, apd)
+        r = expected_event_rates(dist, 0.5, (apd, apd))
         for s in range(3):
             for p in range(2):
                 got = int(np.count_nonzero(registered & (slot == s) & (port == p)))
@@ -251,7 +256,7 @@ class TestDetectPulse:
         d = 1e-5
         apd = ApdSpec(dark_per_gate=d)
         n = 10_000_000
-        q = cell_click_probabilities(dark_only_dist(), 0.0, apd)
+        q = cell_click_probabilities(dark_only_dist(), 0.0, (apd, apd))
         rng = RngHandle(2024).indexed_stream(DOMAIN_DETECT, 0)
         registered, slot, port, any_click = detect_alike(q, n, rng)
         p_any = 1 - (1 - d) ** 6
@@ -278,8 +283,8 @@ SAMPLER_CASES = {
         ideal_dist(2), 0.5,
         (ApdSpec(efficiency=0.05, dark_per_gate=1e-3), ApdSpec(efficiency=0.4, dark_per_gate=1e-2)),
     ),
-    "single_gate": (ideal_dist(0), 2.0, ApdSpec(efficiency=0.5, dark_per_gate=1e-2, gates_per_pulse=1)),
-    "high_click": (ideal_dist(0), 4.0, ApdSpec(efficiency=1.0, dark_per_gate=0.05)),
+    "single_gate": (ideal_dist(0), 2.0, (ApdSpec(efficiency=0.5, dark_per_gate=1e-2, gates_per_pulse=1),) * 2),
+    "high_click": (ideal_dist(0), 4.0, (ApdSpec(efficiency=1.0, dark_per_gate=0.05),) * 2),
 }
 
 
@@ -288,9 +293,9 @@ class TestFirstFireSampler:
     def test_matches_bernoulli_oracle_and_exact_law(self, case):
         """Both samplers' counts of all eight outcomes lie within the
         Bernstein band at Z of the law from enumerating click patterns."""
-        dist, mu, apd = SAMPLER_CASES[case]
+        dist, mu, apds = SAMPLER_CASES[case]
         n = 400_000
-        q = cell_click_probabilities(dist, mu, apd)
+        q = cell_click_probabilities(dist, mu, apds)
         reg, p_any = oracle.registration_by_enumeration(q)
         law = np.append(reg.reshape(6), [p_any - reg.sum(), 1.0 - p_any])
         assert np.max(np.abs(np.diff(first_fire_table(q), prepend=0.0) - law[:7])) < 1e-12
@@ -308,9 +313,9 @@ class TestFirstFireSampler:
     @pytest.mark.parametrize(
         "apds",
         [
-            ApdSpec(efficiency=0.1, dark_per_gate=1e-5),
+            (ApdSpec(efficiency=0.1, dark_per_gate=1e-5),) * 2,
             (ApdSpec(efficiency=0.05, dark_per_gate=1e-3), ApdSpec(efficiency=0.4, dark_per_gate=1e-6)),
-            ApdSpec(efficiency=0.9, dark_per_gate=1e-2, gates_per_pulse=1),
+            (ApdSpec(efficiency=0.9, dark_per_gate=1e-2, gates_per_pulse=1),) * 2,
         ],
         ids=["equal", "unequal", "single_gate"],
     )
@@ -319,7 +324,6 @@ class TestFirstFireSampler:
         every incoming state at every receiver phase on a dense grid."""
         amz = AmzSpec(visibility=0.95, excess_loss_db=0.5, phase_offset_rad=0.3)
         phases = np.linspace(-np.pi, np.pi, 20_001)
-        pair = apds if isinstance(apds, tuple) else (apds, apds)
         states = [canonical_link_state(s).bins[:, 0] for s in CANONICAL_STATES] + [np.zeros(2)]
         for early, late in states:
             for mu in (0.03, 0.5, 5.0):
@@ -331,21 +335,20 @@ class TestFirstFireSampler:
                 )
                 q = np.zeros_like(cells)
                 for j in range(6):
-                    q[:, j] = click_probability(cells[:, j], mu, pair[j % 2])
-                if pair[0].gates_per_pulse == 1:
+                    q[:, j] = click_probability(cells[:, j], mu, apds[j % 2])
+                if apds[0].gates_per_pulse == 1:
                     q[:, [0, 1, 4, 5]] = 0.0
                 total = first_fire_table(q)[:, -1]
                 assert np.all(total <= bound)
-                if not isinstance(apds, tuple):
+                if apds[0] == apds[1]:
                     assert bound - total.max() < 1e-11  # tight for equal efficiencies
 
 
 def drifted_rows(early, late, amz: AmzSpec, phases: np.ndarray, mu: float, apds) -> np.ndarray:
     """(len(phases), 7) first-fire rows of one incoming state at receiver
     phases ``phases``, every cell recomputed from the optics."""
-    pair = apds if isinstance(apds, tuple) else (apds, apds)
     cells = [np.broadcast_to(c, phases.shape) for row in slot_port_probabilities(early, late, amz, phases) for c in row]
-    q = np.stack([click_probability(c, mu, pair[j % 2]) for j, c in enumerate(cells)], axis=-1)
+    q = np.stack([click_probability(c, mu, apds[j % 2]) for j, c in enumerate(cells)], axis=-1)
     return first_fire_table(q)
 
 
@@ -422,7 +425,7 @@ class TestCandidates:
 class TestDeterminism:
     def test_identical_seed_identical_stream(self):
         apd = ApdSpec(efficiency=0.3, dark_per_gate=1e-4)
-        q = cell_click_probabilities(ideal_dist(1), 0.3, apd)
+        q = cell_click_probabilities(ideal_dist(1), 0.3, (apd, apd))
 
         def stream(seed):
             rng = RngHandle(seed).indexed_stream(DOMAIN_DETECT, 0)
@@ -461,12 +464,9 @@ class TestAsymmetricDetectors:
         assert np.all(r[:, 1] > 0.0)
 
     def test_mismatched_gating_rejected(self):
-        with pytest.raises(ValueError):
-            expected_event_rates(
-                dark_only_dist(),
-                0.0,
-                (ApdSpec(gates_per_pulse=1), ApdSpec(gates_per_pulse=3)),
-            )
+        # a session's detector pair is checked once, on configuration
+        with pytest.raises(ValueError, match="same gating scheme"):
+            SessionConfig(apd_d0=ApdSpec(gates_per_pulse=1), apd_d1=ApdSpec(gates_per_pulse=3))
 
     def test_pair_in_batch_sampler(self):
         pair = (ApdSpec(efficiency=0.0, dark_per_gate=0.0), ApdSpec(efficiency=1.0, dark_per_gate=0.0))

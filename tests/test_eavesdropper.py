@@ -8,20 +8,21 @@ import matrix_oracle as oracle
 from timebin_bb84.detection import DOMAIN_EVE, RngHandle
 from timebin_bb84.eavesdrop import (
     OUTCOME_TO_STATE_INDEX,
+    VACUUM_INDEX,
     EveSpec,
     attack_batch,
     cumulative_outcomes,
     enumerate_attack_qber,
-    outcome_probabilities,
-    resend_state,
 )
 from timebin_bb84.optics import (
     CANONICAL_STATES,
     AmzSpec,
     Basis,
+    TimeBinState,
     bob_transform,
     canonical_link_state,
     ideal_amz,
+    vacuum_state,
 )
 
 
@@ -29,6 +30,18 @@ def enabled_eve(**amz_kwargs) -> EveSpec:
     base = dict(excess_loss_db=0.0)
     base.update(amz_kwargs)
     return EveSpec(enabled=True, apparatus=AmzSpec(**base))
+
+
+def outcome_probabilities(state: TimeBinState, spec: EveSpec) -> np.ndarray:
+    """(7,) probabilities of the six slot/port outcomes, then of none."""
+    cum = cumulative_outcomes(*state.bins[:, 0], spec)
+    return np.append(np.diff(cum, prepend=0.0), 1.0 - cum[-1])
+
+
+def resend_state(outcome: int) -> TimeBinState:
+    """The state the attacker forwards after ``outcome`` (6 is none)."""
+    idx = int(OUTCOME_TO_STATE_INDEX[outcome])
+    return vacuum_state() if idx == VACUUM_INDEX else canonical_link_state(CANONICAL_STATES[idx])
 
 
 class TestEnumeration:
@@ -45,6 +58,20 @@ class TestEnumeration:
         for v in (1.0, 0.7, 0.3, 0.0):
             got = enumerate_attack_qber(enabled_eve(visibility=v))
             ref = oracle.attack_tree_qber(eve_visibility=v)
+            assert abs(got[Basis.Z] - ref["Z"]) < 1e-12
+            assert abs(got[Basis.X] - ref["X"]) < 1e-12
+
+    def test_matches_independent_tree_non_ideal_pairs(self):
+        """Random attacker and receiver visibilities and phase offsets; the
+        loss of either device scales every branch and cancels."""
+        rng = np.random.default_rng(6061)
+        for _ in range(200):
+            ev, bv = map(float, rng.random(2))
+            ed, bd = map(float, rng.uniform(-math.pi, math.pi, 2))
+            eve = enabled_eve(excess_loss_db=float(rng.random() * 3), visibility=ev, phase_offset_rad=ed)
+            bob = AmzSpec(excess_loss_db=float(rng.random() * 3), visibility=bv, phase_offset_rad=bd)
+            got = enumerate_attack_qber(eve, bob)
+            ref = oracle.attack_tree_qber(ev, ed, bv, bd)
             assert abs(got[Basis.Z] - ref["Z"]) < 1e-12
             assert abs(got[Basis.X] - ref["X"]) < 1e-12
 
@@ -74,7 +101,7 @@ class TestAttackBranches:
         early = resend_state(0)
         assert abs(early.bins[0, 0] - 1.0) < 1e-12
         vac = resend_state(6)
-        assert vac.total_probability() == 0.0
+        assert np.sum(np.abs(vac.bins) ** 2) == 0.0
 
     def test_correct_edge_outcome_never_errs_downstream(self):
         # attacker catches the early state in S1, resends it: a receiver
@@ -98,17 +125,17 @@ class TestAttackBranches:
 
     def test_cumulative_outcomes_match_outcome_probabilities(self):
         # table rows (no phase argument) and per-pulse rows under drift are
-        # the running sums of the single-state outcome probabilities
+        # the running sums of the single-state slot/port table
         spec = enabled_eve(excess_loss_db=1.0, visibility=0.8, phase_offset_rad=0.3)
         for state in CANONICAL_STATES:
-            early, late = canonical_link_state(state).bins[:, 0]
-            probs = outcome_probabilities(canonical_link_state(state), spec)
-            assert np.max(np.abs(cumulative_outcomes(early, late, spec) - np.cumsum(probs[:6]))) < 1e-15
+            link = canonical_link_state(state)
+            want = np.cumsum(bob_transform(link, spec.apparatus).p.reshape(6))
+            assert np.max(np.abs(cumulative_outcomes(*link.bins[:, 0], spec) - want)) < 1e-15
             phases = np.array([-1.0, 0.0, 2.5])
-            rows = cumulative_outcomes(early, late, spec, phases)
+            rows = cumulative_outcomes(*link.bins[:, 0], spec, phases)
             for phase, row in zip(phases, rows):
-                shifted = enabled_eve(excess_loss_db=1.0, visibility=0.8, phase_offset_rad=float(phase))
-                want = np.cumsum(outcome_probabilities(canonical_link_state(state), shifted)[:6])
+                shifted = AmzSpec(excess_loss_db=1.0, visibility=0.8, phase_offset_rad=float(phase))
+                want = np.cumsum(bob_transform(link, shifted).p.reshape(6))
                 assert np.max(np.abs(row - want)) < 1e-15
 
 

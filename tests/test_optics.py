@@ -9,6 +9,7 @@ import pytest
 import matrix_oracle as oracle
 from timebin_bb84.optics import (
     CANONICAL_STATES,
+    CELL_STATE,
     AmzSpec,
     Basis,
     CanonicalState,
@@ -135,7 +136,7 @@ class TestAlicePrepare:
 
     def test_default_transmittance(self):
         # the final coupler's monitor port takes half, excess loss the rest
-        t = alice_device_state(CanonicalState(Basis.Z, 0)).total_probability()
+        t = np.sum(np.abs(alice_device_state(CanonicalState(Basis.Z, 0)).bins) ** 2)
         assert abs(t - 0.5 * 10 ** (-0.2)) < TOL
         assert abs(t - 0.3155) < 1e-4
 
@@ -143,7 +144,7 @@ class TestAlicePrepare:
     def test_device_norm_equals_transmittance(self, state):
         spec = AmzSpec(excess_loss_db=1.3)
         t = 0.5 * spec.excess_transmittance
-        assert abs(alice_device_state(state, spec).total_probability() - t) < TOL
+        assert abs(np.sum(np.abs(alice_device_state(state, spec).bins) ** 2) - t) < TOL
 
 
 EXPECTED_TABLES = {
@@ -161,7 +162,7 @@ class TestBobTransform:
         ref = oracle.receiver_table(oracle.CANONICAL_BINS[state.label()])
         assert np.max(np.abs(dist.p - ref)) < TOL
         assert np.max(np.abs(dist.p - EXPECTED_TABLES[state.label()])) < TOL
-        assert abs(dist.p_lost) < TOL
+        assert abs(dist.p.sum() - 1.0) < TOL  # a lossless receiver loses nothing
 
     def test_orthogonality_edges(self):
         early = bob_transform(canonical_link_state(CANONICAL_STATES[0]), ideal_amz())
@@ -179,17 +180,22 @@ class TestBobTransform:
         spec = AmzSpec(excess_loss_db=2.0)
         dist = bob_transform(canonical_link_state(CANONICAL_STATES[0]), spec)
         assert abs(dist.p.sum() - 10 ** (-0.2)) < TOL
-        assert abs(dist.p.sum() + dist.p_lost - 1.0) < TOL
+        # with a norm deficit too, the six cells hold the excess
+        # transmittance times the input norm
+        for state in CANONICAL_STATES:
+            link = canonical_link_state(state).scaled(0.6)
+            norm = np.sum(np.abs(link.bins) ** 2)
+            assert abs(bob_transform(link, spec).p.sum() - spec.excess_transmittance * norm) < TOL
 
     def test_structural_errors(self):
-        three_bins = TimeBinState(np.zeros((3, 1), complex))
-        with pytest.raises(ValueError):
-            bob_transform(three_bins, ideal_amz())
-        two_ports = TimeBinState(np.zeros((2, 2), complex))
-        with pytest.raises(ValueError):
-            bob_transform(two_ports, ideal_amz())
+        with pytest.raises(ValueError, match="shape"):
+            TimeBinState(np.zeros((3, 1), complex))  # three bins
+        with pytest.raises(ValueError, match="shape"):
+            TimeBinState(np.zeros((2, 2), complex))  # two ports
 
     def test_probability_bookkeeping_random_states(self):
+        """The six cells sum to the excess transmittance times |a|^2 + |b|^2:
+        the S2 cross term cancels between the two ports."""
         rng = np.random.default_rng(8811)
         for _ in range(10_000):
             amps = rng.normal(size=2) + 1j * rng.normal(size=2)
@@ -201,7 +207,7 @@ class TestBobTransform:
                 visibility=float(rng.random()),
             )
             dist = bob_transform(link_state(*amps), spec)
-            assert abs(dist.p.sum() + dist.p_lost - 1.0) < 1e-12
+            assert abs(dist.p.sum() - spec.excess_transmittance * np.sum(np.abs(amps) ** 2)) < 1e-12
             assert np.all(dist.p >= 0.0)
 
     def test_global_phase_invariance(self):
@@ -260,6 +266,15 @@ class TestBobTransform:
             assert np.max(np.abs(table[:, :, i] - ref)) < TOL
 
 
+class TestCellState:
+    def test_agrees_with_oracle_classification(self):
+        # CELL_STATE[cell] is the index 2 * basis + bit of the state a
+        # click in that slot-major cell reads as
+        for cell, state in enumerate(CELL_STATE):
+            basis, bit = oracle.classify_cell(cell // 2, cell % 2)
+            assert CANONICAL_STATES[state].label() == f"{basis}{bit}"
+
+
 class TestExtinction:
     def test_no_interference_is_zero_db(self):
         assert visibility_to_extinction_db(0.0) == 0.0
@@ -295,9 +310,9 @@ class TestTypes:
         from timebin_bb84.optics import SlotPortDistribution
 
         with pytest.raises(ValueError):
-            SlotPortDistribution(np.full((3, 2), 0.2), 0.5)  # sums to 1.7
+            SlotPortDistribution(np.full((3, 2), 0.2))  # sums to 1.2
         with pytest.raises(ValueError):
-            SlotPortDistribution(np.full((2, 2), 0.1), 0.6)
+            SlotPortDistribution(np.full((2, 2), 0.1))
 
     def test_amz_spec_guards(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ from timebin_bb84.channel import ChannelSpec, transmittance
 from timebin_bb84 import detection, eavesdrop, session
 from timebin_bb84.config import SessionConfig
 from timebin_bb84.detection import ApdSpec, SourceSpec, expected_event_rates
-from timebin_bb84.eavesdrop import EveSpec, enumerate_attack_qber, outcome_probabilities
+from timebin_bb84.eavesdrop import EveSpec, cumulative_outcomes, enumerate_attack_qber
 from timebin_bb84.eavesdrop import OUTCOME_TO_STATE_INDEX
 from timebin_bb84.optics import (
     CANONICAL_STATES,
@@ -287,8 +287,8 @@ class TestClickBoundEdges:
         """At dark_per_gate = 0.999 under receiver drift the click bound
         reaches 1: every pulse is a candidate, with no warning."""
         noisy = ApdSpec(dark_per_gate=0.999)
-        vacuum = SlotPortDistribution(np.zeros((3, 2)), 1.0)
-        assert detection.click_bound(vacuum, 0.0, noisy) == 1.0
+        vacuum = SlotPortDistribution(np.zeros((3, 2)))
+        assert detection.click_bound(vacuum, 0.0, (noisy, noisy)) == 1.0
         config = SessionConfig(
             n_pulses=50_000, seed=46, apd_d0=noisy, apd_d1=noisy,
             bob_amz=AmzSpec(phase_jitter_rad=0.1),
@@ -422,10 +422,11 @@ def drifted_attack_qber(cfg: SessionConfig) -> dict[Basis, float]:
     sigma_eve = math.hypot(cfg.alice_amz.phase_jitter_rad, eve_amz.phase_jitter_rad)
     per_state = []
     for state in CANONICAL_STATES:
-        probs = np.zeros(7)
+        probs = np.zeros(7)  # six outcomes, then none
         for x, w in zip(*_gauss_hermite(sigma_eve)):
             amz = dataclasses.replace(eve_amz, phase_offset_rad=eve_amz.phase_offset_rad + x)
-            probs += w * outcome_probabilities(canonical_link_state(state), EveSpec(True, amz))
+            cum = cumulative_outcomes(*canonical_link_state(state).bins[:, 0], EveSpec(True, amz))
+            probs += w * np.append(np.diff(cum, prepend=0.0), 1.0 - cum[-1])
         per_state.append(sum(p * bob_rates[OUTCOME_TO_STATE_INDEX[o]] for o, p in enumerate(probs)))
     z0, z1, x0, x1 = per_state  # rows S1..S3, columns D0, D1
     qber_z = (z0[2].sum() + z1[0].sum()) / (z0[0].sum() + z0[2].sum() + z1[0].sum() + z1[2].sum())
@@ -455,7 +456,7 @@ class TestSummarize:
             expected_event_rates(bob_transform(canonical_link_state(st), cfg.bob_amz), mu, apds).sum()
             for st in CANONICAL_STATES
         ])
-        dark = expected_event_rates(SlotPortDistribution(np.zeros((3, 2)), 1.0), 0.0, apds).sum()
+        dark = expected_event_rates(SlotPortDistribution(np.zeros((3, 2))), 0.0, apds).sum()
         n, z = cfg.n_pulses, 5.0
         tol = z * z / 6.0 + math.sqrt(z**4 / 36.0 + z * z * n * p * (1.0 - p))
         assert n * dark / (n * p + tol) <= s.dark_fraction_estimate <= n * dark / (n * p - tol)
