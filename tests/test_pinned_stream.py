@@ -31,10 +31,17 @@ PINNED = [
         "[bob_amz]\nphase_jitter_rad = 0.1\n",
         "8118dc4174951edddb5e9d7783c25c008fa1728109882275b332b953ffad700d",
     ),
+    (
+        "[session]\nn_pulses = 2000000\nseed = 20260105\nconventional_mode = true\n"
+        "[apd_d1]\nefficiency = 0.05\n"
+        "[alice_amz]\nphase_offset_rad = 0.3\nphase_jitter_rad = 0.05\n"
+        "[bob_amz]\nphase_jitter_rad = 0.1\n",
+        "42b65f34107c5ac092fa4c9d0630852179410538aa258efb7a9cf6aed1754562",
+    ),
 ]
 
 
-@pytest.mark.parametrize("ini, digest", PINNED, ids=["default", "eve_bob_drift", "eve_all_drift"])
+@pytest.mark.parametrize("ini, digest", PINNED, ids=["default", "eve_bob_drift", "eve_all_drift", "conventional_drift"])
 def test_run_outputs_match_pinned_digest(tmp_path, capsys, ini, digest):
     path = tmp_path / "session.ini"
     path.write_text(ini)
