@@ -16,14 +16,15 @@ avalanches.  If both ports click in that slot the pulse is discarded.
 So a pulse has eight outcomes: six (slot, port) registrations, the
 discard, and no click.  Their cumulative probabilities have a closed form
 (:func:`first_fire_table`), and a pulse's outcome is sampled from one
-uniform with :func:`sample_outcomes`, the sampler the attacker uses too.
-Most pulses of a lossy link cannot click: a pulse whose uniform is at or
-above an upper bound ``p`` on every click probability is "no click"
-without further work.  So :func:`draw_candidates` draws only the pulses
-whose uniform lies below ``p`` (the candidates), as geometric gaps between
-positions, and gives each the uniform ``p * v``, ``v`` uniform on [0, 1):
-exactly the law of a uniform given that it lies below ``p``.
-:func:`detect_batch` then evaluates only those candidates.
+uniform and its own row with :func:`sample_outcomes`, the sampler the
+attacker uses too.  Most pulses of a lossy link cannot click: a pulse
+whose uniform is at or above an upper bound ``p`` on every click
+probability is "no click" without further work.  So
+:func:`draw_candidates` draws only the pulses whose uniform lies below
+``p`` (the candidates), as geometric gaps between positions, and gives
+each the uniform ``p * v``, ``v`` uniform on [0, 1): exactly the law of a
+uniform given that it lies below ``p``.  :func:`detect_batch` then
+evaluates only those candidates.
 
 All randomness flows through :class:`RngHandle`, which derives named
 substreams (one per domain, batch or sweep point) from a single 64-bit
@@ -34,7 +35,7 @@ streams.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,11 +137,19 @@ def click_probability(p_slot_port, mu_arrived: float, apd: ApdSpec):
     )
 
 
+def _shared_gates(apds: ApdPair) -> int:
+    """The gates per pulse that the (D0, D1) pair must share."""
+    if apds[0].gates_per_pulse != apds[1].gates_per_pulse:
+        raise ValueError("both detectors must use the same gating scheme")
+    return apds[0].gates_per_pulse
+
+
 def cell_click_probabilities(dist: SlotPortDistribution, mu_arrived: float, apds: ApdPair) -> np.ndarray:
     """Flattened (6,) click probabilities with the (D0, D1) detectors
     ``apds``, which share one gating scheme; ungated cells are zero."""
+    gates = _shared_gates(apds)
     q = np.stack([click_probability(dist.p[:, port], mu_arrived, apds[port]) for port in (0, 1)], axis=1)
-    if apds[0].gates_per_pulse == 1:
+    if gates == 1:
         q[[Slot.S1, Slot.S3]] = 0.0
     return q.reshape(N_CELLS)
 
@@ -188,39 +197,24 @@ def click_bound(dist: SlotPortDistribution, mu_arrived: float, apds: ApdPair) ->
     computes can exceed the exact value by a few ulps.  A probability
     cannot exceed 1, so neither does the bound.
     """
-    gates = apds[0].gates_per_pulse
+    gates = _shared_gates(apds)
     p_total = float(dist.p[Slot.S2].sum() if gates == 1 else dist.p.sum())
     eta_max = max(a.efficiency for a in apds)
     dark = ((1.0 - apds[0].dark_per_gate) * (1.0 - apds[1].dark_per_gate)) ** gates
     return min(1.0, 1.0 - dark * math.exp(-eta_max * mu_arrived * p_total) + 1e-12)
 
 
-def sample_outcomes(
-    u: np.ndarray,
-    states: np.ndarray,
-    n_states: int,
-    rows: Callable[[int, np.ndarray], np.ndarray],
-) -> np.ndarray:
-    """Outcome of each pulse from its uniform ``u`` and incoming state.
-
-    The pulses are taken one state at a time: for each k < ``n_states``,
-    ``rows(k, idx)`` gets the ascending indices ``idx`` of the pulses in
-    state k and returns cumulative outcome probabilities, either the
-    state's (K,) table row or, under phase drift, one (len(idx), K) row
-    per pulse.  A pulse's outcome is the number of row edges at or below
-    its uniform, so K means none of the K outcomes the row lists.  This
-    one sampler serves the attacker (:func:`eavesdrop.attack_batch`) and
-    the receiver (:func:`detect_batch`).
-    """
-    outcomes = np.zeros(len(u), dtype=np.uint8)
-    for k in range(n_states):
-        idx = np.flatnonzero(states == k)
-        u_k = u[idx]
-        count = np.zeros(idx.size, dtype=np.uint8)
-        for edge in np.transpose(rows(k, idx)):
-            count += u_k >= edge
-        outcomes[idx] = count
-    return outcomes
+def sample_outcomes(u: np.ndarray, rows: Iterable[np.ndarray]) -> np.ndarray:
+    """Outcome of each pulse from its uniform ``u`` and its own row of K
+    cumulative outcome probabilities, given edge by edge: ``rows`` yields K
+    arrays shaped like ``u`` (a (K, n) array qualifies).  The outcome is
+    the number of edges at or below the uniform, so K means none of the K
+    outcomes.  The attacker (:func:`eavesdrop.attack_batch`) and the
+    receiver (:func:`detect_batch`) both sample with it."""
+    count = np.zeros(len(u), dtype=np.uint8)
+    for edge in rows:
+        count += u >= edge
+    return count
 
 
 @dataclass(frozen=True)
@@ -274,37 +268,21 @@ def draw_candidates(m: int, p: float, rng: np.random.Generator) -> Candidates:
 
 
 def detect_batch(
-    batch: Candidates,
-    states: np.ndarray,
-    limits: np.ndarray,
-    rows: Callable[[int, np.ndarray], np.ndarray],
+    batch: Candidates, rows: Iterable[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """First-fire detection of the candidates of a batch.
 
-    ``states`` holds each candidate's incoming-state index and ``limits``
-    one entry per state: at least the any-click probability (the last
-    entry of the :func:`first_fire_table` row) of every pulse in that
-    state, or a bound on it.  The candidates must have been drawn with
-    ``p >= limits.max()``, so a pulse that is not a candidate cannot click.
-    A candidate whose uniform is at or above its state's limit cannot click
-    either, so only the others are sampled by :func:`sample_outcomes`.
-    ``rows(k, idx)`` takes the positions in ``states`` of those candidates
-    in state k and returns the state's (7,) first-fire row or one
-    (len(idx), 7) row per candidate.
+    ``rows`` gives each candidate's (7,) :func:`first_fire_table` row, one
+    edge at a time as for :func:`sample_outcomes`.  The candidates must
+    have been drawn with a ``p`` at least every pulse's any-click
+    probability (the row's last entry), so a pulse that is not a candidate
+    cannot click.
 
     Returns per-candidate (registered, slot, port, any_click).  slot and
     port are meaningful only where registered; any_click counts
     double-click discards too, which is the quantity exposed to dark counts.
     """
-    if limits.min() == limits.max():
-        # Every candidate lies below its state's limit: nothing to thin.
-        outcome = sample_outcomes(batch.u, states, len(limits), rows)
-    else:
-        outcome = np.full(len(states), N_CELLS + 1, dtype=np.uint8)
-        live = np.flatnonzero(batch.u < limits[states])
-        outcome[live] = sample_outcomes(
-            batch.u[live], states[live], len(limits), lambda k, idx: rows(k, live[idx])
-        )
+    outcome = sample_outcomes(batch.u, rows)
     return outcome < N_CELLS, outcome // 2, outcome % 2, outcome <= N_CELLS
 
 

@@ -14,7 +14,7 @@ confirms exactly 1/4 in both bases for ideal devices.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,22 +54,12 @@ def cumulative_outcomes(early, late, spec: EveSpec, phase=None) -> np.ndarray:
     return np.cumsum(np.stack(np.broadcast_arrays(*cells), axis=-1), axis=-1)
 
 
-def attack_batch(
-    states: np.ndarray, rows: Callable[[int, np.ndarray], np.ndarray], rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sample the attacker's outcome for each pulse from one float64
-    uniform per pulse.
-
-    ``states`` holds each pulse's canonical-state index.  ``rows(k, idx)``
-    takes the indices of the pulses in state k and returns the six
-    cumulative outcome probabilities of :func:`cumulative_outcomes`: the
-    state's (6,) table row, or one (len(idx), 6) row per pulse under phase
-    drift.  :func:`detection.sample_outcomes` does the sampling; a uniform
-    beyond the last entry is no outcome.  Returns (outcome index 0..6,
-    resent-state index 0..4) per pulse.
-    """
-    u = rng.random(len(states))
-    outcomes = sample_outcomes(u, states, len(CANONICAL_STATES), rows)
+def attack_batch(u: np.ndarray, rows: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The attacker's outcome for each pulse from its uniform ``u`` and its
+    :func:`cumulative_outcomes` row, given edge by edge as for
+    :func:`detection.sample_outcomes`; a uniform beyond the last edge is no
+    outcome.  Returns (outcome index 0..6, resent-state index 0..4)."""
+    outcomes = sample_outcomes(u, rows)
     return outcomes, OUTCOME_TO_STATE_INDEX[outcomes]
 
 

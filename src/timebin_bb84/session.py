@@ -8,26 +8,20 @@ index.  Within a batch everything is vectorised over numpy arrays.  A
 session sees at most five distinct incoming states (the four canonical
 ones plus vacuum when the attacker suppresses a pulse), so click and
 attack-outcome probabilities come from per-state tables.  Both stations
-sample with ``detection.sample_outcomes``, one incoming state at a time:
-each gets a per-state ``rows(k, idx)`` that returns the state's table row,
-or under phase drift one row per pulse, recomputed from the pulses'
-phases through the same optics and click formulas.
+sample with ``detection.sample_outcomes`` from each pulse's own
+cumulative row: its state's table row, taken one edge at a time, or on a
+leg with phase drift (sigma > 0) a row computed from the pulse's
+amplitudes and phase in one broadcast call through the same optics and
+click formulas.
 
 The transmitter's choices come from one 64-bit DOMAIN_ALICE key through
 the counter-based ``PulseTrain``, so they cost nothing until read.  Per
-batch of m pulses, the session first draws the candidates on
-DOMAIN_DETECT (``detection.draw_candidates``): exponential gaps between
-the positions of the pulses whose detection uniform lies below p, the
-largest click bound over the incoming states, and then those pulses'
-uniforms.  A pulse that is not a candidate cannot click whatever the
-attacker forwards, so everything else runs on the candidates only, well
-under 1% of pulses on a 25 km link: their states are read from the train;
-the attacker (on) takes one DOMAIN_EVE uniform each; each drifting leg
-takes one DOMAIN_JITTER standard normal each (index 2*batch for the
-attacker's, 2*batch + 1 for the receiver's); and ``detect_batch`` thins
-them against their own state's click probability (under receiver drift, a
-phase-independent bound on it) before sampling, so the receiver's drifted
-S2 cells and first-fire rows are computed only for the survivors.
+batch, ``detection.draw_candidates`` draws the pulses whose detection
+uniform lies below p, the largest any-click probability of the incoming
+states (under receiver drift, a phase-independent bound on it).  A pulse
+that is not a candidate cannot click whatever the attacker forwards, so
+everything else runs on the candidates only, well under 1% of pulses on a
+25 km link; the substreams they draw on are listed in ``detection``.
 """
 
 from __future__ import annotations
@@ -174,20 +168,18 @@ def _receiver_distributions(arrived: np.ndarray, bob_amz: AmzSpec) -> list[SlotP
 
 
 def _drifted_rows(
-    q_row: np.ndarray,
-    early: complex,
-    late: complex,
+    q: np.ndarray,
+    amps: np.ndarray,
     phases: np.ndarray,
     bob_amz: AmzSpec,
     mu: float,
     apds: tuple[ApdSpec, ApdSpec],
 ) -> np.ndarray:
-    """(len(phases), 7) first-fire rows of one incoming state, with link
-    amplitudes ``early``/``late``, at receiver phases ``phases``.  Only the
-    two S2 cells depend on the phase; the others keep the state's table
-    click probabilities ``q_row``."""
-    q = np.tile(q_row, (len(phases), 1))
-    _, s2, _ = slot_port_probabilities(early, late, bob_amz, phases)
+    """(n, 7) first-fire rows of n pulses with (n, 2) link amplitudes
+    ``amps`` at receiver phases ``phases``.  Only the two S2 cells depend
+    on the phase; the others keep the pulses' (n, 6) table click
+    probabilities ``q``, which are overwritten in place."""
+    _, s2, _ = slot_port_probabilities(*amps.T, bob_amz, phases)
     for port in (0, 1):
         q[:, 2 * Slot.S2 + port] = click_probability(s2[port], mu, apds[port])
     return first_fire_table(q)
@@ -240,12 +232,11 @@ def run_session(config: SessionConfig) -> SessionResult:
     q_table = np.stack([cell_click_probabilities(d, mu, apds) for d in dists])
     cum_table = first_fire_table(q_table)
     # Under receiver drift a pulse's click probability moves with its
-    # phase, so pulses are thinned against a phase-independent bound.
-    limits = (
-        np.array([click_bound(d, mu, apds) for d in dists])
-        if sigma_bob_leg > 0.0
-        else cum_table[:, -1]
-    )
+    # phase, so candidates are drawn below a phase-independent bound.
+    if sigma_bob_leg > 0.0:
+        p = max(click_bound(d, mu, apds) for d in dists)
+    else:
+        p = cum_table[:, -1].max()
 
     records = PulseTrain(n, rng.child_seed(DOMAIN_ALICE, 0))
     ev_idx: list[np.ndarray] = []
@@ -257,37 +248,32 @@ def run_session(config: SessionConfig) -> SessionResult:
     for b in range(n_batches):
         lo = b * BATCH_SIZE
         hi = min(lo + BATCH_SIZE, n)
-        batch = draw_candidates(hi - lo, limits.max(), rng.indexed_stream(DOMAIN_DETECT, b))
+        batch = draw_candidates(hi - lo, p, rng.indexed_stream(DOMAIN_DETECT, b))
         pulses = lo + batch.offsets
         states = records.states(pulses)
 
-        # Each station samples its outcomes one incoming state k at a time;
-        # rows(k, idx) is the state's table row, or under drift one row per
-        # candidate at idx from that candidate's phase.
+        # Each station samples every candidate from its own cumulative row:
+        # on a drifting leg one broadcast call over the candidates'
+        # amplitudes and phases, else its state's table row, taken one edge
+        # at a time so that no (n, K) gather is held.
         if eve_on:
+            u = rng.indexed_stream(DOMAIN_EVE, b).random(pulses.size)
             if sigma_eve_leg > 0.0:
-                j_rng = rng.indexed_stream(DOMAIN_JITTER, 2 * b)
-                deltas = (
-                    config.eve.apparatus.phase_offset_rad
-                    + sigma_eve_leg * j_rng.standard_normal(pulses.size)
-                )
-                eve_rows = lambda k, idx: eavesdrop.cumulative_outcomes(
-                    *prepared[k], config.eve, deltas[idx]
-                )
+                normals = rng.indexed_stream(DOMAIN_JITTER, 2 * b).standard_normal(pulses.size)
+                phases = config.eve.apparatus.phase_offset_rad + sigma_eve_leg * normals
+                eve_rows = eavesdrop.cumulative_outcomes(*prepared[states].T, config.eve, phases).T
             else:
-                eve_rows = lambda k, idx: eve_cum[k]
-            _, states = eavesdrop.attack_batch(states, eve_rows, rng.indexed_stream(DOMAIN_EVE, b))
+                eve_rows = (edge.take(states) for edge in eve_cum.T)
+            _, states = eavesdrop.attack_batch(u, eve_rows)
 
         if sigma_bob_leg > 0.0:
             normals = rng.indexed_stream(DOMAIN_JITTER, 2 * b + 1).standard_normal(pulses.size)
-            bob_rows = lambda k, idx: _drifted_rows(
-                q_table[k], *incoming[k], bob_amz.phase_offset_rad + sigma_bob_leg * normals[idx],
-                bob_amz, mu, apds,
-            )
+            phases = bob_amz.phase_offset_rad + sigma_bob_leg * normals
+            bob_rows = _drifted_rows(q_table[states], incoming[states], phases, bob_amz, mu, apds).T
         else:
-            bob_rows = lambda k, idx: cum_table[k]
+            bob_rows = (edge.take(states) for edge in cum_table.T)
 
-        registered, slot, port, _ = detect_batch(batch, states, limits, bob_rows)
+        registered, slot, port, _ = detect_batch(batch, bob_rows)
         events_registered += int(np.count_nonzero(registered))
         keep = registered
         if config.conventional_mode:

@@ -26,15 +26,10 @@ class ArrayTrain:
         return self.bits[idx], self.bases[idx]
 
 
-def every_pulse_row(states: np.ndarray, n_states: int, width: int, rows) -> np.ndarray:
-    """Each pulse's cumulative row, evaluating every state's ``rows`` at
-    all pulses and keeping each pulse's own state."""
-    everyone = np.arange(len(states))
-    table = np.zeros((len(states), width))
-    for k in range(n_states):
-        mask = states == k
-        table[mask] = np.broadcast_to(rows(k, everyone), table.shape)[mask]
-    return table
+def every_pulse_row(rows) -> np.ndarray:
+    """Each pulse's cumulative row as an (n, K) table, from ``rows`` given
+    edge by edge as to ``detection.sample_outcomes``."""
+    return np.stack(list(rows), axis=-1)
 
 
 def outcomes_every_pulse(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
@@ -43,13 +38,13 @@ def outcomes_every_pulse(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
     return (u[:, None] >= cum).sum(axis=1)
 
 
-def detect_every_pulse(states: np.ndarray, n_states: int, rows, rng: np.random.Generator):
-    """First-fire detection from one uniform per pulse, every pulse's full
-    (7,) row evaluated; ``rows(k, idx)`` as for ``detection.detect_batch``
-    but over all pulses.  Returns per-pulse first-fire outcomes: 0..5 the
-    (slot, port) cells slot-major, 6 the double-click discard, 7 no click."""
-    u = rng.random(len(states))
-    return outcomes_every_pulse(u, every_pulse_row(states, n_states, 7, rows))
+def detect_every_pulse(cum: np.ndarray, rng: np.random.Generator):
+    """First-fire detection from one uniform per pulse and every pulse's
+    full (7,) row, the (n, 7) ``cum``.  Returns per-pulse first-fire
+    outcomes: 0..5 the (slot, port) cells slot-major, 6 the double-click
+    discard, 7 no click."""
+    u = rng.random(len(cum))
+    return outcomes_every_pulse(u, cum)
 
 
 def row_increments(cum: np.ndarray) -> np.ndarray:

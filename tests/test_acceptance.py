@@ -164,8 +164,8 @@ def test_criterion_4_dark_exposure():
         p_exact[gates] = float(cum[-1])  # any gated cell clicks
         rng = RngHandle(440_001).indexed_stream(DOMAIN_DETECT, gates)
         batch = draw_candidates(n, cum[-1], rng)
-        states = np.zeros(batch.offsets.size, dtype=np.uint8)
-        _, _, _, any_click = detect_batch(batch, states, cum[-1:], lambda k, idx: cum)
+        rows = np.broadcast_to(cum[:, None], (7, batch.offsets.size))
+        _, _, _, any_click = detect_batch(batch, rows)
         counts[gates] = int(np.count_nonzero(any_click))
 
     formula_ok = abs(p_exact[3] / p_exact[1] - analytic_ratio) < 1e-9

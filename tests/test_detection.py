@@ -56,8 +56,7 @@ def detect_alike(q, n: int, rng: np.random.Generator):
     pulses: (registered, slot, port, any_click)."""
     cum = first_fire_table(q)
     batch = draw_candidates(n, cum[-1], rng)
-    states = np.zeros(batch.offsets.size, dtype=np.uint8)
-    got = detect_batch(batch, states, cum[-1:], lambda k, idx: cum)
+    got = detect_batch(batch, np.broadcast_to(cum[:, None], (7, batch.offsets.size)))
     spread = tuple(np.zeros(n, dtype=g.dtype) for g in got)
     for whole, part in zip(spread, got):
         whole[batch.offsets] = part
@@ -382,8 +381,9 @@ class TestCandidates:
         """Counts of all eight outcomes from the candidates, and from the
         per-pulse sampler on every pulse, both lie within the band at Z of
         the exact per-pulse law.  Five incoming states with unequal limits
-        (vacuum among them) make the per-state thinning remove candidates;
-        under drift every pulse has its own row."""
+        (vacuum among them) leave candidates at or above their own row's
+        total, which must come out as no click; under drift every pulse
+        has its own row."""
         m = 300_000
         amz = AmzSpec(visibility=0.95, excess_loss_db=0.5, phase_offset_rad=0.3)
         apds = (ApdSpec(efficiency=0.3, dark_per_gate=1e-3), ApdSpec(efficiency=0.6, dark_per_gate=1e-2))
@@ -406,17 +406,11 @@ class TestCandidates:
         tol = per_pulse.bernstein_tolerance((law * (1.0 - law)).sum(axis=0), Z)
 
         batch = draw_candidates(m, limits.max(), np.random.default_rng(18))
-        live = batch.u < limits[states[batch.offsets]]
-        assert not np.all(live)  # the per-state thinning removes candidates
-        registered, slot, port, any_click = detect_batch(
-            batch, states[batch.offsets], limits, lambda k, idx: cum[batch.offsets[idx]]
-        )
+        assert not np.all(batch.u < limits[states[batch.offsets]])  # some cannot click
+        registered, slot, port, any_click = detect_batch(batch, cum[batch.offsets].T)
         production = outcome_counts(registered, slot, port, any_click)
         production[7] += m - batch.offsets.size
-        oracle_rows = lambda k, idx: cum[idx]
-        every = np.bincount(
-            per_pulse.detect_every_pulse(states, 5, oracle_rows, np.random.default_rng(19)), minlength=8
-        )
+        every = np.bincount(per_pulse.detect_every_pulse(cum, np.random.default_rng(19)), minlength=8)
         for counts in (production, every):
             assert counts.sum() == m
             assert np.all(np.abs(counts - want) <= tol), (counts, want)
@@ -467,6 +461,13 @@ class TestAsymmetricDetectors:
         # a session's detector pair is checked once, on configuration
         with pytest.raises(ValueError, match="same gating scheme"):
             SessionConfig(apd_d0=ApdSpec(gates_per_pulse=1), apd_d1=ApdSpec(gates_per_pulse=3))
+
+    def test_mismatched_gating_rejected_by_detection_functions(self):
+        for pair in ((ApdSpec(gates_per_pulse=1), ApdSpec(gates_per_pulse=3)),
+                     (ApdSpec(gates_per_pulse=3), ApdSpec(gates_per_pulse=1))):
+            for function in (cell_click_probabilities, click_bound, expected_event_rates):
+                with pytest.raises(ValueError, match="same gating scheme"):
+                    function(dark_only_dist(), 0.0, pair)
 
     def test_pair_in_batch_sampler(self):
         pair = (ApdSpec(efficiency=0.0, dark_per_gate=0.0), ApdSpec(efficiency=1.0, dark_per_gate=0.0))

@@ -141,9 +141,10 @@ class TestAttackBranches:
 
 class TestDriftedRows:
     def test_bit_identical_to_per_pulse_table(self):
-        """Under attacker drift, the per-state sampler fed one row per pulse
-        gives the same outcomes, bit for bit, as building the per-pulse
-        (m, 6) cumulative table and sampling it from the same substream."""
+        """Under attacker drift, one broadcast call over every pulse's
+        amplitudes and phase gives the rows of the per-state table, bit for
+        bit, and the sampler fed them gives the same outcomes as counting
+        that table's edges against the same substream."""
         spec = enabled_eve(excess_loss_db=0.7, visibility=0.9, phase_offset_rad=0.2)
         amps = np.array([canonical_link_state(s).bins[:, 0] for s in CANONICAL_STATES])
         amps[:, 1] *= np.exp(0.3j)  # a transmitter phase offset, as in a session
@@ -161,11 +162,9 @@ class TestDriftedRows:
         for column in table.T:
             want += u >= column
 
-        outcomes, resent = attack_batch(
-            states,
-            lambda k, idx: cumulative_outcomes(*amps[k], spec, phases[idx]),
-            RngHandle(5).indexed_stream(DOMAIN_EVE, 0),
-        )
+        rows = cumulative_outcomes(*amps[states].T, spec, phases)
+        assert np.array_equal(rows, table)
+        outcomes, resent = attack_batch(u, rows.T)
         assert np.array_equal(outcomes, want)
         assert np.array_equal(resent, OUTCOME_TO_STATE_INDEX[want])
         assert len(np.unique(outcomes)) == 7
@@ -179,7 +178,7 @@ class TestMonteCarloInvariant:
         states = rng.integers(0, 4, size=n).astype(np.uint8)
         amps = np.array([canonical_link_state(s).bins[:, 0] for s in CANONICAL_STATES])
         cum = cumulative_outcomes(amps[:, 0], amps[:, 1], eve_spec)
-        _, resent = attack_batch(states, lambda k, idx: cum[k], rng)
+        _, resent = attack_batch(rng.random(n), cum[states].T)
         # receiver: projective sample over the six cells per resent state
         tables = np.stack(
             [bob_transform(canonical_link_state(s), ideal_amz()).p.reshape(6) for s in CANONICAL_STATES]

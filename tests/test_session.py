@@ -1,6 +1,5 @@
 """End-to-end sessions: correctness, determinism, modes, sweeps, jitter."""
 
-import copy
 import dataclasses
 import math
 import tracemalloc
@@ -23,6 +22,7 @@ from timebin_bb84.optics import (
     SlotPortDistribution,
     bob_transform,
     canonical_link_state,
+    extinction_db_to_visibility,
     vacuum_state,
 )
 from timebin_bb84.protocol import InsufficientKeyError, run_protocol
@@ -202,21 +202,28 @@ Z = 5.0  # statistical bands: two-sided Bernstein bound, miss rate < 2 exp(-Z^2/
 @pytest.mark.parametrize("name", THINNING_CONFIGS)
 def test_thinned_detection_equals_unthinned(monkeypatch, name):
     """Within run_session, detection on the candidates follows the law of
-    sampling every pulse: each candidate's uniform lies below p, the
-    largest limit; every row's total lies at or below its state's limit;
+    sampling every pulse: each candidate's uniform lies below p, the bound
+    the candidates are drawn with; every row's total lies at or below p;
     and the counts of the six (slot, port) cells and the discard lie
     within the band at Z of the exact law given the candidates' rows, a
     candidate taking outcome j with probability (row increment j) / p."""
     batches = []
+    bounds = []
     counts = np.zeros(7)
     want = np.zeros(7)
     var = np.zeros(7)
+    draw_candidates = session.draw_candidates
 
-    def checked(batch, states, limits, rows):
-        got = detection.detect_batch(batch, states, limits, rows)
-        p = min(1.0, limits.max())
-        cum = per_pulse.every_pulse_row(states, len(limits), 7, rows)
-        assert np.all(batch.u < p) and np.all(cum[:, -1] <= limits[states])
+    def drawn(m, p, rng):
+        bounds.append(min(1.0, p))
+        return draw_candidates(m, p, rng)
+
+    def checked(batch, rows):
+        rows = list(rows)
+        got = detection.detect_batch(batch, rows)
+        p = bounds[-1]
+        cum = per_pulse.every_pulse_row(rows)
+        assert np.all(batch.u < p) and np.all(cum[:, -1] <= p)
         law = per_pulse.row_increments(cum)[:, :7] / p
         want[:] += law.sum(axis=0)
         var[:] += (law * (1.0 - law)).sum(axis=0)
@@ -226,15 +233,16 @@ def test_thinned_detection_equals_unthinned(monkeypatch, name):
         batches.append(batch.offsets.size / len(batch))
         return got
 
+    monkeypatch.setattr(session, "draw_candidates", drawn)
     monkeypatch.setattr(session, "detect_batch", checked)
     run_session(THINNING_CONFIGS[name])
-    assert batches and all(share < 0.5 for share in batches)
+    assert len(bounds) == len(batches) and batches and all(share < 0.5 for share in batches)
     assert np.all(np.abs(counts - want) <= per_pulse.bernstein_tolerance(var, Z)), (counts, want)
 
 
 @pytest.mark.parametrize("jitter", [0.2, 0.0], ids=["drift", "steady"])
 def test_attacker_sampler_equals_per_pulse_rows(monkeypatch, jitter):
-    """Within run_session, the attacker's per-state sampler gives the same
+    """Within run_session, the attacker's sampler gives the same
     outcomes, bit for bit, as sampling every candidate's full
     cumulative_outcomes row against the same uniforms, and the counts of
     its seven outcomes lie within the band at Z of their exact law.  A
@@ -248,16 +256,16 @@ def test_attacker_sampler_equals_per_pulse_rows(monkeypatch, jitter):
         bob_amz=AmzSpec(phase_jitter_rad=jitter / 2), apd_d0=dark_free, apd_d1=dark_free,
     )
     batches = []
+    resents = []
     candidates = []
     want = np.zeros(7)
     var = np.zeros(7)
     attack_batch = eavesdrop.attack_batch
 
-    def attacked(states, rows, rng):
-        reference_rng = copy.deepcopy(rng)
-        outcomes, resent = attack_batch(states, rows, rng)
-        u = reference_rng.random(len(states))
-        cum = per_pulse.every_pulse_row(states, 4, 6, rows)
+    def attacked(u, rows):
+        rows = list(rows)
+        outcomes, resent = attack_batch(u, rows)
+        cum = per_pulse.every_pulse_row(rows)
         expected = per_pulse.outcomes_every_pulse(u, cum)
         assert np.array_equal(outcomes, expected)
         assert np.array_equal(resent, OUTCOME_TO_STATE_INDEX[expected])
@@ -265,11 +273,12 @@ def test_attacker_sampler_equals_per_pulse_rows(monkeypatch, jitter):
         want[:] += law.sum(axis=0)
         var[:] += (law * (1.0 - law)).sum(axis=0)
         batches.append(outcomes)
+        resents.append(resent)
         return outcomes, resent
 
-    def detected(batch, states, limits, rows):
-        got = detection.detect_batch(batch, states, limits, rows)
-        assert not np.any(got[0] & (states == eavesdrop.VACUUM_INDEX))
+    def detected(batch, rows):
+        got = detection.detect_batch(batch, rows)
+        assert not np.any(got[0] & (resents[-1] == eavesdrop.VACUUM_INDEX))
         candidates.append(batch.offsets.size)
         return got
 
@@ -295,9 +304,9 @@ class TestClickBoundEdges:
         )
         shares = []
 
-        def counted(batch, states, limits, rows):
+        def counted(batch, rows):
             shares.append(batch.offsets.size / len(batch))
-            return detection.detect_batch(batch, states, limits, rows)
+            return detection.detect_batch(batch, rows)
 
         monkeypatch.setattr(session, "detect_batch", counted)
         assert run_session(config).summary.events_registered > 0
@@ -309,9 +318,9 @@ class TestClickBoundEdges:
         cfg = ideal_config(n_pulses=2 * session.BATCH_SIZE + 5, source=SourceSpec(mu=0.0))
         sizes = []
 
-        def counted(batch, states, limits, rows):
+        def counted(batch, rows):
             sizes.append(batch.offsets.size)
-            return detection.detect_batch(batch, states, limits, rows)
+            return detection.detect_batch(batch, rows)
 
         monkeypatch.setattr(session, "detect_batch", counted)
         with pytest.raises(InsufficientKeyError):
@@ -329,6 +338,27 @@ def test_memory_follows_events_not_pulses():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.0f} MB"
+
+
+def test_dense_link_memory_holds_no_per_candidate_table():
+    """A 2^20-pulse session on a dense lossless link (eta 1, mu 0.5, 20 dB
+    extinction), where about 39% of pulses are candidates, keeps its
+    traced allocation peak under 40 MB: the steady receiver's table rows
+    are taken one edge at a time, never as a (7, n) gather (about 52 MB)."""
+    lossless = AmzSpec(excess_loss_db=0.0)
+    apd = ApdSpec(efficiency=1.0)
+    config = SessionConfig(
+        n_pulses=session.BATCH_SIZE, seed=48, source=SourceSpec(mu=0.5), alice_amz=lossless,
+        bob_amz=dataclasses.replace(lossless, visibility=extinction_db_to_visibility(20.0)),
+        apd_d0=apd, apd_d1=apd,
+    )
+    tracemalloc.start()
+    try:
+        run_session(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 class TestEveSessions:
