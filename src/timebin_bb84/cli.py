@@ -38,25 +38,26 @@ class SystemExit_Usage(Exception):
     pass
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", metavar="PATH", help="INI config file (defaults used if omitted)")
-    sub.add_argument("--seed", type=integer, metavar="N", help="override session.seed")
-    sub.add_argument("--pulses", type=integer, metavar="N", help="override session.n_pulses")
-    sub.add_argument("--eve", action="store_true", help="enable the intercept-resend attacker")
-    sub.add_argument(
-        "--conventional-mode",
-        action="store_true",
-        help="discard late-slot events before sifting (single-edge-slot baseline)",
-    )
-    sub.add_argument("--out", metavar="DIR", default="out", help="output directory")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="timebin-bb84", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
-
     p_profile = subs.add_parser("profile", help="per-state slot/port intensity profiles")
-    _add_common(p_profile)
+    p_run = subs.add_parser("run", help="simulate one key-distribution session")
+    p_sweep = subs.add_parser("sweep", help="one session per value along a parameter axis")
+    for sub in (p_profile, p_run, p_sweep):
+        sub.add_argument("--config", metavar="PATH", help="INI config file (defaults if omitted)")
+        sub.add_argument("--seed", type=integer, metavar="N", help="override session.seed")
+        sub.add_argument("--out", metavar="DIR", default="out", help="output directory")
+    # Flags that change the simulated session; the exact profile runs none.
+    for sub in (p_run, p_sweep):
+        sub.add_argument("--pulses", type=integer, metavar="N", help="override session.n_pulses")
+        sub.add_argument("--eve", action="store_true", help="enable the intercept-resend attacker")
+        sub.add_argument(
+            "--conventional-mode",
+            action="store_true",
+            help="discard late-slot events before sifting (single-edge-slot baseline)",
+        )
+
     p_profile.add_argument(
         "--sampled",
         type=integer,
@@ -64,12 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="estimate receiver rows from N Monte Carlo pulses instead of exactly",
     )
-
-    p_run = subs.add_parser("run", help="simulate one key-distribution session")
-    _add_common(p_run)
-
-    p_sweep = subs.add_parser("sweep", help="one session per value along a parameter axis")
-    _add_common(p_sweep)
     p_sweep.add_argument("--axis", choices=SWEEP_AXES, required=True)
     p_sweep.add_argument(
         "--values", required=True, metavar="V1,V2,...", help="comma-separated axis values"
@@ -81,6 +76,8 @@ def _load_config(args: argparse.Namespace):
     config = parse_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
+    if args.command == "profile":
+        return config
     if args.pulses is not None:
         config = dataclasses.replace(config, n_pulses=args.pulses)
     if args.eve:

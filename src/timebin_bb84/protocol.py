@@ -10,16 +10,16 @@ from both keys.
 
 Message flow (each message exactly once per session):
 
-    A -> B   basis_request      pulse index range of the session
     B -> A   basis_announce     (pulse_idx, basis) of every registered event
     A -> B   match_reply        announce positions where bases agree (sifted set)
-    A -> B   sample_indices     sifted-set positions disclosed for QBER estimation
+                                and sifted-set positions disclosed (sample)
     B -> A   sample_bits        receiver's bits at the disclosed positions
     A -> B   qber_report        observed mismatch fraction
 
 Each station is a state machine without I/O: ``start()`` returns its
-opening messages, ``receive(msg)`` checks one incoming message and returns
-the replies, and ``key`` is set once the session completes.  In process,
+opening messages (the receiver's announce; the transmitter has none),
+``receive(msg)`` checks one incoming message and returns the replies, and
+``key`` is set once the session completes.  In process,
 ``run_protocol`` hands the message objects from one endpoint to the other
 on the caller's thread.  On a byte stream, ``drive`` runs one endpoint over
 a transport; messages are newline-terminated, self-describing JSON records,
@@ -141,12 +141,6 @@ def classify_arrays(slots: np.ndarray, ports: np.ndarray) -> tuple[np.ndarray, n
 
 
 @dataclass(eq=False)
-class BasisRequest:
-    start: int
-    stop: int
-
-
-@dataclass(eq=False)
 class BobBasisAnnounce:
     indices: np.ndarray
     bases: np.ndarray  # 0 = Z, 1 = X
@@ -154,12 +148,8 @@ class BobBasisAnnounce:
 
 @dataclass(eq=False)
 class AliceMatchReply:
-    indices: np.ndarray
-
-
-@dataclass(eq=False)
-class SampleIndices:
-    indices: np.ndarray
+    indices: np.ndarray  # announce positions where the bases agree
+    sample: np.ndarray  # positions in ``indices`` disclosed for the QBER
 
 
 @dataclass(eq=False)
@@ -172,9 +162,7 @@ class QberReport:
     value: float
 
 
-ClassicalMessage = (
-    BasisRequest | BobBasisAnnounce | AliceMatchReply | SampleIndices | SampleBits | QberReport
-)
+ClassicalMessage = BobBasisAnnounce | AliceMatchReply | SampleBits | QberReport
 
 _GAP_DTYPES = {d.itemsize: d for d in map(np.dtype, ("<u1", "<u2", "<u4", "<u8"))}
 
@@ -198,18 +186,18 @@ def _bit_field(bits: np.ndarray) -> dict:
 
 def encode_message(msg: ClassicalMessage) -> bytes:
     """One self-describing JSON record per message, newline-terminated."""
-    if isinstance(msg, BasisRequest):
-        obj = {"type": "basis_request", "start": msg.start, "stop": msg.stop}
-    elif isinstance(msg, BobBasisAnnounce):
+    if isinstance(msg, BobBasisAnnounce):
         obj = {
             "type": "basis_announce",
             "indices": _index_field(msg.indices),
             "bases": _bit_field(msg.bases),
         }
     elif isinstance(msg, AliceMatchReply):
-        obj = {"type": "match_reply", "indices": _index_field(msg.indices)}
-    elif isinstance(msg, SampleIndices):
-        obj = {"type": "sample_indices", "indices": _index_field(msg.indices)}
+        obj = {
+            "type": "match_reply",
+            "indices": _index_field(msg.indices),
+            "sample": _index_field(msg.sample),
+        }
     elif isinstance(msg, SampleBits):
         obj = {"type": "sample_bits", "bits": _bit_field(msg.bits)}
     elif isinstance(msg, QberReport):
@@ -273,8 +261,6 @@ def decode_message(line: bytes) -> ClassicalMessage:
     try:
         obj = json.loads(line)
         kind = obj["type"]
-        if kind == "basis_request":
-            return BasisRequest(_scalar(obj["start"], (int,)), _scalar(obj["stop"], (int,)))
         if kind == "basis_announce":
             indices = _indices(obj["indices"])
             bases = _bits(obj["bases"], "basis_announce bases")
@@ -282,9 +268,7 @@ def decode_message(line: bytes) -> ClassicalMessage:
                 raise ProtocolError("basis_announce has different numbers of indices and bases")
             return BobBasisAnnounce(indices=indices, bases=bases)
         if kind == "match_reply":
-            return AliceMatchReply(_indices(obj["indices"]))
-        if kind == "sample_indices":
-            return SampleIndices(_indices(obj["indices"]))
+            return AliceMatchReply(_indices(obj["indices"]), _indices(obj["sample"]))
         if kind == "sample_bits":
             return SampleBits(_bits(obj["bits"], "sample_bits"))
         if kind == "qber_report":
@@ -366,12 +350,14 @@ class SiftedKey:
 
 
 def _max_line(count: int) -> int:
-    """Bound on the longest record an honest peer sends in a session whose
-    messages list at most ``count`` indices.  At the widest width, 8 bytes
-    of gap per index take at most (32 * count + 8) / 3 bytes of base64, and
-    one packed basis bit per index at most count / 6 + 4; that is under
-    11 * count + 7.  The JSON keys, two counts of at most 20 digits and the
-    width take under 150 of the 256 bytes left."""
+    """Bound on the longest record an honest peer sends when no record lists
+    more than ``count`` indices over its index fields; the receiver passes
+    twice its event count, for a match reply's sifted and disclosed
+    positions.  At the widest width, 8 bytes of gap per index take at most
+    (32 * n + 8) / 3 bytes of base64 in a field of n, and a packed basis bit
+    per index at most count / 6 + 4: under 11 * count + 7 per record.  The
+    JSON keys, two counts of at most 20 digits and two widths take under
+    150 of the 256 bytes left."""
     return 256 + 11 * count
 
 
@@ -407,7 +393,9 @@ def _undisclosed(
 
 
 class AliceEndpoint:
-    """Transmitter-side state machine."""
+    """Transmitter-side state machine: it answers the basis announce with
+    the match reply (sifted positions and a sample drawn from ``rng``) and
+    the sample bits with the QBER report."""
 
     def __init__(self, records: PulseTrain, sample_fraction: float, rng: np.random.Generator):
         if not 0.0 < sample_fraction <= 1.0:
@@ -420,7 +408,7 @@ class AliceEndpoint:
         self._next: type | None = BobBasisAnnounce
 
     def start(self) -> list[ClassicalMessage]:
-        return [BasisRequest(0, len(self.records))]
+        return []
 
     def receive(self, msg: ClassicalMessage) -> list[ClassicalMessage]:
         _expect(msg, self._next)
@@ -440,7 +428,7 @@ class AliceEndpoint:
             self._announced, self._bits, self._sifted = msg.indices, bits, matched
             self._shown = matched.take(pick)
             self._next = SampleBits
-            return [AliceMatchReply(matched), SampleIndices(pick)]
+            return [AliceMatchReply(matched, pick)]
         if msg.bits.size != self._shown.size:
             raise ProtocolError("sample_bits length does not match the disclosed set")
         qber = float(np.mean(msg.bits != self._bits.take(self._shown)))
@@ -450,35 +438,27 @@ class AliceEndpoint:
 
 
 class BobEndpoint:
-    """Receiver-side state machine."""
+    """Receiver-side state machine: it opens with the basis announce and
+    answers the match reply with its bits at the disclosed positions."""
 
     def __init__(self, classifications: ClassifiedEvents):
         self.classifications = classifications
-        self.max_line = _max_line(len(classifications))
+        self.max_line = _max_line(2 * len(classifications))
         self.key: SiftedKey | None = None
-        self._next: type | None = BasisRequest
+        self._next: type | None = AliceMatchReply
 
     def start(self) -> list[ClassicalMessage]:
-        return []
+        ev = self.classifications
+        return [BobBasisAnnounce(ev.pulse_indices, ev.bases)]
 
     def receive(self, msg: ClassicalMessage) -> list[ClassicalMessage]:
         _expect(msg, self._next)
         ev = self.classifications
-        if isinstance(msg, BasisRequest):
-            if msg.start != 0 or msg.stop < msg.start:
-                raise ProtocolError("malformed basis_request range")
-            if len(ev) and (ev.pulse_indices[0] < msg.start or ev.pulse_indices[-1] >= msg.stop):
-                raise ProtocolError("own detection events fall outside the announced range")
-            self._next = AliceMatchReply
-            return [BobBasisAnnounce(ev.pulse_indices, ev.bases)]
         if isinstance(msg, AliceMatchReply):
             _require_increasing_within(msg.indices, len(ev), "match reply")
+            _require_increasing_within(msg.sample, msg.indices.size, "sample")
             self._sifted = msg.indices
-            self._next = SampleIndices
-            return []
-        if isinstance(msg, SampleIndices):
-            _require_increasing_within(msg.indices, self._sifted.size, "sample")
-            self._shown = self._sifted.take(msg.indices)
+            self._shown = msg.indices.take(msg.sample)
             self._next = QberReport
             return [SampleBits(ev.bits.take(self._shown))]
         if not 0.0 <= msg.value <= 1.0:
@@ -523,9 +503,9 @@ def run_protocol(
 
     Without ``transports`` the endpoints exchange message objects on the
     caller's thread.  With a (transmitter, receiver) transport pair each
-    endpoint is driven over its own transport; the receiver runs on a
-    helper thread, because a socket pair cannot buffer a large announce
-    while the transmitter is not yet reading.
+    endpoint is driven over its own transport; the receiver, which opens
+    the session, runs on a helper thread, because a socket pair cannot
+    buffer a large announce until the transmitter reads it.
     """
     alice = AliceEndpoint(alice_records, sample_fraction, rng)
     bob = BobEndpoint(bob_classifications)

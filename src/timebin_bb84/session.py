@@ -11,8 +11,8 @@ attack-outcome probabilities come from per-state tables.  Both stations
 sample with ``detection.sample_outcomes`` from each pulse's own
 cumulative row: its state's table row, taken one edge at a time, or on a
 leg with phase drift (sigma > 0) a row computed from the pulse's
-amplitudes and phase in one broadcast call through the same optics and
-click formulas.
+amplitudes and phase through the same optics and click formulas, in
+broadcast calls over up to 2^16 candidates.
 
 The transmitter's choices come from one 64-bit DOMAIN_ALICE key through
 the counter-based ``PulseTrain``, so they cost nothing until read.  Per
@@ -185,6 +185,22 @@ def _drifted_rows(
     return first_fire_table(q)
 
 
+_ROW_CHUNK = 1 << 16  # candidates per drifted-row call
+
+
+def _chunked_rows(k: int, states: np.ndarray, phases: np.ndarray, row_fn) -> np.ndarray:
+    """(k, n) cumulative-row edges of n candidates from ``row_fn(states,
+    phases)``, the (m, k) rows of m of them.  Past _ROW_CHUNK candidates,
+    chunks fill one preallocated array, so a call's temporaries stay bounded."""
+    if states.size <= _ROW_CHUNK:
+        return row_fn(states, phases).T
+    rows = np.empty((k, states.size))
+    for lo in range(0, states.size, _ROW_CHUNK):
+        chunk = slice(lo, lo + _ROW_CHUNK)
+        rows[:, chunk] = row_fn(states[chunk], phases[chunk]).T
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # Main entry points
 # ---------------------------------------------------------------------------
@@ -253,15 +269,16 @@ def run_session(config: SessionConfig) -> SessionResult:
         states = records.states(pulses)
 
         # Each station samples every candidate from its own cumulative row:
-        # on a drifting leg one broadcast call over the candidates'
-        # amplitudes and phases, else its state's table row, taken one edge
-        # at a time so that no (n, K) gather is held.
+        # on a drifting leg broadcast calls over the candidates' amplitudes
+        # and phases, else its state's table row, taken one edge at a time
+        # so that no (n, K) gather is held.
         if eve_on:
             u = rng.indexed_stream(DOMAIN_EVE, b).random(pulses.size)
             if sigma_eve_leg > 0.0:
                 normals = rng.indexed_stream(DOMAIN_JITTER, 2 * b).standard_normal(pulses.size)
                 phases = config.eve.apparatus.phase_offset_rad + sigma_eve_leg * normals
-                eve_rows = eavesdrop.cumulative_outcomes(*prepared[states].T, config.eve, phases).T
+                eve_rows = _chunked_rows(6, states, phases, lambda s, ph: eavesdrop.cumulative_outcomes(
+                    *prepared[s].T, config.eve, ph))
             else:
                 eve_rows = (edge.take(states) for edge in eve_cum.T)
             _, states = eavesdrop.attack_batch(u, eve_rows)
@@ -269,7 +286,8 @@ def run_session(config: SessionConfig) -> SessionResult:
         if sigma_bob_leg > 0.0:
             normals = rng.indexed_stream(DOMAIN_JITTER, 2 * b + 1).standard_normal(pulses.size)
             phases = bob_amz.phase_offset_rad + sigma_bob_leg * normals
-            bob_rows = _drifted_rows(q_table[states], incoming[states], phases, bob_amz, mu, apds).T
+            bob_rows = _chunked_rows(7, states, phases, lambda s, ph: _drifted_rows(
+                q_table[s], incoming[s], ph, bob_amz, mu, apds))
         else:
             bob_rows = (edge.take(states) for edge in cum_table.T)
 

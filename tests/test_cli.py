@@ -75,6 +75,17 @@ class TestProfileCommand:
         sigma = math.sqrt(q * (1.0 - q) / n) / (eta_mu * (1.0 - q))
         assert abs(by_key[("Z0", "S1", "D0")] - 0.25) < 5.0 * sigma  # about 0.0177
 
+    @pytest.mark.parametrize(
+        "flag", [["--eve"], ["--conventional-mode"], ["--pulses", "5"]],
+        ids=["eve", "conventional_mode", "pulses"],
+    )
+    def test_session_flags_exit_1(self, tmp_path, flag):
+        """The profile is exact per state, so flags that change the
+        simulated session are refused rather than ignored."""
+        out = tmp_path / "out"
+        assert main(["profile", *flag, "--out", str(out)]) == 1
+        assert not (out / "profile.csv").exists()
+
     def test_negative_sampled_count_exits_1(self, tmp_path, capsys):
         code = main(["profile", "--sampled", "-5", "--out", str(tmp_path / "out")])
         assert code == 1

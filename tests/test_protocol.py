@@ -18,7 +18,6 @@ from timebin_bb84.optics import Basis, Port, Slot
 from timebin_bb84.protocol import (
     AliceEndpoint,
     AliceMatchReply,
-    BasisRequest,
     BobBasisAnnounce,
     BobEndpoint,
     ClassifiedEvents,
@@ -27,7 +26,6 @@ from timebin_bb84.protocol import (
     PulseTrain,
     QberReport,
     SampleBits,
-    SampleIndices,
     SiftedKey,
     SocketTransport,
     classify_arrays,
@@ -132,9 +130,9 @@ class TestSift:
         events = make_events((7, 0, 0), (9, 0, 1))  # receiver measured Z at both
         key_a, key_b, transcript = run_protocol(records, events, 1.0, np.random.default_rng(0))
         # the reply names pulse 7 by its position in the announce
-        assert transcript[2].indices.tolist() == [0]
+        assert transcript[1].indices.tolist() == [0]
         # the one sifted bit is disclosed, and both stations hold 0 there
-        assert transcript[3].indices.tolist() == [0]
+        assert transcript[1].sample.tolist() == [0]
         assert key_a.qber_estimate == key_b.qber_estimate == 0.0
         assert len(key_a) == len(key_b) == 0
 
@@ -156,9 +154,9 @@ class TestSift:
         key_a, key_b, transcript = run_protocol(records, events, 0.1, np.random.default_rng(1))
         assert np.array_equal(key_a.source_indices, key_b.source_indices)
         matched = np.flatnonzero(records.bases[idx] == events.bases)
-        assert np.array_equal(transcript[2].indices, matched)
+        assert np.array_equal(transcript[1].indices, matched)
         # disclosed positions index the sifted set, whose other bits remain
-        kept = np.delete(idx[matched], transcript[3].indices)
+        kept = np.delete(idx[matched], transcript[1].sample)
         assert np.array_equal(key_a.source_indices, kept)
 
     def test_noiseless_keys_agree(self):
@@ -238,14 +236,18 @@ def bit_field(*bits, **field):
     return {"count": len(bits), "packed": base64.b64encode(raw).decode()} | field
 
 
+def reply_record(**fields):
+    """A match_reply record with one sifted and one disclosed position;
+    keyword arguments replace its fields."""
+    return {"type": "match_reply", "indices": index_field(1), "sample": index_field(1)} | fields
+
+
 class TestCodec:
     @pytest.mark.parametrize(
         "msg",
         [
-            BasisRequest(0, 1000),
             BobBasisAnnounce(np.array([1, 5, 9]), np.array([0, 1, 0], np.uint8)),
-            AliceMatchReply(np.array([5, 9])),
-            SampleIndices(np.array([9])),
+            AliceMatchReply(np.array([5, 9]), np.array([1])),
             SampleBits(np.array([1, 0, 1], np.uint8)),
             QberReport(0.0625),
         ],
@@ -265,19 +267,22 @@ class TestCodec:
     def test_gaps_spelling_true_round_trip(self):
         # Gaps 182, 187, 158 are the bytes b6 bb 9e, whose base64 is "true":
         # a decoder that scanned records for JSON booleans refused this one.
-        line = encode_message(AliceMatchReply(np.array([181, 368, 526])))
+        line = encode_message(AliceMatchReply(np.array([181, 368, 526]), np.array([0])))
         assert b'"gaps":"true"' in line
         assert decode_message(line).indices.tolist() == [181, 368, 526]
 
     def test_width_is_narrowest_that_holds_largest_gap(self):
         for top, width in [(255, 1), (256, 2), (2**16, 4), (2**32 - 1, 4), (2**32, 8)]:
-            line = encode_message(SampleIndices(np.array([3, 3 + top])))
-            assert json.loads(line)["indices"]["width"] == width
+            indices = np.array([3, 3 + top])
+            record = json.loads(encode_message(AliceMatchReply(indices, indices)))
+            assert record["indices"]["width"] == record["sample"]["width"] == width
 
     def test_unencodable_indices_refused(self):
         for indices in ([-1, 4], [4, 4], [5, 2]):
             with pytest.raises(ProtocolError, match="cannot encode"):
-                encode_message(AliceMatchReply(np.array(indices)))
+                encode_message(AliceMatchReply(np.array(indices), np.array([0])))
+            with pytest.raises(ProtocolError, match="cannot encode"):
+                encode_message(AliceMatchReply(np.array([0]), np.array(indices)))
 
     def test_malformed_rejected(self):
         with pytest.raises(ProtocolError):
@@ -285,7 +290,7 @@ class TestCodec:
         with pytest.raises(ProtocolError):
             decode_message(b'{"type":"mystery"}\n')
         with pytest.raises(ProtocolError):
-            decode_message(b'{"type":"basis_request","start":0}\n')
+            decode_message(b'{"type":"match_reply","indices":{"count":0,"width":1,"gaps":""}}\n')
 
     @pytest.mark.parametrize(
         "record,error",
@@ -299,10 +304,8 @@ class TestCodec:
             ({"type": "match_reply", "indices": index_field(1, count=1.0)}, "expected int, got 1.0"),
             ({"type": "sample_bits", "bits": bit_field(1, count=True)}, "expected int, got True"),
             ({"type": "sample_bits", "bits": bit_field(count=-1)}, "negative count -1"),
-            ({"type": "sample_indices", "indices": index_field(2**64 - 1, 2, size=8)},
+            (reply_record(sample=index_field(2**64 - 1, 2, size=8)),
              "index gaps sum past the int64 range"),
-            ({"type": "basis_request", "start": 0.9, "stop": True}, "expected int, got 0.9"),
-            ({"type": "basis_request", "start": 0, "stop": "5"}, "expected int, got '5'"),
             ({"type": "basis_announce", "indices": index_field(1),
               "bases": bit_field(1, packed=["gA=="])}, "expected str, got ['gA==']"),
             ({"type": "sample_bits", "bits": bit_field(1, packed=101)}, "expected str, got 101"),
@@ -310,25 +313,33 @@ class TestCodec:
             ({"type": "match_reply", "indices": [[1, 2], [3, 4]]}, "expected dict, got [[1, 2], [3, 4]]"),
             ({"type": "qber_report", "value": "0.5"}, "expected int or float, got '0.5'"),
             ({"type": "qber_report", "value": True}, "expected int or float, got True"),
-            ({"type": "sample_indices", "indices": index_field(1, 0)},
+            (reply_record(sample=index_field(1, 0)),
              "index gap of 0: indices must strictly increase"),
-            ({"type": "sample_indices", "indices": index_field(1, count=2)},
-             "index payload holds 1 bytes, not 2"),
-            ({"type": "sample_indices", "indices": index_field(1, gaps="A!==")},
-             "Only base64 data is allowed"),
+            (reply_record(sample=index_field(1, count=2)), "index payload holds 1 bytes, not 2"),
+            (reply_record(sample=index_field(1, gaps="A!==")), "Only base64 data is allowed"),
             ({"type": "sample_bits", "bits": bit_field(1, 0, 0, 0, 0, 0, 0, 1, count=1)},
              "sample_bits padding bits are not zero"),
-            ({"type": "sample_indices", "indices": index_field(1, width=3)}, "unknown index width 3"),
+            (reply_record(sample=index_field(1, width=3)), "unknown index width 3"),
         ],
         ids=[
             "length_mismatch", "float_and_bool", "bool_among_ints", "float", "count_float", "bool",
-            "count_negative", "overflow", "range_not_int", "range_string", "bases_not_string",
+            "count_negative", "overflow", "bases_not_string",
             "bits_not_string", "gaps_not_string", "two_dimensional", "qber_string", "qber_bool",
             "gap_zero", "byte_length", "not_base64", "padding_bits", "unknown_width",
         ],
     )
     def test_malformed_fields_rejected(self, record, error):
         with pytest.raises(ProtocolError, match=re.escape(error)):
+            decode_message(json.dumps(record).encode() + b"\n")
+
+    @pytest.mark.parametrize(
+        "record",
+        [{"type": "basis_request", "start": 0, "stop": 1000},
+         {"type": "sample_indices", "indices": index_field(10)}],
+        ids=["basis_request", "sample_indices"],
+    )
+    def test_retired_message_types_rejected(self, record):
+        with pytest.raises(ProtocolError, match="unknown message type"):
             decode_message(json.dumps(record).encode() + b"\n")
 
     def test_deep_nesting_rejected(self):
@@ -381,7 +392,7 @@ class TestRecordCap:
         alice_cap = AliceEndpoint(records, fraction, np.random.default_rng(0)).max_line
         bob_cap = BobEndpoint(events).max_line
         _, _, transcript = run_protocol(records, events, fraction, np.random.default_rng(5))
-        assert json.loads(encode_message(transcript[1]))["indices"]["width"] == width
+        assert json.loads(encode_message(transcript[0]))["indices"]["width"] == width
         for msg in transcript:
             line = encode_message(msg)
             to_alice = isinstance(msg, (BobBasisAnnounce, SampleBits))
@@ -393,8 +404,7 @@ class TestRecordCap:
         empty = np.empty(0, np.int64)
         for msg in [
             BobBasisAnnounce(empty, np.empty(0, np.uint8)),
-            AliceMatchReply(empty),
-            SampleIndices(empty),
+            AliceMatchReply(empty, empty),
             SampleBits(np.empty(0, np.uint8)),
         ]:
             line = encode_message(msg)
@@ -436,8 +446,10 @@ class TestTransports:
         sock_a, sock_b = socket.socketpair()
         ta, tb = SocketTransport(sock_a, timeout=5.0), SocketTransport(sock_b, timeout=5.0)
         ta.close()
+        records = random_train(4, np.random.default_rng(0))
+        alice = AliceEndpoint(records, 0.5, np.random.default_rng(1))
         with pytest.raises(ProtocolError, match="closed by peer"):
-            drive(BobEndpoint(make_events((1, 0, 0))), tb)
+            drive(alice, tb)
         tb.close()
 
     def test_overlong_record_aborts(self):
@@ -467,8 +479,9 @@ class TestTransports:
 class TestAborts:
     def test_out_of_order_message(self):
         bob = BobEndpoint(make_events((1, 0, 0)))
+        bob.start()
         with pytest.raises(ProtocolError, match="order violation"):
-            bob.receive(SampleIndices(np.array([1])))  # before any basis_request
+            bob.receive(QberReport(0.0))  # before the match reply
 
     def test_announce_out_of_range(self):
         records = ArrayTrain(np.zeros(4, np.uint8), np.zeros(4, np.uint8))
@@ -486,23 +499,21 @@ class TestAborts:
 
     def test_sample_outside_sifted_set(self):
         bob = BobEndpoint(make_events((4, 0, 0), (5, 1, 1), (8, 0, 1)))
-        bob.receive(BasisRequest(0, 10))
-        bob.receive(AliceMatchReply(np.array([0, 2])))  # pulses 4 and 8
+        bob.start()
         with pytest.raises(ProtocolError, match="outside the agreed set"):
-            bob.receive(SampleIndices(np.array([2])))
+            bob.receive(AliceMatchReply(np.array([0, 2]), np.array([2])))  # pulses 4 and 8
 
     def test_sample_not_monotone(self):
         bob = BobEndpoint(make_events((4, 0, 0), (8, 0, 1)))
-        bob.receive(BasisRequest(0, 10))
-        bob.receive(AliceMatchReply(np.array([0, 1])))
+        bob.start()
         with pytest.raises(ProtocolError, match="strictly increasing"):
-            bob.receive(SampleIndices(np.array([1, 1])))
+            bob.receive(AliceMatchReply(np.array([0, 1]), np.array([1, 1])))
 
     def test_reply_not_subset_of_announce(self):
         bob = BobEndpoint(make_events((1, 0, 0), (3, 1, 1)))
-        bob.receive(BasisRequest(0, 10))
+        bob.start()
         with pytest.raises(ProtocolError, match="outside the agreed set"):
-            bob.receive(AliceMatchReply(np.array([2])))
+            bob.receive(AliceMatchReply(np.array([2]), np.array([0])))
 
     @pytest.mark.parametrize(
         "reply,error",
@@ -512,17 +523,16 @@ class TestAborts:
     )
     def test_reply_positions_checked(self, reply, error):
         bob = BobEndpoint(make_events((4, 0, 0), (5, 1, 1), (8, 0, 1)))
-        bob.receive(BasisRequest(0, 10))
+        bob.start()
         with pytest.raises(ProtocolError, match=error):
-            bob.receive(AliceMatchReply(np.array(reply)))
+            bob.receive(AliceMatchReply(np.array(reply), np.array([0])))
 
     @pytest.mark.parametrize("sample", [[0, 2], [7]], ids=["at_size", "far_past"])
     def test_sample_past_sifted_set(self, sample):
         bob = BobEndpoint(make_events((4, 0, 0), (5, 1, 1), (8, 0, 1)))
-        bob.receive(BasisRequest(0, 10))
-        bob.receive(AliceMatchReply(np.array([0, 1])))  # a sifted set of 2
+        bob.start()
         with pytest.raises(ProtocolError, match="outside the agreed set"):
-            bob.receive(SampleIndices(np.array(sample)))
+            bob.receive(AliceMatchReply(np.array([0, 1]), np.array(sample)))  # a sifted set of 2
 
     def test_message_after_completion(self):
         records = ArrayTrain(np.zeros(8, np.uint8), np.zeros(8, np.uint8))
@@ -546,18 +556,17 @@ class TestTranscript:
     def test_message_sequence(self):
         transcript = self.run_recorded(np.zeros(8, np.uint8))
         assert [type(m) for m in transcript] == [
-            BasisRequest,
             BobBasisAnnounce,
             AliceMatchReply,
-            SampleIndices,
             SampleBits,
             QberReport,
         ]
 
     def test_no_bit_leakage_before_reply(self):
-        # everything on the wire before the transmitter's match reply must
-        # be independent of her bit string: same bases + same receiver
-        # events => byte-identical prefix for different bit strings
+        # everything on the wire up to and including the transmitter's
+        # match reply must be independent of her bit string: same bases +
+        # same receiver events => byte-identical prefix for different bit
+        # strings
         rng = np.random.default_rng(12)
         bits_one = rng.integers(0, 2, 8).astype(np.uint8)
         bits_two = bits_one ^ 1
@@ -566,10 +575,10 @@ class TestTranscript:
         prefix_one = [encode_message(m) for m in log_one[:2]]
         prefix_two = [encode_message(m) for m in log_two[:2]]
         assert prefix_one == prefix_two
-        # and the reply itself carries indices only
-        reply = log_one[2]
+        # and the reply itself carries positions only
+        reply = log_one[1]
         assert isinstance(reply, AliceMatchReply)
-        assert set(vars(reply)) == {"indices"}
+        assert set(vars(reply)) == {"indices", "sample"}
 
 
 def honest_wire():
