@@ -17,9 +17,11 @@ So a pulse has eight outcomes: six (slot, port) registrations, the
 discard, and no click.  Their cumulative probabilities have a closed form
 (:func:`first_fire_table`), and a pulse's outcome is sampled from one
 uniform and its own row with :func:`sample_outcomes`, the sampler the
-attacker uses too.  Most pulses of a lossy link cannot click: a pulse
-whose uniform is at or above an upper bound ``p`` on every click
-probability is "no click" without further work.  So
+attacker uses too.  Rows are edge-major: n pulses' rows of K edges are a
+(K, n) array, one contiguous row per edge, and their click probabilities
+a (6, n) array, cells on the leading axis.  Most pulses of a lossy link
+cannot click: a pulse whose uniform is at or above an upper bound ``p``
+on every click probability is "no click" without further work.  So
 :func:`draw_candidates` draws only the pulses whose uniform lies below
 ``p`` (the candidates), as geometric gaps between positions, and gives
 each the uniform ``p * v``, ``v`` uniform on [0, 1): exactly the law of a
@@ -154,37 +156,49 @@ def cell_click_probabilities(dist: SlotPortDistribution, mu_arrived: float, apds
     return q.reshape(N_CELLS)
 
 
-def _first_fire_increments(q) -> np.ndarray:
-    """(..., 7) probabilities of the first-fire outcomes; see first_fire_table."""
-    q = np.asarray(q, dtype=float)
-    q0, q1 = q[..., 0::2], q[..., 1::2]
-    silent = (1.0 - q0) * (1.0 - q1)
-    shadow = np.ones_like(silent)
-    shadow[..., 1] = silent[..., 0]
-    shadow[..., 2] = silent[..., 0] * silent[..., 1]
-    increments = np.empty(q.shape[:-1] + (N_CELLS + 1,))
-    increments[..., 0:N_CELLS:2] = shadow * q0 * (1.0 - q1)
-    increments[..., 1:N_CELLS:2] = shadow * q1 * (1.0 - q0)
-    increments[..., N_CELLS] = (shadow * q0 * q1).sum(axis=-1)
-    return increments
+def _first_fire_increments(q):
+    """The seven first-fire outcome probabilities of (6, ...) click
+    probabilities ``q``, one array per outcome in edge order; see
+    :func:`first_fire_table`."""
+    shadow, discard = 1.0, 0.0
+    for s in range(3):
+        q0, q1 = q[2 * s], q[2 * s + 1]
+        n0, n1 = 1.0 - q0, 1.0 - q1
+        r0, r1 = shadow * q0, shadow * q1
+        yield r0 * n1
+        yield r1 * n0
+        discard = discard + r0 * q1
+        shadow = shadow * (n0 * n1)
+    yield discard
+
+
+def cumulative_edges(increments: list) -> np.ndarray:
+    """Running sums of K broadcastable outcome probabilities, added one
+    after another: a (K, ...) array with one contiguous row per edge."""
+    edges = np.empty((len(increments),) + np.broadcast_shapes(*map(np.shape, increments)))
+    edges[0] = increments[0]
+    for k in range(1, len(increments)):
+        np.add(edges[k - 1], increments[k], out=edges[k, ...])
+    return edges
 
 
 def first_fire_table(q) -> np.ndarray:
-    """Cumulative first-fire outcome probabilities for (..., 6) per-cell
-    click probabilities ``q`` (slot-major).
+    """Cumulative first-fire outcome probabilities for (6, ...) per-cell
+    click probabilities ``q``, cells slot-major on the leading axis.
 
-    Returns (..., 7): the six (slot, port) registrations in slot-major
-    order, then the double-click discard.  The remainder up to 1 is "no
-    click", so the last entry is the probability that any gated cell
-    clicks.  Cell (s, j) registers iff no earlier slot clicked, port j
-    clicked and the opposite port did not:
+    Returns (7, ...) edges, edge-major: the six (slot, port) registrations
+    in slot-major order, then the double-click discard, one contiguous
+    row per edge.  The remainder up to 1 is "no click", so the last edge
+    is the probability that any gated cell clicks.  Cell (s, j) registers
+    iff no earlier slot clicked, port j clicked and the opposite port did
+    not:
 
         r[s, j] = prod_{s' < s} (1-q[s',0])(1-q[s',1]) * q[s,j] * (1-q[s,1-j])
 
     and the pulse is discarded iff both ports click in its first firing
     slot.  :func:`expected_event_rates` reads the same closed form.
     """
-    return np.cumsum(_first_fire_increments(q), axis=-1)
+    return cumulative_edges(list(_first_fire_increments(np.asarray(q, dtype=float))))
 
 
 def click_bound(dist: SlotPortDistribution, mu_arrived: float, apds: ApdPair) -> float:
@@ -207,9 +221,9 @@ def click_bound(dist: SlotPortDistribution, mu_arrived: float, apds: ApdPair) ->
 def sample_outcomes(u: np.ndarray, rows: Iterable[np.ndarray]) -> np.ndarray:
     """Outcome of each pulse from its uniform ``u`` and its own row of K
     cumulative outcome probabilities, given edge by edge: ``rows`` yields K
-    arrays shaped like ``u`` (a (K, n) array qualifies).  The outcome is
-    the number of edges at or below the uniform, so K means none of the K
-    outcomes.  The attacker (:func:`eavesdrop.attack_batch`) and the
+    arrays shaped like ``u`` (a (K, n) edge-major array qualifies).  The
+    outcome is the number of edges at or below the uniform, so K means none
+    of the K outcomes.  The attacker (:func:`eavesdrop.attack_batch`) and the
     receiver (:func:`detect_batch`) both sample with it."""
     count = np.zeros(len(u), dtype=np.uint8)
     for edge in rows:
@@ -272,8 +286,9 @@ def detect_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """First-fire detection of the candidates of a batch.
 
-    ``rows`` gives each candidate's (7,) :func:`first_fire_table` row, one
-    edge at a time as for :func:`sample_outcomes`.  The candidates must
+    ``rows`` gives the candidates' :func:`first_fire_table` rows one edge
+    at a time as for :func:`sample_outcomes`: seven arrays of one edge per
+    candidate, such as a (7, n) edge-major table.  The candidates must
     have been drawn with a ``p`` at least every pulse's any-click
     probability (the row's last entry), so a pulse that is not a candidate
     cannot click.
@@ -290,4 +305,4 @@ def expected_event_rates(dist: SlotPortDistribution, mu_arrived: float, apds: Ap
     """Exact (3, 2) per-cell registration probabilities under first-fire:
     the six cell increments of :func:`first_fire_table`."""
     q = cell_click_probabilities(dist, mu_arrived, apds)
-    return _first_fire_increments(q)[:N_CELLS].reshape(3, 2)
+    return np.array(list(_first_fire_increments(q))[:N_CELLS]).reshape(3, 2)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detection import sample_outcomes
+from .detection import cumulative_edges, sample_outcomes
 from .optics import (
     CANONICAL_AMPLITUDES,
     CANONICAL_STATES,
@@ -46,12 +46,13 @@ class EveSpec:
 
 
 def cumulative_outcomes(early, late, spec: EveSpec, phase=None) -> np.ndarray:
-    """Cumulative probabilities (..., 6) of the six slot/port outcomes
+    """Cumulative probabilities (6, ...) of the six slot/port outcomes
     (slot-major) for link amplitudes ``early``/``late``, which broadcast
-    with ``phase`` as in :func:`slot_port_probabilities`.  The remainder up
-    to 1 is the no-outcome branch."""
-    cells = [p for row in slot_port_probabilities(early, late, spec.apparatus, phase) for p in row]
-    return np.cumsum(np.stack(np.broadcast_arrays(*cells), axis=-1), axis=-1)
+    with ``phase`` as in :func:`slot_port_probabilities`.  The edges are
+    edge-major, one contiguous row per edge.  The remainder up to 1 is the
+    no-outcome branch."""
+    cells = slot_port_probabilities(early, late, spec.apparatus, phase)
+    return cumulative_edges([p for row in cells for p in row])
 
 
 def attack_batch(u: np.ndarray, rows: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -84,7 +85,7 @@ def enumerate_attack_qber(
     if not spec.enabled:
         return {Basis.Z: 0.0, Basis.X: 0.0}
     early, late = CANONICAL_AMPLITUDES.T
-    eve = np.diff(cumulative_outcomes(early, late, spec), prepend=0.0)
+    eve = np.diff(cumulative_outcomes(early, late, spec), axis=0, prepend=0.0).T
     bob = np.array(slot_port_probabilities(early, late, bob_spec)).reshape(6, -1).T
     joint = eve @ bob[CELL_STATE]
     sent = np.arange(len(CANONICAL_STATES))[:, None]

@@ -350,15 +350,26 @@ class SiftedKey:
 
 
 def _max_line(count: int) -> int:
-    """Bound on the longest record an honest peer sends when no record lists
-    more than ``count`` indices over its index fields; the receiver passes
-    twice its event count, for a match reply's sifted and disclosed
-    positions.  At the widest width, 8 bytes of gap per index take at most
+    """Bound on the longest record an honest receiver sends when its
+    announce lists at most ``count`` pulse indices, the transmitter's pulse
+    count.  At the widest width, 8 bytes of gap per index take at most
     (32 * n + 8) / 3 bytes of base64 in a field of n, and a packed basis bit
     per index at most count / 6 + 4: under 11 * count + 7 per record.  The
     JSON keys, two counts of at most 20 digits and two widths take under
     150 of the 256 bytes left."""
     return 256 + 11 * count
+
+
+def _reply_max_line(events: int) -> int:
+    """Length of the longest match reply an honest transmitter can send for
+    ``events`` announced events.  Each of its two lists holds at most
+    ``events`` positions below ``events`` (a sample position lies below the
+    sifted count), so no gap exceeds ``events``, and every gap fits the
+    narrowest width that holds that count.  Both lists full at that width
+    give the bound; a QBER report is shorter."""
+    width = next(w for w in _GAP_DTYPES if events < 256**w)
+    field = len('{"count":,"width":1,"gaps":""}') + len(str(events)) + 4 * -(-events * width // 3)
+    return len('{"type":"match_reply","indices":,"sample":}\n') + 2 * field
 
 
 def _expect(msg: ClassicalMessage, kind: type | None) -> None:
@@ -443,7 +454,7 @@ class BobEndpoint:
 
     def __init__(self, classifications: ClassifiedEvents):
         self.classifications = classifications
-        self.max_line = _max_line(2 * len(classifications))
+        self.max_line = _reply_max_line(len(classifications))
         self.key: SiftedKey | None = None
         self._next: type | None = AliceMatchReply
 

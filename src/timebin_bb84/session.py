@@ -12,7 +12,9 @@ sample with ``detection.sample_outcomes`` from each pulse's own
 cumulative row: its state's table row, taken one edge at a time, or on a
 leg with phase drift (sigma > 0) a row computed from the pulse's
 amplitudes and phase through the same optics and click formulas, in
-broadcast calls over up to 2^16 candidates.
+broadcast calls over up to 2^16 candidates.  Rows are edge-major: the
+tables are (K, k) over the k states and the drifted rows (K, n) over the
+candidates, one contiguous row per edge.
 
 The transmitter's choices come from one 64-bit DOMAIN_ALICE key through
 the counter-based ``PulseTrain``, so they cost nothing until read.  Per
@@ -175,13 +177,13 @@ def _drifted_rows(
     mu: float,
     apds: tuple[ApdSpec, ApdSpec],
 ) -> np.ndarray:
-    """(n, 7) first-fire rows of n pulses with (n, 2) link amplitudes
-    ``amps`` at receiver phases ``phases``.  Only the two S2 cells depend
-    on the phase; the others keep the pulses' (n, 6) table click
-    probabilities ``q``, which are overwritten in place."""
-    _, s2, _ = slot_port_probabilities(*amps.T, bob_amz, phases)
+    """(7, n) edge-major first-fire rows of n pulses with (2, n) link
+    amplitudes ``amps`` at receiver phases ``phases``.  Only the two S2
+    cells depend on the phase; the others keep the pulses' (6, n) table
+    click probabilities ``q``, whose two S2 rows are overwritten in place."""
+    _, s2, _ = slot_port_probabilities(*amps, bob_amz, phases)
     for port in (0, 1):
-        q[:, 2 * Slot.S2 + port] = click_probability(s2[port], mu, apds[port])
+        q[2 * Slot.S2 + port] = click_probability(s2[port], mu, apds[port])
     return first_fire_table(q)
 
 
@@ -189,15 +191,16 @@ _ROW_CHUNK = 1 << 16  # candidates per drifted-row call
 
 
 def _chunked_rows(k: int, states: np.ndarray, phases: np.ndarray, row_fn) -> np.ndarray:
-    """(k, n) cumulative-row edges of n candidates from ``row_fn(states,
-    phases)``, the (m, k) rows of m of them.  Past _ROW_CHUNK candidates,
-    chunks fill one preallocated array, so a call's temporaries stay bounded."""
+    """(k, n) edge-major cumulative rows of n candidates from
+    ``row_fn(states, phases)``, the (k, m) rows of m of them.  Past
+    _ROW_CHUNK candidates, chunks fill one preallocated array, so a call's
+    temporaries stay bounded."""
     if states.size <= _ROW_CHUNK:
-        return row_fn(states, phases).T
+        return row_fn(states, phases)
     rows = np.empty((k, states.size))
     for lo in range(0, states.size, _ROW_CHUNK):
         chunk = slice(lo, lo + _ROW_CHUNK)
-        rows[:, chunk] = row_fn(states[chunk], phases[chunk]).T
+        rows[:, chunk] = row_fn(states[chunk], phases[chunk])
     return rows
 
 
@@ -227,7 +230,7 @@ def run_session(config: SessionConfig) -> SessionResult:
     bob_amz = config.bob_amz
     eve_on = config.eve.enabled
     if eve_on:
-        eve_cum = eavesdrop.cumulative_outcomes(prepared[:, 0], prepared[:, 1], config.eve)
+        eve_cum = eavesdrop.cumulative_outcomes(*prepared.T, config.eve)
         sigma_eve_leg = math.hypot(
             config.alice_amz.phase_jitter_rad, config.eve.apparatus.phase_jitter_rad
         )
@@ -245,14 +248,15 @@ def run_session(config: SessionConfig) -> SessionResult:
     # The fiber scales every amplitude by sqrt(transmittance).
     incoming = math.sqrt(transmittance(config.channel)) * incoming
     dists = _receiver_distributions(incoming, bob_amz)
-    q_table = np.stack([cell_click_probabilities(d, mu, apds) for d in dists])
+    # Cell-major tables: (6, k) click probabilities, (7, k) cumulative edges.
+    q_table = np.stack([cell_click_probabilities(d, mu, apds) for d in dists], axis=1)
     cum_table = first_fire_table(q_table)
     # Under receiver drift a pulse's click probability moves with its
     # phase, so candidates are drawn below a phase-independent bound.
     if sigma_bob_leg > 0.0:
         p = max(click_bound(d, mu, apds) for d in dists)
     else:
-        p = cum_table[:, -1].max()
+        p = cum_table[-1].max()
 
     records = PulseTrain(n, rng.child_seed(DOMAIN_ALICE, 0))
     ev_idx: list[np.ndarray] = []
@@ -271,25 +275,25 @@ def run_session(config: SessionConfig) -> SessionResult:
         # Each station samples every candidate from its own cumulative row:
         # on a drifting leg broadcast calls over the candidates' amplitudes
         # and phases, else its state's table row, taken one edge at a time
-        # so that no (n, K) gather is held.
+        # so that no (K, n) gather is held.
         if eve_on:
             u = rng.indexed_stream(DOMAIN_EVE, b).random(pulses.size)
             if sigma_eve_leg > 0.0:
                 normals = rng.indexed_stream(DOMAIN_JITTER, 2 * b).standard_normal(pulses.size)
                 phases = config.eve.apparatus.phase_offset_rad + sigma_eve_leg * normals
                 eve_rows = _chunked_rows(6, states, phases, lambda s, ph: eavesdrop.cumulative_outcomes(
-                    *prepared[s].T, config.eve, ph))
+                    *prepared.T.take(s, axis=1), config.eve, ph))
             else:
-                eve_rows = (edge.take(states) for edge in eve_cum.T)
+                eve_rows = (edge.take(states) for edge in eve_cum)
             _, states = eavesdrop.attack_batch(u, eve_rows)
 
         if sigma_bob_leg > 0.0:
             normals = rng.indexed_stream(DOMAIN_JITTER, 2 * b + 1).standard_normal(pulses.size)
             phases = bob_amz.phase_offset_rad + sigma_bob_leg * normals
             bob_rows = _chunked_rows(7, states, phases, lambda s, ph: _drifted_rows(
-                q_table[s], incoming[s], ph, bob_amz, mu, apds))
+                q_table.take(s, axis=1), incoming.T.take(s, axis=1), ph, bob_amz, mu, apds))
         else:
-            bob_rows = (edge.take(states) for edge in cum_table.T)
+            bob_rows = (edge.take(states) for edge in cum_table)
 
         registered, slot, port, _ = detect_batch(batch, bob_rows)
         events_registered += int(np.count_nonzero(registered))

@@ -32,6 +32,25 @@ def every_pulse_row(rows) -> np.ndarray:
     return np.stack(list(rows), axis=-1)
 
 
+def first_fire_row(q) -> list[float]:
+    """One pulse's seven cumulative first-fire edges from its six
+    slot-major click probabilities ``q``, in Python floats: registration
+    (s, j) is shadow_s * q[s, j] * (1 - q[s, 1-j]), where shadow_s is the
+    product over earlier slots of (1 - q[s', 0]) * (1 - q[s', 1]); the
+    discard adds shadow_s * q[s, 0] * q[s, 1] over the slots; the edges
+    are running sums from the left."""
+    edges, total, shadow, discard = [], 0.0, 1.0, 0.0
+    for s in range(3):
+        q0, q1 = float(q[2 * s]), float(q[2 * s + 1])
+        for registered in (shadow * q0 * (1.0 - q1), shadow * q1 * (1.0 - q0)):
+            total += registered
+            edges.append(total)
+        discard += shadow * q0 * q1
+        shadow *= (1.0 - q0) * (1.0 - q1)
+    edges.append(total + discard)
+    return edges
+
+
 def outcomes_every_pulse(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
     """Outcome of each pulse: the number of its row's edges at or below
     its uniform."""

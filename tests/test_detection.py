@@ -309,6 +309,21 @@ class TestFirstFireSampler:
         if case == "high_click":
             assert law[6] > 0.1  # the discard branch is well populated
 
+    def test_table_is_the_per_row_closed_form_bit_for_bit(self):
+        """Edge-major rows of random click probabilities, with cells at
+        exactly 0 and 1 among them, equal the per-row closed form in
+        Python floats, every edge the same number."""
+        rng = np.random.default_rng(21)
+        q = rng.random((6, 3000))
+        q[rng.random(q.shape) < 0.15] = 0.0
+        q[rng.random(q.shape) < 0.15] = 1.0
+        q[:, :500] *= 1e-4  # small probabilities, where rounding matters most
+        table = first_fire_table(q)
+        assert table.shape == (7, 3000) and table.flags.c_contiguous
+        want = np.array([per_pulse.first_fire_row(row) for row in q.T]).T
+        assert np.array_equal(table, want)
+        assert np.array_equal(first_fire_table(q[:, 7]), want[:, 7])  # one (6,) row
+
     @pytest.mark.parametrize(
         "apds",
         [
@@ -329,25 +344,24 @@ class TestFirstFireSampler:
                 bound = click_bound(bob_transform(link_state(early, late), amz), mu, apds)
                 cells = np.stack(
                     [np.broadcast_to(c, phases.shape)
-                     for row in slot_port_probabilities(early, late, amz, phases) for c in row],
-                    axis=-1,
+                     for row in slot_port_probabilities(early, late, amz, phases) for c in row]
                 )
                 q = np.zeros_like(cells)
                 for j in range(6):
-                    q[:, j] = click_probability(cells[:, j], mu, apds[j % 2])
+                    q[j] = click_probability(cells[j], mu, apds[j % 2])
                 if apds[0].gates_per_pulse == 1:
-                    q[:, [0, 1, 4, 5]] = 0.0
-                total = first_fire_table(q)[:, -1]
+                    q[[0, 1, 4, 5]] = 0.0
+                total = first_fire_table(q)[-1]
                 assert np.all(total <= bound)
                 if apds[0] == apds[1]:
                     assert bound - total.max() < 1e-11  # tight for equal efficiencies
 
 
 def drifted_rows(early, late, amz: AmzSpec, phases: np.ndarray, mu: float, apds) -> np.ndarray:
-    """(len(phases), 7) first-fire rows of one incoming state at receiver
-    phases ``phases``, every cell recomputed from the optics."""
+    """(7, len(phases)) edge-major first-fire rows of one incoming state at
+    receiver phases ``phases``, every cell recomputed from the optics."""
     cells = [np.broadcast_to(c, phases.shape) for row in slot_port_probabilities(early, late, amz, phases) for c in row]
-    q = np.stack([click_probability(c, mu, apds[j % 2]) for j, c in enumerate(cells)], axis=-1)
+    q = np.stack([click_probability(c, mu, apds[j % 2]) for j, c in enumerate(cells)])
     return first_fire_table(q)
 
 
@@ -395,7 +409,7 @@ class TestCandidates:
         flat = AmzSpec(visibility=0.95, excess_loss_db=0.5)
         cum = np.zeros((m, 7))
         for k, (early, late) in enumerate(amps):
-            cum[states == k] = drifted_rows(early, late, flat, phases[states == k], mu, apds)
+            cum[states == k] = drifted_rows(early, late, flat, phases[states == k], mu, apds).T
         if sigma > 0.0:
             limits = np.array([click_bound(bob_transform(link_state(*a), amz), mu, apds) for a in amps])
         else:

@@ -133,7 +133,7 @@ class TestAttackBranches:
             assert np.max(np.abs(cumulative_outcomes(*link.bins[:, 0], spec) - want)) < 1e-15
             phases = np.array([-1.0, 0.0, 2.5])
             rows = cumulative_outcomes(*link.bins[:, 0], spec, phases)
-            for phase, row in zip(phases, rows):
+            for phase, row in zip(phases, rows.T):
                 shifted = AmzSpec(excess_loss_db=1.0, visibility=0.8, phase_offset_rad=float(phase))
                 want = np.cumsum(bob_transform(link, shifted).p.reshape(6))
                 assert np.max(np.abs(row - want)) < 1e-15
@@ -153,18 +153,18 @@ class TestDriftedRows:
         states = gen.integers(0, 4, size=m, dtype=np.uint8)
         phases = 0.2 + 0.25 * gen.standard_normal(m)
 
-        table = np.empty((m, 6))
+        table = np.empty((6, m))
         for k, (early, late) in enumerate(amps):
             mask = states == k
-            table[mask] = cumulative_outcomes(early, late, spec, phases[mask])
+            table[:, mask] = cumulative_outcomes(early, late, spec, phases[mask])
         u = RngHandle(5).indexed_stream(DOMAIN_EVE, 0).random(m)
         want = np.zeros(m, dtype=np.uint8)
-        for column in table.T:
-            want += u >= column
+        for edge in table:
+            want += u >= edge
 
         rows = cumulative_outcomes(*amps[states].T, spec, phases)
-        assert np.array_equal(rows, table)
-        outcomes, resent = attack_batch(u, rows.T)
+        assert np.array_equal(rows, table) and rows.flags.c_contiguous
+        outcomes, resent = attack_batch(u, rows)
         assert np.array_equal(outcomes, want)
         assert np.array_equal(resent, OUTCOME_TO_STATE_INDEX[want])
         assert len(np.unique(outcomes)) == 7
@@ -178,7 +178,7 @@ class TestMonteCarloInvariant:
         states = rng.integers(0, 4, size=n).astype(np.uint8)
         amps = np.array([canonical_link_state(s).bins[:, 0] for s in CANONICAL_STATES])
         cum = cumulative_outcomes(amps[:, 0], amps[:, 1], eve_spec)
-        _, resent = attack_batch(rng.random(n), cum[states].T)
+        _, resent = attack_batch(rng.random(n), cum[:, states])
         # receiver: projective sample over the six cells per resent state
         tables = np.stack(
             [bob_transform(canonical_link_state(s), ideal_amz()).p.reshape(6) for s in CANONICAL_STATES]

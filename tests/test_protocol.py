@@ -399,6 +399,27 @@ class TestRecordCap:
             assert len(line) <= (alice_cap if to_alice else bob_cap)
             assert_same_message(decode_message(line), msg)
 
+    @pytest.mark.parametrize("events", [0, 1, 200, 255])
+    def test_receiver_cap_is_the_fullest_honest_reply(self, events):
+        """Below 256 events every gap fits one byte, so the receiver's cap
+        is exactly the fullest honest match reply, every announced position
+        sifted and disclosed: that reply is read, and the same record one
+        byte longer (JSON whitespace before its newline) is refused."""
+        bob = BobEndpoint(make_events(*[(i, 0, 0) for i in range(events)]))
+        full = AliceMatchReply(np.arange(events), np.arange(events))
+        record = encode_message(full)
+        sock_a, sock_b = socket.socketpair()
+        transport = SocketTransport(sock_a, timeout=5.0)
+        try:
+            sock_b.sendall(record)
+            assert_same_message(transport.recv(bob.max_line), full)
+            sock_b.sendall(record[:-1] + b" \n")
+            with pytest.raises(ProtocolError, match="longer than"):
+                transport.recv(bob.max_line)
+        finally:
+            transport.close()
+            sock_b.close()
+
     def test_empty_records_fit_cap(self):
         cap = BobEndpoint(make_events()).max_line
         empty = np.empty(0, np.int64)

@@ -374,6 +374,52 @@ def test_dense_link_memory_holds_no_per_candidate_table():
         assert peak < bound_mb * 2**20, f"{name}: peak {peak / 2**20:.1f} MB"
 
 
+def drifting_receiver_tables():
+    """A drifting receiver's inputs as run_session builds them: five
+    incoming states (vacuum among them) with unequal detectors, their
+    (6, 5) click probabilities and their (7, 5) cumulative edges."""
+    bob_amz = AmzSpec(visibility=0.9, excess_loss_db=0.7, phase_offset_rad=0.3, phase_jitter_rad=0.2)
+    apds = (ApdSpec(efficiency=0.2, dark_per_gate=1e-3), ApdSpec(efficiency=0.5, dark_per_gate=1e-4))
+    prepared = session._prepared_amplitudes(AmzSpec(phase_offset_rad=0.2))
+    incoming = 0.8 * np.vstack([prepared, np.zeros(2)])
+    dists = session._receiver_distributions(incoming, bob_amz)
+    q_table = np.stack([detection.cell_click_probabilities(d, 0.4, apds) for d in dists], axis=1)
+    return bob_amz, apds, incoming, q_table, detection.first_fire_table(q_table)
+
+
+class TestDriftedRows:
+    def test_rows_at_the_receiver_offset_are_the_table_rows(self):
+        """With every phase at the receiver's offset, the per-candidate
+        rows equal each candidate's state's table row, bit for bit."""
+        bob_amz, apds, incoming, q_table, cum_table = drifting_receiver_tables()
+        states = np.random.default_rng(3).integers(0, 5, 20_000).astype(np.uint8)
+        phases = np.full(states.size, bob_amz.phase_offset_rad)
+        rows = session._drifted_rows(
+            q_table.take(states, axis=1), incoming.T.take(states, axis=1), phases, bob_amz, 0.4, apds
+        )
+        assert rows.shape == (7, states.size) and rows.flags.c_contiguous
+        assert np.array_equal(rows, cum_table.take(states, axis=1))
+
+    @pytest.mark.parametrize("chunk", [1 << 16, 1000], ids=["one_call", "chunked"])
+    def test_chunked_rows_are_contiguous_edges(self, monkeypatch, chunk):
+        """Both branches of _chunked_rows give a C-contiguous (K, n) array,
+        the rows of one call over every candidate."""
+        monkeypatch.setattr(session, "_ROW_CHUNK", chunk)
+        bob_amz, apds, incoming, q_table, _ = drifting_receiver_tables()
+        gen = np.random.default_rng(4)
+        states = gen.integers(0, 5, 4500).astype(np.uint8)
+        phases = bob_amz.phase_offset_rad + 0.2 * gen.standard_normal(states.size)
+
+        def row_fn(s, ph):
+            return session._drifted_rows(
+                q_table.take(s, axis=1), incoming.T.take(s, axis=1), ph, bob_amz, 0.4, apds
+            )
+
+        rows = session._chunked_rows(7, states, phases, row_fn)
+        assert rows.shape == (7, states.size) and rows.flags.c_contiguous
+        assert np.array_equal(rows, row_fn(states, phases))
+
+
 class TestEveSessions:
     def test_attack_qber_matches_first_fire_oracle(self):
         cfg = ideal_config(
