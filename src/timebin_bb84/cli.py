@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -38,7 +39,9 @@ class SystemExit_Usage(Exception):
     pass
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="timebin-bb84", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
     p_profile = subs.add_parser("profile", help="per-state slot/port intensity profiles")

@@ -26,7 +26,9 @@ on every click probability is "no click" without further work.  So
 ``p`` (the candidates), as geometric gaps between positions, and gives
 each the uniform ``p * v``, ``v`` uniform on [0, 1): exactly the law of a
 uniform given that it lies below ``p``.  :func:`detect_batch` then
-evaluates only those candidates.
+evaluates only those candidates; the session calls it once per slice of
+up to 2^16 of a batch's candidates, each slice a :class:`Candidates` of
+its own over the pulses it spans.
 
 All randomness flows through :class:`RngHandle`, which derives named
 substreams (one per domain, batch or sweep point) from a single 64-bit
@@ -235,7 +237,9 @@ def sample_outcomes(u: np.ndarray, rows: Iterable[np.ndarray]) -> np.ndarray:
 class Candidates:
     """The pulses of a batch of ``size`` pulses that can click: ``offsets``
     holds their ascending positions in the batch and ``u`` their detection
-    uniforms.  ``len()`` is the batch's pulse count."""
+    uniforms.  A slice of a batch's candidates keeps their batch positions,
+    with ``size`` the pulses the slice spans, so the sizes of a batch's
+    slices add up to its own.  ``len()`` is ``size``."""
 
     size: int
     offsets: np.ndarray
@@ -276,9 +280,11 @@ def draw_candidates(m: int, p: float, rng: np.random.Generator) -> Candidates:
             np.cumsum(positions, out=positions)
             blocks.append(positions)
             last = int(positions[-1])
-        offsets = np.concatenate(blocks)
+        offsets = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
         offsets = offsets[: np.searchsorted(offsets, m)]
-    return Candidates(m, offsets, min(p, 1.0) * rng.random(offsets.size))
+    u = rng.random(offsets.size)
+    u *= min(p, 1.0)
+    return Candidates(m, offsets, u)
 
 
 def detect_batch(

@@ -167,44 +167,39 @@ ClassicalMessage = BobBasisAnnounce | AliceMatchReply | SampleBits | QberReport
 _GAP_DTYPES = {d.itemsize: d for d in map(np.dtype, ("<u1", "<u2", "<u4", "<u8"))}
 
 
-def _b64(arr: np.ndarray) -> str:
-    return base64.b64encode(arr.tobytes()).decode("ascii")
-
-
-def _index_field(indices: np.ndarray) -> dict:
+def _index_field(indices: np.ndarray) -> list[bytes]:
     gaps = np.diff(np.asarray(indices, dtype=np.int64), prepend=-1)
     if gaps.min(initial=1) < 1:
         raise ProtocolError("cannot encode indices that are negative or not strictly increasing")
     top = int(gaps.max(initial=0))
     dtype = next(d for d in _GAP_DTYPES.values() if top < 256**d.itemsize)
-    return {"count": gaps.size, "width": dtype.itemsize, "gaps": _b64(gaps.astype(dtype))}
+    head = b'{"count":%d,"width":%d,"gaps":"' % (gaps.size, dtype.itemsize)
+    return [head, base64.b64encode(gaps.astype(dtype)), b'"}']
 
 
-def _bit_field(bits: np.ndarray) -> dict:
-    return {"count": np.asarray(bits).size, "packed": _b64(np.packbits(bits))}
+def _bit_field(bits: np.ndarray) -> list[bytes]:
+    head = b'{"count":%d,"packed":"' % np.asarray(bits).size
+    return [head, base64.b64encode(np.packbits(bits)), b'"}']
 
 
 def encode_message(msg: ClassicalMessage) -> bytes:
-    """One self-describing JSON record per message, newline-terminated."""
+    """One self-describing JSON record per message, newline-terminated: the
+    bytes of ``json.dumps(record, separators=(",", ":"))``, assembled from
+    parts so that each base64 payload is copied once, not scanned again."""
     if isinstance(msg, BobBasisAnnounce):
-        obj = {
-            "type": "basis_announce",
-            "indices": _index_field(msg.indices),
-            "bases": _bit_field(msg.bases),
-        }
+        parts = [b'{"type":"basis_announce","indices":', *_index_field(msg.indices),
+                 b',"bases":', *_bit_field(msg.bases)]
     elif isinstance(msg, AliceMatchReply):
-        obj = {
-            "type": "match_reply",
-            "indices": _index_field(msg.indices),
-            "sample": _index_field(msg.sample),
-        }
+        parts = [b'{"type":"match_reply","indices":', *_index_field(msg.indices),
+                 b',"sample":', *_index_field(msg.sample)]
     elif isinstance(msg, SampleBits):
-        obj = {"type": "sample_bits", "bits": _bit_field(msg.bits)}
+        parts = [b'{"type":"sample_bits","bits":', *_bit_field(msg.bits)]
     elif isinstance(msg, QberReport):
-        obj = {"type": "qber_report", "value": msg.value}
+        parts = [b'{"type":"qber_report","value":', json.dumps(msg.value).encode("ascii")]
     else:
         raise ProtocolError(f"cannot encode message of type {type(msg).__name__}")
-    return (json.dumps(obj, separators=(",", ":")) + "\n").encode("ascii")
+    parts.append(b"}\n")
+    return b"".join(parts)
 
 
 def _scalar(value, types: tuple[type, ...]):
@@ -238,7 +233,8 @@ def _indices(field) -> np.ndarray:
     gaps = np.frombuffer(_payload(field["gaps"], count * width, "index"), _GAP_DTYPES[width])
     if gaps.min(initial=1) == 0:
         raise ProtocolError("index gap of 0: indices must strictly increase")
-    ends = np.cumsum(gaps, dtype=np.uint64)
+    ends = gaps.astype(np.uint64)
+    np.cumsum(ends, out=ends)
     # Only when count gaps of this width can pass 2**63 can the sum wrap.
     if count * (256**width - 1) > 2**63 and (
         ends[-1] > 2**63 or np.any(ends[1:] <= ends[:-1])
@@ -392,15 +388,13 @@ def _require_increasing_within(
 
 
 def _undisclosed(
-    bits: np.ndarray, indices: np.ndarray, sifted: np.ndarray, disclosed: np.ndarray, qber: float
+    bits: np.ndarray, indices: np.ndarray, sifted: np.ndarray, sample: np.ndarray, qber: float
 ) -> SiftedKey:
-    """The key at announce positions ``sifted`` but not ``disclosed``, from
-    the per-announced-event ``bits`` and pulse ``indices``."""
-    keep = np.zeros(indices.size, dtype=bool)
-    keep[sifted] = True
-    keep[disclosed] = False
-    at = np.flatnonzero(keep)
-    return SiftedKey(bits.take(at), indices.take(at), qber, int(disclosed.size))
+    """The key at announce positions ``sifted`` less the disclosed
+    ``sample``, given as positions within ``sifted``, from the
+    per-announced-event ``bits`` and pulse ``indices``."""
+    at = np.delete(sifted, sample)
+    return SiftedKey(bits.take(at), indices.take(at), qber, int(sample.size))
 
 
 class AliceEndpoint:
@@ -436,14 +430,13 @@ class AliceEndpoint:
                     f"{self.sample_fraction} disclosure fraction"
                 )
             pick = np.sort(self.rng.choice(matched.size, size=n_sample, replace=False))
-            self._announced, self._bits, self._sifted = msg.indices, bits, matched
-            self._shown = matched.take(pick)
+            self._announced, self._bits, self._sifted, self._sample = msg.indices, bits, matched, pick
             self._next = SampleBits
             return [AliceMatchReply(matched, pick)]
-        if msg.bits.size != self._shown.size:
+        if msg.bits.size != self._sample.size:
             raise ProtocolError("sample_bits length does not match the disclosed set")
-        qber = float(np.mean(msg.bits != self._bits.take(self._shown)))
-        self.key = _undisclosed(self._bits, self._announced, self._sifted, self._shown, qber)
+        qber = float(np.mean(msg.bits != self._bits.take(self._sifted.take(self._sample))))
+        self.key = _undisclosed(self._bits, self._announced, self._sifted, self._sample, qber)
         self._next = None
         return [QberReport(qber)]
 
@@ -468,13 +461,12 @@ class BobEndpoint:
         if isinstance(msg, AliceMatchReply):
             _require_increasing_within(msg.indices, len(ev), "match reply")
             _require_increasing_within(msg.sample, msg.indices.size, "sample")
-            self._sifted = msg.indices
-            self._shown = msg.indices.take(msg.sample)
+            self._sifted, self._sample = msg.indices, msg.sample
             self._next = QberReport
-            return [SampleBits(ev.bits.take(self._shown))]
+            return [SampleBits(ev.bits.take(msg.indices.take(msg.sample)))]
         if not 0.0 <= msg.value <= 1.0:
             raise ProtocolError(f"reported QBER {msg.value} outside [0, 1]")
-        self.key = _undisclosed(ev.bits, ev.pulse_indices, self._sifted, self._shown, msg.value)
+        self.key = _undisclosed(ev.bits, ev.pulse_indices, self._sifted, self._sample, msg.value)
         self._next = None
         return []
 

@@ -4,17 +4,16 @@
 Pulses are processed in fixed-size batches with per-batch random
 substreams, so results are reproducible for a given (seed, config) and the
 batches could in principle be evaluated in parallel and merged by pulse
-index.  Within a batch everything is vectorised over numpy arrays.  A
-session sees at most five distinct incoming states (the four canonical
-ones plus vacuum when the attacker suppresses a pulse), so click and
-attack-outcome probabilities come from per-state tables.  Both stations
-sample with ``detection.sample_outcomes`` from each pulse's own
+index.  A session sees at most five distinct incoming states (the four
+canonical ones plus vacuum when the attacker suppresses a pulse), so click
+and attack-outcome probabilities come from per-state tables.  Both
+stations sample with ``detection.sample_outcomes`` from each pulse's own
 cumulative row: its state's table row, taken one edge at a time, or on a
 leg with phase drift (sigma > 0) a row computed from the pulse's
 amplitudes and phase through the same optics and click formulas, in
-broadcast calls over up to 2^16 candidates.  Rows are edge-major: the
-tables are (K, k) over the k states and the drifted rows (K, n) over the
-candidates, one contiguous row per edge.
+broadcast calls.  Rows are edge-major: the tables are (K, k) over the k
+states and the drifted rows (K, n) over n candidates, one contiguous row
+per edge.
 
 The transmitter's choices come from one 64-bit DOMAIN_ALICE key through
 the counter-based ``PulseTrain``, so they cost nothing until read.  Per
@@ -24,6 +23,12 @@ states (under receiver drift, a phase-independent bound on it).  A pulse
 that is not a candidate cannot click whatever the attacker forwards, so
 everything else runs on the candidates only, well under 1% of pulses on a
 25 km link; the substreams they draw on are listed in ``detection``.
+After the batch's draws, one pass walks its candidates in slices of
+2^16, small enough that a slice's temporaries stay in cache: each slice
+is hashed into transmitter states, attacked, given its receiver rows and
+detected, and its results fill the batch's arrays, which are compacted
+into events once per batch.  The summary reads the transmitter states of
+the events from this pass rather than hashing them again.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from .detection import (
     DOMAIN_SAMPLE,
     DOMAIN_SWEEP,
     ApdSpec,
+    Candidates,
     RngHandle,
     cell_click_probabilities,
     click_bound,
@@ -113,22 +119,23 @@ class SessionResult:
 
 
 def summarize(
-    records: PulseTrain,
+    n: int,
     classifications: ClassifiedEvents,
+    sent: np.ndarray,
     key: SiftedKey,
     events_registered: int,
     dark_register_prob: float,
 ) -> SessionSummary:
-    """Counts, rates and diagnostic error rates of a finished session;
-    ``key`` is the transmitter's sifted key and ``dark_register_prob`` the
-    per-pulse registration probability of dark counts alone."""
-    n = len(records)
+    """Counts, rates and diagnostic error rates of a finished session of
+    ``n`` pulses; ``sent`` holds the transmitter's state index of each
+    event's pulse, ``key`` is the transmitter's sifted key and
+    ``dark_register_prob`` the per-pulse registration probability of dark
+    counts alone."""
     ev = classifications
-    bits, bases = records.choices(ev.pulse_indices)
     # Masks over all events: a boolean gather of the matched half costs
     # more than these elementwise passes.
-    matched = bases == ev.bases
-    errors = matched & (bits != ev.bits)
+    matched = (sent >> 1) == ev.bases
+    errors = matched & ((sent & 1) != ev.bits)
     z_mask = ev.bases == 0
     conclusive = int(np.count_nonzero(matched))
     conclusive_z = int(np.count_nonzero(matched & z_mask))
@@ -187,21 +194,20 @@ def _drifted_rows(
     return first_fire_table(q)
 
 
-_ROW_CHUNK = 1 << 16  # candidates per drifted-row call
+_ROW_CHUNK = 1 << 16  # candidates per slice of a batch's pass
 
 
-def _chunked_rows(k: int, states: np.ndarray, phases: np.ndarray, row_fn) -> np.ndarray:
-    """(k, n) edge-major cumulative rows of n candidates from
-    ``row_fn(states, phases)``, the (k, m) rows of m of them.  Past
-    _ROW_CHUNK candidates, chunks fill one preallocated array, so a call's
-    temporaries stay bounded."""
-    if states.size <= _ROW_CHUNK:
-        return row_fn(states, phases)
-    rows = np.empty((k, states.size))
-    for lo in range(0, states.size, _ROW_CHUNK):
-        chunk = slice(lo, lo + _ROW_CHUNK)
-        rows[:, chunk] = row_fn(states[chunk], phases[chunk])
-    return rows
+def _candidate_slices(batch: Candidates):
+    """``batch`` in slices of up to _ROW_CHUNK candidates, at least one:
+    (slice, Candidates) pairs.  Each slice but the first starts at its first
+    candidate's pulse, so the slices' sizes add up to the batch's."""
+    m = batch.offsets.size
+    for c0 in range(0, max(m, 1), _ROW_CHUNK):
+        c1 = min(c0 + _ROW_CHUNK, m)
+        begin = int(batch.offsets[c0]) if c0 else 0
+        end = int(batch.offsets[c1]) if c1 < m else batch.size
+        chunk = slice(c0, c1)
+        yield chunk, Candidates(end - begin, batch.offsets[chunk], batch.u[chunk])
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +268,7 @@ def run_session(config: SessionConfig) -> SessionResult:
     ev_idx: list[np.ndarray] = []
     ev_slot: list[np.ndarray] = []
     ev_port: list[np.ndarray] = []
+    ev_sent: list[np.ndarray] = []
     events_registered = 0
 
     n_batches = (n + BATCH_SIZE - 1) // BATCH_SIZE
@@ -269,41 +276,52 @@ def run_session(config: SessionConfig) -> SessionResult:
         lo = b * BATCH_SIZE
         hi = min(lo + BATCH_SIZE, n)
         batch = draw_candidates(hi - lo, p, rng.indexed_stream(DOMAIN_DETECT, b))
-        pulses = lo + batch.offsets
-        states = records.states(pulses)
-
-        # Each station samples every candidate from its own cumulative row:
-        # on a drifting leg broadcast calls over the candidates' amplitudes
-        # and phases, else its state's table row, taken one edge at a time
-        # so that no (K, n) gather is held.
+        m = batch.offsets.size
         if eve_on:
-            u = rng.indexed_stream(DOMAIN_EVE, b).random(pulses.size)
+            eve_u = rng.indexed_stream(DOMAIN_EVE, b).random(m)
             if sigma_eve_leg > 0.0:
-                normals = rng.indexed_stream(DOMAIN_JITTER, 2 * b).standard_normal(pulses.size)
-                phases = config.eve.apparatus.phase_offset_rad + sigma_eve_leg * normals
-                eve_rows = _chunked_rows(6, states, phases, lambda s, ph: eavesdrop.cumulative_outcomes(
-                    *prepared.T.take(s, axis=1), config.eve, ph))
-            else:
-                eve_rows = (edge.take(states) for edge in eve_cum)
-            _, states = eavesdrop.attack_batch(u, eve_rows)
-
+                eve_normals = rng.indexed_stream(DOMAIN_JITTER, 2 * b).standard_normal(m)
         if sigma_bob_leg > 0.0:
-            normals = rng.indexed_stream(DOMAIN_JITTER, 2 * b + 1).standard_normal(pulses.size)
-            phases = bob_amz.phase_offset_rad + sigma_bob_leg * normals
-            bob_rows = _chunked_rows(7, states, phases, lambda s, ph: _drifted_rows(
-                q_table.take(s, axis=1), incoming.T.take(s, axis=1), ph, bob_amz, mu, apds))
-        else:
-            bob_rows = (edge.take(states) for edge in cum_table)
+            bob_normals = rng.indexed_stream(DOMAIN_JITTER, 2 * b + 1).standard_normal(m)
 
-        registered, slot, port, _ = detect_batch(batch, bob_rows)
+        # One pass over cache-sized slices of the candidates.  Each station
+        # samples every candidate from its own cumulative row: on a
+        # drifting leg broadcast calls over the slice's amplitudes and
+        # phases, else its state's table row, taken one edge at a time so
+        # that no (K, n) gather is held.
+        sent = np.empty(m, dtype=np.uint8)
+        registered = np.empty(m, dtype=bool)
+        slot = np.empty(m, dtype=np.uint8)
+        port = np.empty(m, dtype=np.uint8)
+        for chunk, cand in _candidate_slices(batch):
+            sent[chunk] = records.states(lo + cand.offsets)
+            states = sent[chunk].astype(np.intp)
+            if eve_on:
+                if sigma_eve_leg > 0.0:
+                    phases = config.eve.apparatus.phase_offset_rad + sigma_eve_leg * eve_normals[chunk]
+                    eve_rows = eavesdrop.cumulative_outcomes(
+                        *prepared.T.take(states, axis=1), config.eve, phases)
+                else:
+                    eve_rows = (edge.take(states) for edge in eve_cum)
+                _, resent = eavesdrop.attack_batch(eve_u[chunk], eve_rows)
+                states = resent.astype(np.intp)
+            if sigma_bob_leg > 0.0:
+                phases = bob_amz.phase_offset_rad + sigma_bob_leg * bob_normals[chunk]
+                bob_rows = _drifted_rows(q_table.take(states, axis=1), incoming.T.take(states, axis=1),
+                                         phases, bob_amz, mu, apds)
+            else:
+                bob_rows = (edge.take(states) for edge in cum_table)
+            registered[chunk], slot[chunk], port[chunk], _ = detect_batch(cand, bob_rows)
+
         events_registered += int(np.count_nonzero(registered))
         keep = registered
         if config.conventional_mode:
             keep = registered & (slot != Slot.S3)
         at = np.flatnonzero(keep)
-        ev_idx.append(pulses.take(at))
+        ev_idx.append(lo + batch.offsets.take(at))
         ev_slot.append(slot.take(at))
         ev_port.append(port.take(at))
+        ev_sent.append(sent.take(at))
 
     idx = np.concatenate(ev_idx)
     slots = np.concatenate(ev_slot)
@@ -318,7 +336,9 @@ def run_session(config: SessionConfig) -> SessionResult:
     vacuum_dist = SlotPortDistribution(np.zeros((3, 2)))
     dark_register = float(expected_event_rates(vacuum_dist, 0.0, apds).sum())
     return SessionResult(
-        summary=summarize(records, classifications, key_a, events_registered, dark_register),
+        summary=summarize(
+            n, classifications, np.concatenate(ev_sent), key_a, events_registered, dark_register
+        ),
         alice_key=key_a,
         bob_key=key_b,
         records=records,

@@ -9,7 +9,18 @@ import hashlib
 
 import pytest
 
-from timebin_bb84 import cli
+from timebin_bb84 import cli, session
+
+# A dense link (eta 1, mu 0.5, lossless transmitter) with the attacker on,
+# over two full batches and 5 pulses: about 40% of pulses are candidates, so
+# each batch spans several 2^16-candidate slices.
+_DENSE = (
+    f"[session]\nn_pulses = {2 * session.BATCH_SIZE + 5}\nseed = SEED\n"
+    "[source]\nmu = 0.5\n"
+    "[alice_amz]\nexcess_loss_db = 0.0\n"
+    "[apd_d0]\nefficiency = 1.0\n[apd_d1]\nefficiency = 1.0\n"
+    "[eve]\nenabled = true\n"
+)
 
 # sha256 of summary.csv + alice.key + bob.key, concatenated in that order.
 PINNED = [
@@ -38,10 +49,21 @@ PINNED = [
         "[bob_amz]\nphase_jitter_rad = 0.1\n",
         "42b65f34107c5ac092fa4c9d0630852179410538aa258efb7a9cf6aed1754562",
     ),
+    (
+        _DENSE.replace("SEED", "20260106")
+        + "[eve_amz]\nphase_jitter_rad = 0.2\n"
+        "[bob_amz]\nexcess_loss_db = 0.0\nphase_jitter_rad = 0.1\n",
+        "16ef2337a4fcff36b2e2844b11b9dbde8d7979c2b4b3173b5a86dfc255293ba5",
+    ),
+    (
+        _DENSE.replace("SEED", "20260107") + "[bob_amz]\nexcess_loss_db = 0.0\n",
+        "0ecf04d285d77d5a26822135c2710a557feb074deec3e256368748731f786f63",
+    ),
 ]
+PINNED_IDS = ["default", "eve_bob_drift", "eve_all_drift", "conventional_drift", "dense_drift", "dense_steady"]
 
 
-@pytest.mark.parametrize("ini, digest", PINNED, ids=["default", "eve_bob_drift", "eve_all_drift", "conventional_drift"])
+@pytest.mark.parametrize("ini, digest", PINNED, ids=PINNED_IDS)
 def test_run_outputs_match_pinned_digest(tmp_path, capsys, ini, digest):
     path = tmp_path / "session.ini"
     path.write_text(ini)

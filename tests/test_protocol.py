@@ -242,6 +242,49 @@ def reply_record(**fields):
     return {"type": "match_reply", "indices": index_field(1), "sample": index_field(1)} | fields
 
 
+def json_record(msg) -> bytes:
+    """``msg`` as the record ``json.dumps(record, separators=(",", ":"))``
+    writes, each gap list at the narrowest width that holds its gaps."""
+
+    def indices(values):
+        gaps = np.diff(np.asarray(values, np.int64), prepend=-1).tolist()
+        return index_field(*gaps, size=next(w for w in (1, 2, 4, 8) if max(gaps, default=0) < 256**w))
+
+    if isinstance(msg, BobBasisAnnounce):
+        record = {"type": "basis_announce", "indices": indices(msg.indices), "bases": bit_field(*msg.bases)}
+    elif isinstance(msg, AliceMatchReply):
+        record = {"type": "match_reply", "indices": indices(msg.indices), "sample": indices(msg.sample)}
+    elif isinstance(msg, SampleBits):
+        record = {"type": "sample_bits", "bits": bit_field(*msg.bits)}
+    else:
+        record = {"type": "qber_report", "value": msg.value}
+    return (json.dumps(record, separators=(",", ":")) + "\n").encode("ascii")
+
+
+def spaced(top: int, count: int = 11) -> np.ndarray:
+    """``count`` increasing indices whose largest gap is ``top``."""
+    return np.cumsum(np.r_[top - 1, np.arange(1, count)])
+
+
+CODEC_MESSAGES = {
+    "announce_width1": BobBasisAnnounce(spaced(255), np.arange(11, dtype=np.uint8) % 2),
+    "announce_width2": BobBasisAnnounce(spaced(256), np.ones(11, np.uint8)),
+    "announce_width4": BobBasisAnnounce(spaced(2**32 - 1), np.zeros(11, np.uint8)),
+    "announce_width8": BobBasisAnnounce(spaced(2**40), np.arange(11, dtype=np.uint8) % 3 % 2),
+    "announce_empty": BobBasisAnnounce(np.array([], np.int64), np.array([], np.uint8)),
+    "reply_mixed_widths": AliceMatchReply(spaced(70_000), np.array([0, 4, 10])),
+    "reply_width8": AliceMatchReply(spaced(2**33), spaced(2)),
+    "reply_empty": AliceMatchReply(np.array([], np.int64), np.array([], np.int64)),
+    "reply_empty_sample": AliceMatchReply(spaced(3), np.array([], np.int64)),
+    "sample_bits_13": SampleBits(np.array([1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 1], np.uint8)),
+    "sample_bits_16": SampleBits(np.ones(16, np.uint8)),
+    "sample_bits_empty": SampleBits(np.array([], np.uint8)),
+    "qber_zero": QberReport(0.0),
+    "qber_third": QberReport(1 / 3),
+    "qber_one": QberReport(1.0),
+}
+
+
 class TestCodec:
     @pytest.mark.parametrize(
         "msg",
@@ -263,6 +306,12 @@ class TestCodec:
                 assert np.array_equal(got, value)
             else:
                 assert got == value
+
+    @pytest.mark.parametrize("msg", CODEC_MESSAGES.values(), ids=CODEC_MESSAGES.keys())
+    def test_record_is_the_json_dumps_record(self, msg):
+        """Each record is byte for byte the compact json.dumps record, at
+        every gap width, with empty lists and partly filled packed bytes."""
+        assert encode_message(msg) == json_record(msg)
 
     def test_gaps_spelling_true_round_trip(self):
         # Gaps 182, 187, 158 are the bytes b6 bb 9e, whose base64 is "true":

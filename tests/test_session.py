@@ -199,6 +199,35 @@ THINNING_CONFIGS = {
 Z = 5.0  # statistical bands: two-sided Bernstein bound, miss rate < 2 exp(-Z^2/2)
 
 
+def record_draws(monkeypatch, bounds=None):
+    """Record each candidate draw of run_session and the slices of it that
+    detect_batch sees: returns (draws, slices), slices[i] being the list
+    that the caller's detect_batch wrapper appends draw i's slices to.
+    Each draw's bound p goes to ``bounds``."""
+    draws, slices = [], []
+    draw_candidates = session.draw_candidates
+
+    def drawn(m, p, rng):
+        if bounds is not None:
+            bounds.append(min(1.0, p))
+        draws.append(draw_candidates(m, p, rng))
+        slices.append([])
+        return draws[-1]
+
+    monkeypatch.setattr(session, "draw_candidates", drawn)
+    return draws, slices
+
+
+def assert_slices_cover_draws(draws, slices):
+    """The slices of each draw concatenate exactly to its offsets and
+    uniforms, and their sizes add up to its pulses."""
+    assert draws and len(slices) == len(draws)
+    for batch, parts in zip(draws, slices):
+        assert parts and sum(part.size for part in parts) == batch.size
+        assert np.array_equal(np.concatenate([part.offsets for part in parts]), batch.offsets)
+        assert np.array_equal(np.concatenate([part.u for part in parts]), batch.u)
+
+
 @pytest.mark.parametrize("name", THINNING_CONFIGS)
 def test_thinned_detection_equals_unthinned(monkeypatch, name):
     """Within run_session, detection on the candidates follows the law of
@@ -207,16 +236,12 @@ def test_thinned_detection_equals_unthinned(monkeypatch, name):
     and the counts of the six (slot, port) cells and the discard lie
     within the band at Z of the exact law given the candidates' rows, a
     candidate taking outcome j with probability (row increment j) / p."""
-    batches = []
+    shares = []
     bounds = []
     counts = np.zeros(7)
     want = np.zeros(7)
     var = np.zeros(7)
-    draw_candidates = session.draw_candidates
-
-    def drawn(m, p, rng):
-        bounds.append(min(1.0, p))
-        return draw_candidates(m, p, rng)
+    draws, slices = record_draws(monkeypatch, bounds)
 
     def checked(batch, rows):
         rows = list(rows)
@@ -230,13 +255,14 @@ def test_thinned_detection_equals_unthinned(monkeypatch, name):
         registered, slot, port, any_click = got
         cells = 2 * slot[registered] + port[registered]
         counts[:] += np.append(np.bincount(cells, minlength=6), np.count_nonzero(any_click & ~registered))
-        batches.append(batch.offsets.size / len(batch))
+        shares.append(batch.offsets.size / len(batch))
+        slices[-1].append(batch)
         return got
 
-    monkeypatch.setattr(session, "draw_candidates", drawn)
     monkeypatch.setattr(session, "detect_batch", checked)
     run_session(THINNING_CONFIGS[name])
-    assert len(bounds) == len(batches) and batches and all(share < 0.5 for share in batches)
+    assert_slices_cover_draws(draws, slices)
+    assert all(share < 0.5 for share in shares)
     assert np.all(np.abs(counts - want) <= per_pulse.bernstein_tolerance(var, Z)), (counts, want)
 
 
@@ -248,7 +274,8 @@ def test_attacker_sampler_equals_per_pulse_rows(monkeypatch, jitter):
     its seven outcomes lie within the band at Z of their exact law.  A
     lossy apparatus makes all seven occur; without dark counts, no
     candidate the attacker suppressed (vacuum resent) registers at the
-    receiver.  The attacker sees exactly the detection candidates."""
+    receiver.  The attacker sees exactly the detection candidates, slice
+    by slice, and the slices cover each draw exactly."""
     lossy = AmzSpec(excess_loss_db=1.0, phase_jitter_rad=jitter)
     dark_free = ApdSpec(dark_per_gate=0.0)
     config = SessionConfig(
@@ -261,6 +288,7 @@ def test_attacker_sampler_equals_per_pulse_rows(monkeypatch, jitter):
     want = np.zeros(7)
     var = np.zeros(7)
     attack_batch = eavesdrop.attack_batch
+    draws, slices = record_draws(monkeypatch)
 
     def attacked(u, rows):
         rows = list(rows)
@@ -280,12 +308,14 @@ def test_attacker_sampler_equals_per_pulse_rows(monkeypatch, jitter):
         got = detection.detect_batch(batch, rows)
         assert not np.any(got[0] & (resents[-1] == eavesdrop.VACUUM_INDEX))
         candidates.append(batch.offsets.size)
+        slices[-1].append(batch)
         return got
 
     monkeypatch.setattr(eavesdrop, "attack_batch", attacked)
     monkeypatch.setattr(session, "detect_batch", detected)
     run_session(config)
     outcomes = np.concatenate(batches)
+    assert_slices_cover_draws(draws, slices)
     assert [len(b) for b in batches] == candidates and len(np.unique(outcomes)) == 7
     counts = np.bincount(outcomes, minlength=7)
     assert np.all(np.abs(counts - want) <= per_pulse.bernstein_tolerance(var, Z)), (counts, want)
@@ -400,24 +430,39 @@ class TestDriftedRows:
         assert rows.shape == (7, states.size) and rows.flags.c_contiguous
         assert np.array_equal(rows, cum_table.take(states, axis=1))
 
-    @pytest.mark.parametrize("chunk", [1 << 16, 1000], ids=["one_call", "chunked"])
-    def test_chunked_rows_are_contiguous_edges(self, monkeypatch, chunk):
-        """Both branches of _chunked_rows give a C-contiguous (K, n) array,
-        the rows of one call over every candidate."""
+
+@pytest.mark.parametrize("drift", [True, False], ids=["drift", "steady"])
+def test_slice_size_leaves_the_session_unchanged(monkeypatch, drift):
+    """On a dense link with the attacker on, a pass in slices of 1000
+    candidates gives the same summary, events and keys, bit for bit, as a
+    pass with the whole batch in one slice, on drifting and steady legs."""
+    lossless = AmzSpec(excess_loss_db=0.0)
+    apd = ApdSpec(efficiency=1.0)
+    config = SessionConfig(
+        n_pulses=150_000, seed=49, source=SourceSpec(mu=0.5), alice_amz=lossless,
+        bob_amz=dataclasses.replace(lossless, phase_jitter_rad=0.1 * drift),
+        eve=EveSpec(enabled=True, apparatus=dataclasses.replace(lossless, phase_jitter_rad=0.2 * drift)),
+        apd_d0=apd, apd_d1=apd,
+    )
+    calls = []
+
+    def counted(batch, rows):
+        calls.append(batch.offsets.size)
+        return detection.detect_batch(batch, rows)
+
+    def arrays(result):
+        ev, a, b = result.classifications, result.alice_key, result.bob_key
+        return [ev.pulse_indices, ev.bases, ev.bits, a.bits, a.source_indices, b.bits, b.source_indices]
+
+    monkeypatch.setattr(session, "detect_batch", counted)
+    results = []
+    for chunk in (session.BATCH_SIZE, 1000):
         monkeypatch.setattr(session, "_ROW_CHUNK", chunk)
-        bob_amz, apds, incoming, q_table, _ = drifting_receiver_tables()
-        gen = np.random.default_rng(4)
-        states = gen.integers(0, 5, 4500).astype(np.uint8)
-        phases = bob_amz.phase_offset_rad + 0.2 * gen.standard_normal(states.size)
-
-        def row_fn(s, ph):
-            return session._drifted_rows(
-                q_table.take(s, axis=1), incoming.T.take(s, axis=1), ph, bob_amz, 0.4, apds
-            )
-
-        rows = session._chunked_rows(7, states, phases, row_fn)
-        assert rows.shape == (7, states.size) and rows.flags.c_contiguous
-        assert np.array_equal(rows, row_fn(states, phases))
+        results.append(run_session(config))
+    whole, sliced = results
+    assert calls[0] > 50_000 and len(calls) == 1 + math.ceil(calls[0] / 1000)
+    assert whole.summary == sliced.summary
+    assert all(np.array_equal(x, y) for x, y in zip(arrays(whole), arrays(sliced)))
 
 
 class TestEveSessions:
