@@ -19,12 +19,14 @@ Message flow (each message exactly once per session):
 Each station is a state machine without I/O: ``start()`` returns its
 opening messages (the receiver's announce; the transmitter has none),
 ``receive(msg)`` checks one incoming message and returns the replies, and
-``key`` is set once the session completes.  In process,
-``run_protocol`` hands the message objects from one endpoint to the other
-on the caller's thread.  On a byte stream, ``drive`` runs one endpoint over
-a transport; messages are newline-terminated, self-describing JSON records,
-and a record longer than the endpoint's ``max_line`` is refused.  Any
-malformed, out-of-order or out-of-range message aborts the session.
+``key`` is set once the session completes.  In process, ``run_protocol``
+hands the message objects from one endpoint to the other on the caller's
+thread, and the transmitter can read the announced pulses' states from the
+caller instead of hashing them.  On a byte stream, ``drive`` runs one
+endpoint over a transport; messages are newline-terminated, self-describing
+JSON records, and a record longer than the endpoint's ``max_line`` is
+refused.  Any malformed, out-of-order or out-of-range message aborts the
+session.
 
 Inside a record, a set of pulse indices or positions is an object
 ``{"count", "width", "gaps"}``: the strictly increasing indices as
@@ -69,6 +71,8 @@ class PulseTrain:
     Pulse i's state index s = 2 * basis + bit (basis codes 0 = Z, 1 = X)
     is the top two bits of the SplitMix64 finaliser (Steele, Lea and Flood
     2014) of ``key + i * 0x9E3779B97F4A7C15`` in wrapping 64-bit arithmetic.
+    The finaliser's last step, ``z ^= z >> 31``, leaves the top 31 bits of
+    z as they are, so the hash stops after the third multiply.
     """
 
     _CHUNK = 1 << 16  # indices hashed per pass: keeps the temporaries in cache
@@ -86,16 +90,19 @@ class PulseTrain:
         """uint8 state index of each pulse in ``idx``."""
         idx = np.asarray(idx)
         out = np.empty(idx.size, dtype=np.uint8)
+        # Two uint64 buffers serve every chunk; assigning into z converts the
+        # indices (a signed array times a uint64 would go to float64).
+        buffers = np.empty((2, min(idx.size, self._CHUNK)), dtype=np.uint64)
         for lo in range(0, idx.size, self._CHUNK):
-            z = idx[lo : lo + self._CHUNK].astype(np.uint64)
+            z, t = buffers[:, : idx.size - lo]
+            z[...] = idx[lo : lo + z.size]
             z *= np.uint64(0x9E3779B97F4A7C15)
             z += self.key
-            z ^= z >> np.uint64(30)
+            z ^= np.right_shift(z, np.uint64(30), out=t)
             z *= np.uint64(0xBF58476D1CE4E5B9)
-            z ^= z >> np.uint64(27)
+            z ^= np.right_shift(z, np.uint64(27), out=t)
             z *= np.uint64(0x94D049BB133111EB)
-            z ^= z >> np.uint64(31)
-            out[lo : lo + self._CHUNK] = z >> np.uint64(62)
+            out[lo : lo + z.size] = np.right_shift(z, np.uint64(62), out=t)
         return out
 
     def choices(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -123,16 +130,20 @@ class ClassifiedEvents:
         return self.pulse_indices.size
 
 
+# Bit c of each mask is the basis (or the bit) of CELL_STATE[c].
+_BASIS_MASK, _BIT_MASK = (np.packbits(CELL_STATE >> k & 1, bitorder="little")[0] for k in (1, 0))
+
+
 def classify_arrays(slots: np.ndarray, ports: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Map registered (slot, port) events to (basis codes, bits).
 
     Edge slots carry the arrival-time basis regardless of port (S1 -> (Z,0),
     S3 -> (Z,1)); in the central slot the port carries the superposition
     basis bit (D1 -> (X,0), D0 -> (X,1)): the cell's ``CELL_STATE``, whose
-    index is 2 * basis + bit.
+    index is 2 * basis + bit, read as one bit of a per-cell mask each.
     """
-    states = CELL_STATE[2 * np.asarray(slots) + np.asarray(ports)]
-    return states >> 1, states & 1
+    cells = 2 * np.asarray(slots, dtype=np.uint8) + np.asarray(ports, dtype=np.uint8)
+    return (_BASIS_MASK >> cells) & 1, (_BIT_MASK >> cells) & 1
 
 
 # ---------------------------------------------------------------------------
@@ -400,12 +411,15 @@ def _undisclosed(
 class AliceEndpoint:
     """Transmitter-side state machine: it answers the basis announce with
     the match reply (sifted positions and a sample drawn from ``rng``) and
-    the sample bits with the QBER report."""
+    the sample bits with the QBER report.  An announce whose index array is
+    the very object ``known[0]`` reads its states from ``known[1]``; any
+    other, such as one decoded from a transport, is hashed from ``records``."""
 
-    def __init__(self, records: PulseTrain, sample_fraction: float, rng: np.random.Generator):
+    def __init__(self, records: PulseTrain, sample_fraction: float, rng: np.random.Generator, known=None):
         if not 0.0 < sample_fraction <= 1.0:
             raise ValueError("sample_fraction must lie in (0, 1]")
         self.records = records
+        self._known = known or (None, None)
         self.sample_fraction = sample_fraction
         self.rng = rng
         self.max_line = _max_line(len(records))
@@ -421,7 +435,8 @@ class AliceEndpoint:
             _require_increasing_within(
                 msg.indices, len(self.records), "announced", "pulse index out of session range"
             )
-            bits, bases = self.records.choices(msg.indices)
+            sent = self._known[1] if msg.indices is self._known[0] else None
+            bits, bases = self.records.choices(msg.indices) if sent is None else (sent & 1, sent >> 1)
             matched = np.flatnonzero(bases == msg.bases)
             n_sample = int(self.sample_fraction * matched.size)
             if n_sample < 1:
@@ -500,9 +515,14 @@ def run_protocol(
     sample_fraction: float,
     rng: np.random.Generator,
     transports=None,
+    sent: np.ndarray | None = None,
 ) -> tuple[SiftedKey, SiftedKey, list[ClassicalMessage]]:
     """Full session (sifting plus error estimation); returns both keys and
     the transcript, every message of the session in wire order.
+
+    ``sent``, the uint8 transmitter state of each event's pulse, spares the
+    transmitter hashing the events again in process, where the announce
+    carries their own index array; a decoded announce is hashed.
 
     Without ``transports`` the endpoints exchange message objects on the
     caller's thread.  With a (transmitter, receiver) transport pair each
@@ -510,7 +530,10 @@ def run_protocol(
     the session, runs on a helper thread, because a socket pair cannot
     buffer a large announce until the transmitter reads it.
     """
-    alice = AliceEndpoint(alice_records, sample_fraction, rng)
+    if sent is not None and np.shape(sent) != bob_classifications.pulse_indices.shape:
+        raise ValueError("sent must hold one state per event")
+    known = None if sent is None else (bob_classifications.pulse_indices, sent)
+    alice = AliceEndpoint(alice_records, sample_fraction, rng, known)
     bob = BobEndpoint(bob_classifications)
     if transports is None:
         wire = [(bob, msg) for msg in alice.start()] + [(alice, msg) for msg in bob.start()]

@@ -25,10 +25,12 @@ everything else runs on the candidates only, well under 1% of pulses on a
 25 km link; the substreams they draw on are listed in ``detection``.
 After the batch's draws, one pass walks its candidates in slices of
 2^16, small enough that a slice's temporaries stay in cache: each slice
-is hashed into transmitter states, attacked, given its receiver rows and
-detected, and its results fill the batch's arrays, which are compacted
-into events once per batch.  The summary reads the transmitter states of
-the events from this pass rather than hashing them again.
+is hashed into transmitter states, attacked, given its receiver rows,
+detected and compacted at once into its events (pulse, slot, port and
+transmitter state).  The slices' events are concatenated after the last
+batch, and the per-slice lists and batch arrays are freed before sifting.
+The summary and the in-process transmitter read the events' transmitter
+states from this pass rather than hashing them again.
 """
 
 from __future__ import annotations
@@ -226,6 +228,23 @@ def run_session(config: SessionConfig) -> SessionResult:
     if n == 0:
         raise InsufficientKeyError("zero-pulse session yields no key to sample")
 
+    records = PulseTrain(n, rng.child_seed(DOMAIN_ALICE, 0))
+    classifications, sent, events_registered = _detect_events(config, records, rng)
+    key_a, key_b, _ = run_protocol(
+        records, classifications, config.sample_fraction, rng.stream(DOMAIN_SAMPLE), sent=sent
+    )
+
+    vacuum_dist = SlotPortDistribution(np.zeros((3, 2)))
+    dark_register = float(expected_event_rates(vacuum_dist, 0.0, (config.apd_d0, config.apd_d1)).sum())
+    summary = summarize(n, classifications, sent, key_a, events_registered, dark_register)
+    return SessionResult(summary, key_a, key_b, records, classifications)
+
+
+def _detect_events(config: SessionConfig, records: PulseTrain, rng: RngHandle):
+    """The session's events kept for sifting, the transmitter state of each
+    one's pulse and the registrations before any conventional-mode filter.
+    Every per-batch and per-slice array is freed on return."""
+    n = config.n_pulses
     apds = (config.apd_d0, config.apd_d1)
     mu = config.source.mu
 
@@ -264,11 +283,7 @@ def run_session(config: SessionConfig) -> SessionResult:
     else:
         p = cum_table[-1].max()
 
-    records = PulseTrain(n, rng.child_seed(DOMAIN_ALICE, 0))
-    ev_idx: list[np.ndarray] = []
-    ev_slot: list[np.ndarray] = []
-    ev_port: list[np.ndarray] = []
-    ev_sent: list[np.ndarray] = []
+    events: list[tuple[np.ndarray, ...]] = []  # (pulse, slot, port, sent) per slice
     events_registered = 0
 
     n_batches = (n + BATCH_SIZE - 1) // BATCH_SIZE
@@ -289,13 +304,10 @@ def run_session(config: SessionConfig) -> SessionResult:
         # drifting leg broadcast calls over the slice's amplitudes and
         # phases, else its state's table row, taken one edge at a time so
         # that no (K, n) gather is held.
-        sent = np.empty(m, dtype=np.uint8)
-        registered = np.empty(m, dtype=bool)
-        slot = np.empty(m, dtype=np.uint8)
-        port = np.empty(m, dtype=np.uint8)
         for chunk, cand in _candidate_slices(batch):
-            sent[chunk] = records.states(lo + cand.offsets)
-            states = sent[chunk].astype(np.intp)
+            pulses = lo + cand.offsets
+            sent = records.states(pulses)
+            states = sent.astype(np.intp)
             if eve_on:
                 if sigma_eve_leg > 0.0:
                     phases = config.eve.apparatus.phase_offset_rad + sigma_eve_leg * eve_normals[chunk]
@@ -311,39 +323,16 @@ def run_session(config: SessionConfig) -> SessionResult:
                                          phases, bob_amz, mu, apds)
             else:
                 bob_rows = (edge.take(states) for edge in cum_table)
-            registered[chunk], slot[chunk], port[chunk], _ = detect_batch(cand, bob_rows)
+            registered, slot, port, _ = detect_batch(cand, bob_rows)
 
-        events_registered += int(np.count_nonzero(registered))
-        keep = registered
-        if config.conventional_mode:
-            keep = registered & (slot != Slot.S3)
-        at = np.flatnonzero(keep)
-        ev_idx.append(lo + batch.offsets.take(at))
-        ev_slot.append(slot.take(at))
-        ev_port.append(port.take(at))
-        ev_sent.append(sent.take(at))
+            events_registered += int(np.count_nonzero(registered))
+            keep = registered & (slot != Slot.S3) if config.conventional_mode else registered
+            at = np.flatnonzero(keep)
+            events.append((pulses.take(at), slot.take(at), port.take(at), sent.take(at)))
 
-    idx = np.concatenate(ev_idx)
-    slots = np.concatenate(ev_slot)
-    ports = np.concatenate(ev_port)
-    meas_bases, meas_bits = classify_arrays(slots, ports)
-    classifications = ClassifiedEvents(idx, meas_bases, meas_bits)
-
-    key_a, key_b, _ = run_protocol(
-        records, classifications, config.sample_fraction, rng.stream(DOMAIN_SAMPLE)
-    )
-
-    vacuum_dist = SlotPortDistribution(np.zeros((3, 2)))
-    dark_register = float(expected_event_rates(vacuum_dist, 0.0, apds).sum())
-    return SessionResult(
-        summary=summarize(
-            n, classifications, np.concatenate(ev_sent), key_a, events_registered, dark_register
-        ),
-        alice_key=key_a,
-        bob_key=key_b,
-        records=records,
-        classifications=classifications,
-    )
+    idx, slots, ports, sent = (np.concatenate(column) for column in zip(*events))
+    del events  # the slices' arrays go before classifying allocates
+    return ClassifiedEvents(idx, *classify_arrays(slots, ports)), sent, events_registered
 
 
 # ---------------------------------------------------------------------------

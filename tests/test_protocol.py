@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from per_pulse import ArrayTrain
-from timebin_bb84 import protocol
+from timebin_bb84 import detection, protocol, session
 from timebin_bb84.config import SessionConfig
-from timebin_bb84.optics import Basis, Port, Slot
+from timebin_bb84.optics import CELL_STATE, Basis, Port, Slot
 from timebin_bb84.protocol import (
     AliceEndpoint,
     AliceMatchReply,
@@ -71,7 +71,9 @@ class TestAliceGenerate:
 
     def test_state_is_top_bits_of_splitmix64(self):
         """Across several hashing chunks, a subset read equals the full
-        read, and both equal the Python-integer reference."""
+        read, and both equal the Python-integer reference (the complete
+        finaliser).  So do indices past 2^32 and near 2^62, under a key near
+        2^64 too, given as int64, uint64 or a list."""
         key = 0xDEADBEEF12345678
         train = PulseTrain(200_000, key)
         bits, bases = train.choices(np.arange(200_000))
@@ -81,6 +83,15 @@ class TestAliceGenerate:
         for i, bit, basis in zip(idx, sub_bits, sub_bases):
             state = splitmix64(key + int(i) * 0x9E3779B97F4A7C15) >> 62
             assert (bit, basis) == (state & 1, state >> 1)
+
+        far = [2**32 - 1, 2**32, 2**32 + 12_345, 2**40 + 3, 2**62 - 1, 2**62, 2**62 + 2**40 + 7]
+        far += list(range(2**62 - 300, 2**62 + 300))
+        for key in (0xDEADBEEF12345678, 2**64 - 1, 2**64 - 0x9E3779B97F4A7C15):
+            want = [splitmix64(key + i * 0x9E3779B97F4A7C15) >> 62 for i in far]
+            train = PulseTrain(2**63 - 1, key)
+            for given in (np.array(far, np.int64), np.array(far, np.uint64), far):
+                states = train.states(given)
+                assert states.dtype == np.uint8 and states.tolist() == want
 
     def test_train_domain(self):
         for n, key in ((-1, 0), (10, -1), (10, 2**64)):
@@ -111,6 +122,14 @@ class TestClassify:
         bases, bits = classify_arrays(np.array(slots, np.uint8), np.array(ports, np.uint8))
         assert bases.tolist() == [1 if b == Basis.X else 0 for b in basis]
         assert bits.tolist() == list(bit)
+        # and so does one call over many random events, cell by cell
+        rng = np.random.default_rng(17)
+        slots = rng.integers(0, 3, 100_000).astype(np.uint8)
+        ports = rng.integers(0, 2, 100_000).astype(np.uint8)
+        bases, bits = classify_arrays(slots, ports)
+        states = CELL_STATE[2 * slots + ports]
+        assert bases.dtype == bits.dtype == np.uint8
+        assert np.array_equal(bases, states >> 1) and np.array_equal(bits, states & 1)
 
 
 def make_events(*triples) -> ClassifiedEvents:
@@ -544,6 +563,82 @@ class TestTransports:
         monkeypatch.setattr(protocol.threading, "Thread", no_thread)
         result = run_session(SessionConfig(n_pulses=20_000, seed=3))
         assert np.array_equal(result.alice_key.source_indices, result.bob_key.source_indices)
+
+
+class TestKnownStates:
+    """In process, the transmitter reads the states the session computed
+    for its events instead of hashing the announced indices again."""
+
+    @pytest.fixture
+    def session_result(self):
+        return run_session(SessionConfig(n_pulses=300_000, seed=61))
+
+    @staticmethod
+    def count_hashed(monkeypatch) -> list[int]:
+        sizes = []
+        states = PulseTrain.states
+
+        def counted(self, idx):
+            sizes.append(np.asarray(idx).size)
+            return states(self, idx)
+
+        monkeypatch.setattr(PulseTrain, "states", counted)
+        return sizes
+
+    def test_session_hashes_each_candidate_once(self, monkeypatch):
+        candidates = []
+
+        def counted(batch, rows):
+            candidates.append(batch.offsets.size)
+            return detection.detect_batch(batch, rows)
+
+        monkeypatch.setattr(session, "detect_batch", counted)
+        hashed = self.count_hashed(monkeypatch)
+        result = run_session(SessionConfig(n_pulses=3 * session.BATCH_SIZE + 7, seed=62))
+        assert len(result.classifications) > 1000
+        assert sum(hashed) == sum(candidates)
+
+    def test_given_states_leave_transcript_and_keys_unchanged(self, monkeypatch, session_result):
+        records, ev = session_result.records, session_result.classifications
+        sent = records.states(ev.pulse_indices)
+        hashed = self.count_hashed(monkeypatch)
+        runs = [run_protocol(records, ev, 0.1, np.random.default_rng(5), **given)
+                for given in ({}, {"sent": sent})]
+        assert hashed == [len(ev)]  # only the run without the states hashed
+        (a0, b0, wire0), (a1, b1, wire1) = runs
+        assert [encode_message(m) for m in wire0] == [encode_message(m) for m in wire1]
+        for k0, k1 in ((a0, a1), (b0, b1)):
+            assert np.array_equal(k0.bits, k1.bits)
+            assert np.array_equal(k0.source_indices, k1.source_indices)
+            assert k0.qber_estimate == k1.qber_estimate
+        with pytest.raises(ValueError, match="one state per event"):
+            run_protocol(records, ev, 0.1, np.random.default_rng(5), sent=sent[:1])
+
+    @pytest.mark.parametrize("same_array", [True, False], ids=["same", "copy"])
+    def test_only_the_events_own_array_reads_the_given_states(self, monkeypatch, session_result, same_array):
+        """Given wrong states, an announce carrying the events' own index
+        array sifts with them, while one carrying a copy is hashed and
+        gives the true keys."""
+        records, ev = session_result.records, session_result.classifications
+        honest_a, honest_b, _ = run_protocol(records, ev, 0.1, np.random.default_rng(5))
+        wrong = records.states(ev.pulse_indices) ^ 2  # every basis flipped
+        hashed = self.count_hashed(monkeypatch)
+        alice = AliceEndpoint(records, 0.1, np.random.default_rng(5), known=(ev.pulse_indices, wrong))
+        bob = BobEndpoint(ev)
+        [announce] = bob.start()
+        if not same_array:
+            announce = BobBasisAnnounce(announce.indices.copy(), announce.bases)
+        [reply] = alice.receive(announce)
+        [sample] = bob.receive(reply)
+        [report] = alice.receive(sample)
+        bob.receive(report)
+        same_keys = np.array_equal(alice.key.source_indices, honest_a.source_indices)
+        if same_array:
+            assert hashed == [] and not same_keys
+        else:
+            assert hashed == [len(ev)] and same_keys
+            assert np.array_equal(alice.key.bits, honest_a.bits)
+            assert np.array_equal(bob.key.bits, honest_b.bits)
 
 
 class TestAborts:
