@@ -7,12 +7,11 @@ protocol abort.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import sys
 from pathlib import Path
 
-from .config import ConfigError, integer, parse_config
+from .config import ConfigError, integer, parse_config, with_values
 from .protocol import ProtocolError
 from .reporting import (
     format_profile_text,
@@ -47,25 +46,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile = subs.add_parser("profile", help="per-state slot/port intensity profiles")
     p_run = subs.add_parser("run", help="simulate one key-distribution session")
     p_sweep = subs.add_parser("sweep", help="one session per value along a parameter axis")
+    # A flag that sets a config value stores it under its section.key path, or None if absent.
     for sub in (p_profile, p_run, p_sweep):
         sub.add_argument("--config", metavar="PATH", help="INI config file (defaults if omitted)")
-        sub.add_argument("--seed", type=integer, metavar="N", help="override session.seed")
+        sub.add_argument(
+            "--seed", dest="session.seed", type=integer, metavar="N", help="override session.seed"
+        )
         sub.add_argument("--out", metavar="DIR", default="out", help="output directory")
     # Flags that change the simulated session; the exact profile runs none.
     for sub in (p_run, p_sweep):
-        sub.add_argument("--pulses", type=integer, metavar="N", help="override session.n_pulses")
-        sub.add_argument("--eve", action="store_true", help="enable the intercept-resend attacker")
         sub.add_argument(
-            "--conventional-mode",
-            action="store_true",
-            help="discard late-slot events before sifting (single-edge-slot baseline)",
+            "--pulses", dest="session.n_pulses", type=integer, metavar="N",
+            help="override session.n_pulses",
+        )
+        sub.add_argument(
+            "--eve", dest="eve.enabled", action="store_true", default=None,
+            help="enable the intercept-resend attacker",
+        )
+        sub.add_argument(
+            "--conventional-mode", dest="session.conventional_mode", action="store_true",
+            default=None, help="discard late-slot events before sifting (single-edge-slot baseline)",
         )
 
     p_profile.add_argument(
-        "--sampled",
-        type=integer,
-        default=0,
-        metavar="N",
+        "--sampled", type=integer, default=0, metavar="N",
         help="estimate receiver rows from N Monte Carlo pulses instead of exactly",
     )
     p_sweep.add_argument("--axis", choices=SWEEP_AXES, required=True)
@@ -76,20 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args: argparse.Namespace):
-    config = parse_config(args.config)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
-    if args.command == "profile":
-        return config
-    if args.pulses is not None:
-        config = dataclasses.replace(config, n_pulses=args.pulses)
-    if args.eve:
-        config = dataclasses.replace(
-            config, eve=dataclasses.replace(config.eve, enabled=True)
-        )
-    if args.conventional_mode:
-        config = dataclasses.replace(config, conventional_mode=True)
-    return config
+    flags = {path: value for path, value in vars(args).items() if "." in path and value is not None}
+    return with_values(parse_config(args.config), flags)
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
@@ -142,13 +134,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_sweep(args)
-    except SystemExit_Usage as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
+    except (SystemExit_Usage, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ProtocolError as exc:

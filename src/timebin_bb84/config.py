@@ -6,7 +6,8 @@ _SECTION_NAMES), whose keys are the spec's scalar fields, parsed by their
 annotated type and defaulting to the field default, so an empty file is
 valid.  DEFAULT_CONFIG_TEXT is generated from ``SessionConfig()``.  Unknown
 sections or keys are rejected rather than ignored, and validation failures
-carry the offending ``section.key`` path.
+carry the offending ``section.key`` path.  ``with_values`` sets values by
+that path: the file's, the command-line flags' and the sweep axes'.
 
 Provenance of defaults: ~2 dB excess interferometer loss and >20 dB
 achievable extinction describe the modeled hardware (whose one-bin, 5 ns
@@ -19,8 +20,10 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
-from collections.abc import Callable, Iterator
+from collections import defaultdict
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Any
 
@@ -80,12 +83,10 @@ def integer(text: str) -> int:
 
 
 def _to_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"{text!r} is not a boolean")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ValueError(f"{text!r} is not a boolean") from None
 
 
 _PARSERS: dict[str, Callable[[str], Any]] = {"float": float, "int": integer, "bool": _to_bool}
@@ -95,59 +96,80 @@ _SECTION_NAMES = {"": "session", "eve.apparatus": "eve_amz"}
 
 
 def _sections(spec: Any, path: str = "") -> Iterator[tuple]:
-    """(section, field path, default spec, key parsers, nested (field,
-    path) pairs) of ``spec`` and of every spec nested in it, parents first.
-    A spec's keys are its scalar fields."""
-    keys, nested = {}, []
-    for f in dataclasses.fields(spec):
-        if dataclasses.is_dataclass(getattr(spec, f.name)):
-            nested.append((f.name, f"{path}.{f.name}" if path else f.name))
-        else:
-            keys[f.name] = _PARSERS[f.type]
-    yield _SECTION_NAMES.get(path, path), path, spec, keys, nested
-    for name, child in nested:
-        yield from _sections(getattr(spec, name), child)
+    """(section, field path, default spec, key parsers) of ``spec`` and of
+    every spec nested in it, parents first.  A spec's keys are its scalar
+    fields."""
+    fields = dataclasses.fields(spec)
+    nested = [f.name for f in fields if dataclasses.is_dataclass(getattr(spec, f.name))]
+    keys = {f.name: _PARSERS[f.type] for f in fields if f.name not in nested}
+    yield _SECTION_NAMES.get(path, path), path, spec, keys
+    for name in nested:
+        yield from _sections(getattr(spec, name), f"{path}.{name}" if path else name)
 
 
-# section -> (field path, default spec, key parsers, nested specs)
-_SECTIONS = {s[0]: s[1:] for s in _sections(SessionConfig())}
+_DEFAULTS = SessionConfig()
+# section -> (field path, default spec, key parsers)
+_SECTIONS = {s[0]: s[1:] for s in _sections(_DEFAULTS)}
+# section.key -> (field path, field, parser)
+_KEYS = {f"{section}.{key}": (field_path, key, parser)
+         for section, (field_path, _, keys) in _SECTIONS.items() for key, parser in keys.items()}
+# Sections deepest first, siblings in file order: a spec after those nested in it.
+_CHILDREN_FIRST = sorted(_SECTIONS.items(), key=lambda s: -len(s[1][0].split(".")) if s[1][0] else 0)
+
+
+def with_values(config: SessionConfig, values: Mapping[str, Any], *, parse: bool = False) -> SessionConfig:
+    """``config`` with each ``section.key`` of ``values`` set, checked as a
+    config file is: unknown sections and keys are refused, and with ``parse``
+    each value is text parsed by its key's type.  Each spec with new values is
+    rebuilt once, after those nested in it; a failed check names its section."""
+    changed: dict[str, dict[str, Any]] = defaultdict(dict)  # field path -> new field values
+    for name, value in values.items():
+        entry = _KEYS.get(name)
+        if entry is None:
+            section = name.partition(".")[0]
+            if section not in _SECTIONS:
+                raise ConfigError("unknown section", section)
+            raise ConfigError("unknown key", name)
+        field_path, key, key_parser = entry
+        if parse:
+            try:
+                value = key_parser(value)
+            except ValueError as exc:
+                raise ConfigError(str(exc), name) from exc
+        changed[field_path][key] = value
+    for section, (field_path, _, _) in _CHILDREN_FIRST:
+        if field_path not in changed:
+            continue
+        spec = attrgetter(field_path)(config) if field_path else config
+        try:
+            spec = dataclasses.replace(spec, **changed[field_path])
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(str(exc), section) from exc
+        if not field_path:
+            return spec
+        parent, _, name = field_path.rpartition(".")
+        changed[parent][name] = spec
+    return config
 
 
 def parse_config(path: str | Path | None) -> SessionConfig:
     """Load a config file; None or an empty file yields all defaults."""
     parser = configparser.ConfigParser(interpolation=None)
     if path is not None:
-        path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
         try:
             with open(path, encoding="utf-8") as fh:
                 parser.read_file(fh)
+        except FileNotFoundError as exc:
+            raise ConfigError(f"config file not found: {path}") from exc
         except configparser.Error as exc:
             raise ConfigError(f"parse error: {exc}") from exc
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ConfigError("unknown section", section)
-
-    # Children before parents, so that each spec, SessionConfig last, is
-    # built once from its own keys and its finished children.
-    built: dict[str, Any] = {}
-    for section, (field_path, spec, keys, nested) in reversed(_SECTIONS.items()):
-        values = {name: built[child] for name, child in nested}
-        for key, raw in parser.items(section) if parser.has_section(section) else ():
-            if key not in keys:
-                raise ConfigError("unknown key", f"{section}.{key}")
-            try:
-                values[key] = keys[key](raw)
-            except ValueError as exc:
-                raise ConfigError(str(exc), f"{section}.{key}") from exc
-        try:
-            built[field_path] = dataclasses.replace(spec, **values)
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(str(exc), section) from exc
-    return built[""]
+    values = {f"{s}.{key}": raw for s in parser.sections() for key, raw in parser.items(s)}
+    return with_values(_DEFAULTS, values, parse=True)
 
 
 DEFAULT_CONFIG_TEXT = """\
@@ -157,5 +179,5 @@ DEFAULT_CONFIG_TEXT = """\
 # source mu.
 """ + "".join(
     f"\n[{section}]\n" + "".join(f"{key} = {str(getattr(spec, key)).lower()}\n" for key in keys)
-    for section, (_, spec, keys, _) in _SECTIONS.items()
+    for section, (_, spec, keys) in _SECTIONS.items()
 )

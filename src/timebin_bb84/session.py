@@ -35,7 +35,6 @@ states from this pass rather than hashing them again.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -43,7 +42,7 @@ import numpy as np
 
 from . import eavesdrop
 from .channel import transmittance
-from .config import SessionConfig
+from .config import SessionConfig, with_values
 from .detection import (
     DOMAIN_ALICE,
     DOMAIN_DETECT,
@@ -405,36 +404,25 @@ def _sampled_cell_probabilities(
     return p.reshape(3, 2)
 
 
-SWEEP_AXES = ("length_km", "mu", "dark")
+# Sweep axis -> the config values it sets.
+SWEEP_AXES = {
+    "length_km": ("channel.length_km",),
+    "mu": ("source.mu",),
+    "dark": ("apd_d0.dark_per_gate", "apd_d1.dark_per_gate"),
+}
 
 
 def sweep(config: SessionConfig, axis: str, values: list[float]) -> list[tuple[float, SessionSummary]]:
-    """Run one session per value along an axis, with derived sub-seeds."""
+    """Run one session per value along an axis, with derived sub-seeds.
+    Every point's config is built, and so checked, before the first runs."""
     if axis not in SWEEP_AXES:
-        raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
+        raise ValueError(f"unknown sweep axis {axis!r}; expected one of {tuple(SWEEP_AXES)}")
     if not values:
         raise ValueError("sweep requires at least one value")
     root = RngHandle(config.seed)
-    results = []
-    for i, value in enumerate(values):
-        sub_seed = root.child_seed(DOMAIN_SWEEP, i)
-        cfg = _with_axis_value(config, axis, value)
-        cfg = dataclasses.replace(cfg, seed=sub_seed)
-        results.append((value, run_session(cfg).summary))
-    return results
-
-
-def _with_axis_value(config: SessionConfig, axis: str, value: float) -> SessionConfig:
-    if axis == "length_km":
-        return dataclasses.replace(
-            config, channel=dataclasses.replace(config.channel, length_km=value)
-        )
-    if axis == "mu":
-        return dataclasses.replace(
-            config, source=dataclasses.replace(config.source, mu=value)
-        )
-    return dataclasses.replace(
-        config,
-        apd_d0=dataclasses.replace(config.apd_d0, dark_per_gate=value),
-        apd_d1=dataclasses.replace(config.apd_d1, dark_per_gate=value),
-    )
+    configs = [
+        with_values(config, {**dict.fromkeys(SWEEP_AXES[axis], value),
+                             "session.seed": root.child_seed(DOMAIN_SWEEP, i)})
+        for i, value in enumerate(values)
+    ]
+    return [(value, run_session(cfg).summary) for value, cfg in zip(values, configs)]

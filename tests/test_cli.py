@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from timebin_bb84 import cli, session
 from timebin_bb84.cli import main
 from timebin_bb84.reporting import (
     bar,
@@ -183,6 +184,67 @@ class TestSweepCommand:
     def test_bad_values_exit_1(self, tmp_path, capsys):
         code = main(["sweep", "--axis", "mu", "--values", "0.1,grape", "--out", str(tmp_path)])
         assert code == 1
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "axis, bad, section", [("mu", "-1", "source"), ("dark", "1.5", "apd_d0")]
+    )
+    def test_bad_value_anywhere_runs_no_session(
+        self, tmp_path, capsys, monkeypatch, position, axis, bad, section
+    ):
+        calls = []
+        monkeypatch.setattr(session, "run_session", calls.append)
+        values = ["1e-4", "2e-4", "3e-4"]
+        values[position] = bad
+        out = tmp_path / "out"
+        code = main(["sweep", "--axis", axis, f"--values={','.join(values)}", "--out", str(out)])
+        assert code == 1
+        assert calls == []
+        assert not (out / "sweep.csv").exists()
+        assert f"config error: {section}: " in capsys.readouterr().err
+
+
+class TestFlagsAndFile:
+    """A flag overrides the file's value; an absent flag leaves it."""
+
+    @staticmethod
+    def load(*argv):
+        return cli._load_config(cli.build_parser().parse_args(list(argv)))
+
+    def test_file_values_hold_without_flags(self, tmp_path):
+        path = tmp_path / "on.ini"
+        path.write_text("[eve]\nenabled = true\n[session]\nconventional_mode = true\n")
+        for command in ("run", "sweep"):
+            extra = ["--axis", "mu", "--values", "0.1"] if command == "sweep" else []
+            cfg = self.load(command, "--config", str(path), *extra)
+            assert cfg.eve.enabled is True and cfg.conventional_mode is True
+
+    def test_flags_set_values(self, tmp_path):
+        path = tmp_path / "off.ini"
+        path.write_text("[eve]\nenabled = false\n")
+        assert self.load("run", "--config", str(path)).eve.enabled is False
+        cfg = self.load("run", "--config", str(path), "--eve", "--conventional-mode")
+        assert cfg.eve.enabled is True and cfg.conventional_mode is True
+
+    def test_seed_and_pulses_override_file(self, tmp_path):
+        path = tmp_path / "s.ini"
+        path.write_text("[session]\nseed = 11\nn_pulses = 5000\n")
+        cfg = self.load("run", "--config", str(path))
+        assert (cfg.seed, cfg.n_pulses) == (11, 5000)
+        cfg = self.load("run", "--config", str(path), "--seed", "12", "--pulses", "2e3")
+        assert (cfg.seed, cfg.n_pulses) == (12, 2000)
+        assert self.load("profile", "--config", str(path), "--seed", "13").seed == 13
+
+    def test_flag_values_are_checked(self, capsys):
+        assert main(["run", "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert "config error: session.seed: must be a 64-bit unsigned integer" in err
+
+    @pytest.mark.parametrize("flag", [["--eve"], ["--conventional-mode"], ["--pulses", "10"]])
+    def test_profile_refuses_session_flags(self, tmp_path, capsys, flag):
+        assert main(["profile", *flag, "--out", str(tmp_path / "o")]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestExitCodes:

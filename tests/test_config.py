@@ -11,7 +11,10 @@ from timebin_bb84.config import (
     ConfigError,
     SessionConfig,
     parse_config,
+    with_values,
 )
+from timebin_bb84.detection import SourceSpec
+from timebin_bb84.eavesdrop import EveSpec
 
 
 def write(tmp_path, text):
@@ -233,3 +236,58 @@ class TestRejection:
     def test_validate_direct(self):
         with pytest.raises(ConfigError, match=r"session\.n_pulses"):
             SessionConfig(n_pulses=-1)
+
+
+class TestWithValues:
+    def test_sets_values_by_path(self):
+        cfg = with_values(
+            SessionConfig(),
+            {"session.seed": 3, "eve.enabled": True, "eve_amz.visibility": 0.5, "source.mu": 0.2},
+        )
+        apparatus = dataclasses.replace(EveSpec().apparatus, visibility=0.5)
+        assert cfg == SessionConfig(
+            seed=3, eve=EveSpec(enabled=True, apparatus=apparatus), source=SourceSpec(mu=0.2)
+        )
+
+    def test_rebuilds_only_changed_specs(self):
+        base = SessionConfig()
+        assert with_values(base, {}) is base
+        cfg = with_values(base, {"eve_amz.visibility": 0.5})
+        assert cfg.source is base.source and cfg.bob_amz is base.bob_amz
+        assert cfg.eve is not base.eve and cfg.eve.enabled is base.eve.enabled
+
+    def test_each_spec_sees_all_its_new_values(self):
+        # SessionConfig's gating check passes only when both detectors change.
+        cfg = with_values(
+            SessionConfig(), {"apd_d0.gates_per_pulse": 1, "apd_d1.gates_per_pulse": 1}
+        )
+        assert cfg.apd_d0.gates_per_pulse == cfg.apd_d1.gates_per_pulse == 1
+        with pytest.raises(ConfigError, match=r"apd_d1\.gates_per_pulse"):
+            with_values(SessionConfig(), {"apd_d0.gates_per_pulse": 1})
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("laser.power", "laser: unknown section"),
+            ("mu", "mu: unknown section"),
+            ("channel.attenu", r"channel\.attenu: unknown key"),
+            ("eve.apparatus", r"eve\.apparatus: unknown key"),
+        ],
+    )
+    def test_unknown_path_refused(self, name, message):
+        with pytest.raises(ConfigError, match=message):
+            with_values(SessionConfig(), {name: 1.0})
+
+    def test_failed_check_names_section(self):
+        with pytest.raises(ConfigError, match="^source: mu must be finite and >= 0$"):
+            with_values(SessionConfig(), {"source.mu": -1.0})
+        with pytest.raises(ConfigError, match=r"^session\.n_pulses: must be >= 0$"):
+            with_values(SessionConfig(), {"session.n_pulses": -1})
+
+    def test_parse_reads_text_by_key_type(self):
+        cfg = with_values(
+            SessionConfig(), {"session.n_pulses": "2e3", "eve.enabled": "yes"}, parse=True
+        )
+        assert cfg.n_pulses == 2000 and cfg.eve.enabled is True
+        with pytest.raises(ConfigError, match=r"^session\.n_pulses: '10\.5' is not an integer$"):
+            with_values(SessionConfig(), {"session.n_pulses": "10.5"}, parse=True)

@@ -85,3 +85,28 @@ def test_sampled_profile_matches_pinned_digest(tmp_path, capsys):
     assert cli.main(argv) == cli.EXIT_OK
     capsys.readouterr()
     assert hashlib.sha256((out / "profile.csv").read_bytes()).hexdigest() == PINNED_SAMPLED_PROFILE
+
+
+# sha256 of sweep.csv from ``sweep --seed S --pulses 200000 --axis A
+# --values V`` on the default config, one per axis: each point sets the
+# axis's keys and its sub-seed.
+PINNED_SWEEPS = [
+    ("length_km", "20260108", "0,25,50",
+     "7948fd6185c2e2d2160235cc1c0f6c4ba1b4f04984ce45240f5f8a91e9f42654"),
+    ("mu", "20260109", "0.05,0.1,0.2",
+     "010e34570e8c74314cd57a58e2f89c7723ee25d0d31a95b7bdec8bce9b433359"),
+    ("dark", "20260110", "1e-05,0.0003,0.003",
+     "ae81171b2c5d1936b8cc0664c5eeeafe40e69d7aa722775326c163d0347ab4fc"),
+]
+
+
+@pytest.mark.parametrize(
+    "axis, seed, values, digest", PINNED_SWEEPS, ids=[p[0] for p in PINNED_SWEEPS]
+)
+def test_sweep_outputs_match_pinned_digest(tmp_path, capsys, axis, seed, values, digest):
+    out = tmp_path / "out"
+    argv = ["sweep", "--seed", seed, "--pulses", "200000", "--axis", axis, "--values", values,
+            "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    capsys.readouterr()
+    assert hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest() == digest

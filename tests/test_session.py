@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import per_pulse
 
 from timebin_bb84.channel import ChannelSpec, transmittance
 from timebin_bb84 import detection, eavesdrop, session
-from timebin_bb84.config import SessionConfig
+from timebin_bb84.config import ConfigError, SessionConfig
 from timebin_bb84.detection import ApdSpec, SourceSpec, expected_event_rates
 from timebin_bb84.eavesdrop import EveSpec, cumulative_outcomes, enumerate_attack_qber
 from timebin_bb84.eavesdrop import OUTCOME_TO_STATE_INDEX
@@ -662,6 +663,40 @@ class TestSweep:
             sweep(cfg, "temperature", [1.0])
         with pytest.raises(ValueError):
             sweep(cfg, "mu", [])
+
+    def test_axes_set_their_keys_and_sub_seeds(self, monkeypatch):
+        from timebin_bb84.detection import DOMAIN_SWEEP, RngHandle
+
+        seen = []
+        monkeypatch.setattr(
+            session, "run_session", lambda cfg: seen.append(cfg) or SimpleNamespace(summary=None)
+        )
+        base = SessionConfig(n_pulses=1000, seed=77)
+        assert list(session.SWEEP_AXES) == ["length_km", "mu", "dark"]
+        sweep(base, "length_km", [5.0])
+        sweep(base, "mu", [0.3])
+        sweep(base, "dark", [1e-4, 2e-4])
+        assert seen[0].channel.length_km == 5.0
+        assert seen[1].source.mu == 0.3 and seen[1].channel == base.channel
+        assert [(c.apd_d0.dark_per_gate, c.apd_d1.dark_per_gate) for c in seen[2:]] == [
+            (1e-4, 1e-4), (2e-4, 2e-4)
+        ]
+        root = RngHandle(77)
+        assert [c.seed for c in seen] == [root.child_seed(DOMAIN_SWEEP, i) for i in (0, 0, 0, 1)]
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "axis, bad, section",
+        [("length_km", -1.0, "channel"), ("mu", -1.0, "source"), ("dark", 1.0, "apd_d0")],
+    )
+    def test_bad_value_anywhere_runs_no_session(self, monkeypatch, position, axis, bad, section):
+        calls = []
+        monkeypatch.setattr(session, "run_session", calls.append)
+        values = [1e-4, 2e-4, 3e-4]
+        values[position] = bad
+        with pytest.raises(ConfigError, match=f"^{section}: "):
+            sweep(SessionConfig(n_pulses=1000), axis, values)
+        assert calls == []
 
 
 def test_config_file_driven_session(tmp_path):
