@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from pathlib import Path
 
@@ -48,6 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = subs.add_parser("sweep", help="one session per value along a parameter axis")
     # A flag that sets a config value stores it under its section.key path, or None if absent.
     for sub in (p_profile, p_run, p_sweep):
+        sub._negative_number_matcher = re.compile(r"^-\.?\d")  # -1e-3 or -0.2,0.1 is a value, not a flag
         sub.add_argument("--config", metavar="PATH", help="INI config file (defaults if omitted)")
         sub.add_argument(
             "--seed", dest="session.seed", type=integer, metavar="N", help="override session.seed"

@@ -30,7 +30,7 @@ from typing import Any
 from .channel import ChannelSpec
 from .detection import ApdSpec, SourceSpec
 from .eavesdrop import EveSpec
-from .optics import AmzSpec
+from .optics import AmzSpec, PhaseSpec
 
 
 class ConfigError(ValueError):
@@ -43,10 +43,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SessionConfig:
-    """Everything a session needs; see module docstring for provenance."""
+    """Everything a session needs; see module docstring for provenance.
+    gates_per_pulse = 3 gates both detectors in every slot, 1 in the central one."""
 
     source: SourceSpec = field(default_factory=SourceSpec)
-    alice_amz: AmzSpec = field(default_factory=AmzSpec)
+    alice_amz: PhaseSpec = field(default_factory=PhaseSpec)
     bob_amz: AmzSpec = field(default_factory=AmzSpec)
     channel: ChannelSpec = field(default_factory=ChannelSpec)
     apd_d0: ApdSpec = field(default_factory=ApdSpec)
@@ -56,6 +57,7 @@ class SessionConfig:
     seed: int = 1
     sample_fraction: float = 0.1
     conventional_mode: bool = False
+    gates_per_pulse: int = 3
 
     def __post_init__(self) -> None:
         if self.n_pulses < 0:
@@ -64,11 +66,8 @@ class SessionConfig:
             raise ConfigError("must be a 64-bit unsigned integer", "session.seed")
         if not 0.0 < self.sample_fraction <= 1.0:
             raise ConfigError("must lie in (0, 1]", "session.sample_fraction")
-        if self.apd_d0.gates_per_pulse != self.apd_d1.gates_per_pulse:
-            raise ConfigError(
-                "both detectors must use the same gating scheme",
-                "apd_d1.gates_per_pulse",
-            )
+        if self.gates_per_pulse not in (1, 3):
+            raise ConfigError("must be 1 or 3", "session.gates_per_pulse")
 
 
 def integer(text: str) -> int:
@@ -174,7 +173,7 @@ def parse_config(path: str | Path | None) -> SessionConfig:
 
 DEFAULT_CONFIG_TEXT = """\
 # Session configuration; every key shown with its default value.
-# Hardware-derived value: alice_amz/bob_amz excess_loss_db ~2 dB.
+# Hardware-derived value: bob_amz excess_loss_db ~2 dB.
 # Assumed typical values: apd efficiency/dark counts, channel attenuation,
 # source mu.
 """ + "".join(

@@ -63,25 +63,21 @@ class SourceSpec:
 
 @dataclass(frozen=True)
 class ApdSpec:
-    """Gated avalanche photodiode.
-
-    gates_per_pulse = 3 arms every slot; 1 arms only the central slot
-    (single-gate baseline).  A pulse whose first firing slot clicks on both
-    ports is discarded.  Defaults for efficiency and dark counts are
-    typical 1.55 um InGaAs values, not measured device figures.
+    """Gated avalanche photodiode; both of a receiver's detectors are gated
+    together (``SessionConfig.gates_per_pulse``).  A pulse whose first
+    firing slot clicks on both ports is discarded.  Defaults for efficiency
+    and dark counts are typical 1.55 um InGaAs values, not measured device
+    figures.
     """
 
     efficiency: float = 0.1
     dark_per_gate: float = 1e-5
-    gates_per_pulse: int = 3
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError("efficiency must lie in [0, 1]")
         if not 0.0 <= self.dark_per_gate < 1.0:
             raise ValueError("dark_per_gate must lie in [0, 1)")
-        if self.gates_per_pulse not in (1, 3):
-            raise ValueError("gates_per_pulse must be 1 or 3")
 
 
 # Substream domains; the derivation rule is
@@ -141,17 +137,11 @@ def click_probability(p_slot_port, mu_arrived: float, apd: ApdSpec):
     )
 
 
-def _shared_gates(apds: ApdPair) -> int:
-    """The gates per pulse that the (D0, D1) pair must share."""
-    if apds[0].gates_per_pulse != apds[1].gates_per_pulse:
-        raise ValueError("both detectors must use the same gating scheme")
-    return apds[0].gates_per_pulse
-
-
-def cell_click_probabilities(dist: SlotPortDistribution, mu_arrived: float, apds: ApdPair) -> np.ndarray:
+def cell_click_probabilities(dist: SlotPortDistribution, mu_arrived: float, apds: ApdPair,
+                             gates: int = 3) -> np.ndarray:
     """Flattened (6,) click probabilities with the (D0, D1) detectors
-    ``apds``, which share one gating scheme; ungated cells are zero."""
-    gates = _shared_gates(apds)
+    ``apds``, both armed in ``gates`` slots per pulse: 3 arms every slot, 1
+    only the central one (single-gate baseline).  Ungated cells are zero."""
     q = np.stack([click_probability(dist.p[:, port], mu_arrived, apds[port]) for port in (0, 1)], axis=1)
     if gates == 1:
         q[[Slot.S1, Slot.S3]] = 0.0
@@ -203,7 +193,7 @@ def first_fire_table(q) -> np.ndarray:
     return cumulative_edges(list(_first_fire_increments(np.asarray(q, dtype=float))))
 
 
-def click_bound(dist: SlotPortDistribution, mu_arrived: float, apds: ApdPair) -> float:
+def click_bound(dist: SlotPortDistribution, mu_arrived: float, apds: ApdPair, gates: int = 3) -> float:
     """Upper bound on the any-click probability of ``dist`` at every
     receiver phase: 1 - prod(1-d) * exp(-eta_max * mu * p_total).
 
@@ -213,7 +203,6 @@ def click_bound(dist: SlotPortDistribution, mu_arrived: float, apds: ApdPair) ->
     computes can exceed the exact value by a few ulps.  A probability
     cannot exceed 1, so neither does the bound.
     """
-    gates = _shared_gates(apds)
     p_total = float(dist.p[Slot.S2].sum() if gates == 1 else dist.p.sum())
     eta_max = max(a.efficiency for a in apds)
     dark = ((1.0 - apds[0].dark_per_gate) * (1.0 - apds[1].dark_per_gate)) ** gates
@@ -307,8 +296,9 @@ def detect_batch(
     return outcome < N_CELLS, outcome // 2, outcome % 2, outcome <= N_CELLS
 
 
-def expected_event_rates(dist: SlotPortDistribution, mu_arrived: float, apds: ApdPair) -> np.ndarray:
-    """Exact (3, 2) per-cell registration probabilities under first-fire:
-    the six cell increments of :func:`first_fire_table`."""
-    q = cell_click_probabilities(dist, mu_arrived, apds)
+def expected_event_rates(dist: SlotPortDistribution, mu_arrived: float, apds: ApdPair,
+                         gates: int = 3) -> np.ndarray:
+    """Exact (3, 2) first-fire registration probabilities per cell with
+    ``gates`` slots armed: the six cell increments of :func:`first_fire_table`."""
+    q = cell_click_probabilities(dist, mu_arrived, apds, gates)
     return np.array(list(_first_fire_increments(q))[:N_CELLS]).reshape(3, 2)

@@ -129,31 +129,37 @@ def canonical_link_state(state: CanonicalState) -> TimeBinState:
 
 
 @dataclass(frozen=True)
-class AmzSpec:
-    """Unbalanced-interferometer device parameters.
+class PhaseSpec:
+    """Long-arm phase of an unbalanced interferometer: an offset from the
+    calibrated point plus, when phase_jitter_rad > 0, independent Gaussian
+    noise per pulse (thermal drift).  The transmitter has only these:
+    nothing interferes there, and the attenuator after it fixes mu."""
 
-    The long arm delays light by one time bin (5 ns for the modeled
-    device).  excess_loss_db is loss beyond the intrinsic 3 dB of the
-    output coupler.  phase_offset_rad is a deviation from the calibrated
-    interference point and visibility the contrast of the S2 interference.
-    phase_jitter_rad, when nonzero, adds independent Gaussian phase noise
-    per pulse (thermal drift).
-    """
-
-    excess_loss_db: float = 2.0
     phase_offset_rad: float = 0.0
-    visibility: float = 1.0
     phase_jitter_rad: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.excess_loss_db) and self.excess_loss_db >= 0):
-            raise ValueError("excess_loss_db must be finite and >= 0")
         if not math.isfinite(self.phase_offset_rad):
             raise ValueError("phase_offset_rad must be finite")
-        if not 0.0 <= self.visibility <= 1.0:
-            raise ValueError("visibility must lie in [0, 1]")
         if not (math.isfinite(self.phase_jitter_rad) and self.phase_jitter_rad >= 0):
             raise ValueError("phase_jitter_rad must be finite and >= 0")
+
+
+@dataclass(frozen=True)
+class AmzSpec(PhaseSpec):
+    """Interferometer whose outputs are detected: the long arm delays light
+    by one 5 ns time bin, excess_loss_db is loss beyond the output coupler's
+    intrinsic 3 dB and visibility the contrast of the S2 interference."""
+
+    excess_loss_db: float = 2.0
+    visibility: float = 1.0
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not (math.isfinite(self.excess_loss_db) and self.excess_loss_db >= 0):
+            raise ValueError("excess_loss_db must be finite and >= 0")
+        if not 0.0 <= self.visibility <= 1.0:
+            raise ValueError("visibility must lie in [0, 1]")
 
     @property
     def excess_transmittance(self) -> float:

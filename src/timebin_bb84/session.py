@@ -65,6 +65,7 @@ from .optics import (
     CANONICAL_AMPLITUDES,
     CANONICAL_STATES,
     AmzSpec,
+    PhaseSpec,
     Slot,
     SlotPortDistribution,
     bob_transform,
@@ -166,7 +167,7 @@ def summarize(
 # ---------------------------------------------------------------------------
 
 
-def _prepared_amplitudes(alice_amz: AmzSpec) -> np.ndarray:
+def _prepared_amplitudes(alice_amz: PhaseSpec) -> np.ndarray:
     """Canonical amplitudes with the transmitter's phase offset on the late bin."""
     amps = CANONICAL_AMPLITUDES.copy()
     amps[:, 1] *= np.exp(1j * alice_amz.phase_offset_rad)
@@ -233,9 +234,9 @@ def run_session(config: SessionConfig) -> SessionResult:
         records, classifications, config.sample_fraction, rng.stream(DOMAIN_SAMPLE), sent=sent
     )
 
-    vacuum_dist = SlotPortDistribution(np.zeros((3, 2)))
-    dark_register = float(expected_event_rates(vacuum_dist, 0.0, (config.apd_d0, config.apd_d1)).sum())
-    summary = summarize(n, classifications, sent, key_a, events_registered, dark_register)
+    apds = (config.apd_d0, config.apd_d1)
+    dark = expected_event_rates(SlotPortDistribution(np.zeros((3, 2))), 0.0, apds, config.gates_per_pulse)
+    summary = summarize(n, classifications, sent, key_a, events_registered, float(dark.sum()))
     return SessionResult(summary, key_a, key_b, records, classifications)
 
 
@@ -244,7 +245,7 @@ def _detect_events(config: SessionConfig, records: PulseTrain, rng: RngHandle):
     one's pulse and the registrations before any conventional-mode filter.
     Every per-batch and per-slice array is freed on return."""
     n = config.n_pulses
-    apds = (config.apd_d0, config.apd_d1)
+    apds, gates = (config.apd_d0, config.apd_d1), config.gates_per_pulse
     mu = config.source.mu
 
     # The phase riding on a prepared state's late bin combines with the
@@ -273,12 +274,12 @@ def _detect_events(config: SessionConfig, records: PulseTrain, rng: RngHandle):
     incoming = math.sqrt(transmittance(config.channel)) * incoming
     dists = _receiver_distributions(incoming, bob_amz)
     # Cell-major tables: (6, k) click probabilities, (7, k) cumulative edges.
-    q_table = np.stack([cell_click_probabilities(d, mu, apds) for d in dists], axis=1)
+    q_table = np.stack([cell_click_probabilities(d, mu, apds, gates) for d in dists], axis=1)
     cum_table = first_fire_table(q_table)
     # Under receiver drift a pulse's click probability moves with its
     # phase, so candidates are drawn below a phase-independent bound.
     if sigma_bob_leg > 0.0:
-        p = max(click_bound(d, mu, apds) for d in dists)
+        p = max(click_bound(d, mu, apds, gates) for d in dists)
     else:
         p = cum_table[-1].max()
 
@@ -371,7 +372,7 @@ def profile_rows(config: SessionConfig, sampled_pulses: int = 0) -> list[Profile
         rows.append(ProfileRow(label, "bin1", "link", float(abs(amps[1]) ** 2)))
         if sampled_pulses > 0:
             p = _sampled_cell_probabilities(
-                dists[k], config.source.mu, apds, sampled_pulses,
+                dists[k], config.source.mu, apds, config.gates_per_pulse, sampled_pulses,
                 rng.indexed_stream(DOMAIN_DETECT, 1000 + k),
             )
         else:
@@ -386,12 +387,13 @@ def _sampled_cell_probabilities(
     dist: SlotPortDistribution,
     mu: float,
     apds: tuple[ApdSpec, ApdSpec],
+    gates: int,
     n_pulses: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Invert empirical click frequencies through the detector response;
     each cell's click count over ``n_pulses`` pulses is one binomial draw."""
-    counts = rng.binomial(n_pulses, cell_click_probabilities(dist, mu, apds))
+    counts = rng.binomial(n_pulses, cell_click_probabilities(dist, mu, apds, gates))
     freq = counts / n_pulses
     p = np.zeros(6)
     for cell in range(6):

@@ -49,7 +49,6 @@ def report(num: int, description: str, ok: bool, detail: str = "") -> None:
 
 def lossless_config(**overrides) -> SessionConfig:
     base = dict(
-        alice_amz=AmzSpec(excess_loss_db=0.0),
         bob_amz=AmzSpec(excess_loss_db=0.0),
         channel=ChannelSpec(length_km=0.0),
         apd_d0=ApdSpec(efficiency=0.1, dark_per_gate=0.0),
@@ -159,8 +158,8 @@ def test_criterion_4_dark_exposure():
     counts = {}
     p_exact = {}
     for gates in (3, 1):
-        apd = ApdSpec(efficiency=0.1, dark_per_gate=d, gates_per_pulse=gates)
-        cum = first_fire_table(cell_click_probabilities(vacuum, 0.0, (apd, apd)))
+        apd = ApdSpec(efficiency=0.1, dark_per_gate=d)
+        cum = first_fire_table(cell_click_probabilities(vacuum, 0.0, (apd, apd), gates))
         p_exact[gates] = float(cum[-1])  # any gated cell clicks
         rng = RngHandle(440_001).indexed_stream(DOMAIN_DETECT, gates)
         batch = draw_candidates(n, cum[-1], rng)

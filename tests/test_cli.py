@@ -14,9 +14,6 @@ from timebin_bb84.reporting import (
 )
 
 IDEAL_INI = """
-[alice_amz]
-excess_loss_db = 0
-
 [bob_amz]
 excess_loss_db = 0
 
@@ -202,6 +199,17 @@ class TestSweepCommand:
         assert calls == []
         assert not (out / "sweep.csv").exists()
         assert f"config error: {section}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values", ["-0.2,0.1", "-1e-3"])
+    def test_negative_values_token_reaches_the_config_check(self, tmp_path, capsys, monkeypatch, values):
+        # A value after a space that starts with "-" is the value, not an unknown flag.
+        calls = []
+        monkeypatch.setattr(session, "run_session", calls.append)
+        out = tmp_path / "out"
+        assert main(["sweep", "--axis", "mu", "--values", values, "--out", str(out)]) == 1
+        assert calls == []
+        assert not (out / "sweep.csv").exists()
+        assert "config error: source: mu must be finite and >= 0" in capsys.readouterr().err
 
 
 class TestFlagsAndFile:

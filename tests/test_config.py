@@ -7,6 +7,7 @@ import pytest
 
 from timebin_bb84.cli import main
 from timebin_bb84.config import (
+    _KEYS,
     DEFAULT_CONFIG_TEXT,
     ConfigError,
     SessionConfig,
@@ -15,6 +16,7 @@ from timebin_bb84.config import (
 )
 from timebin_bb84.detection import SourceSpec
 from timebin_bb84.eavesdrop import EveSpec
+from timebin_bb84.session import run_session
 
 
 def write(tmp_path, text):
@@ -31,10 +33,9 @@ ALL_KEYS = [
     ("session", "seed", "7", "seed", 7),
     ("session", "sample_fraction", "0.5", "sample_fraction", 0.5),
     ("session", "conventional_mode", "on", "conventional_mode", True),
+    ("session", "gates_per_pulse", "1.0", "gates_per_pulse", 1),
     ("source", "mu", "0.3", "source.mu", 0.3),
-    ("alice_amz", "excess_loss_db", "1.5", "alice_amz.excess_loss_db", 1.5),
     ("alice_amz", "phase_offset_rad", "0.25", "alice_amz.phase_offset_rad", 0.25),
-    ("alice_amz", "visibility", "0.9", "alice_amz.visibility", 0.9),
     ("alice_amz", "phase_jitter_rad", "0.05", "alice_amz.phase_jitter_rad", 0.05),
     ("bob_amz", "excess_loss_db", "1", "bob_amz.excess_loss_db", 1.0),
     ("bob_amz", "phase_offset_rad", "-0.5", "bob_amz.phase_offset_rad", -0.5),
@@ -45,10 +46,8 @@ ALL_KEYS = [
     ("channel", "fixed_insertion_db", "3", "channel.fixed_insertion_db", 3.0),
     ("apd_d0", "efficiency", "0.2", "apd_d0.efficiency", 0.2),
     ("apd_d0", "dark_per_gate", "1e-6", "apd_d0.dark_per_gate", 1e-6),
-    ("apd_d0", "gates_per_pulse", "1", "apd_d0.gates_per_pulse", 1),
     ("apd_d1", "efficiency", "0.3", "apd_d1.efficiency", 0.3),
     ("apd_d1", "dark_per_gate", "2e-5", "apd_d1.dark_per_gate", 2e-5),
-    ("apd_d1", "gates_per_pulse", "1.0", "apd_d1.gates_per_pulse", 1),
     ("eve", "enabled", "yes", "eve.enabled", True),
     ("eve_amz", "excess_loss_db", "0.5", "eve.apparatus.excess_loss_db", 0.5),
     ("eve_amz", "phase_offset_rad", "0.1", "eve.apparatus.phase_offset_rad", 0.1),
@@ -90,22 +89,16 @@ class TestParsing:
             "apd_d0", "apd_d1", "eve", "eve_amz",
         ]
         listed = [(s, k) for s in parser.sections() for k in parser[s]]
-        assert len(listed) == 27
+        assert len(listed) == 24
         assert sorted(listed) == sorted((s, k) for s, k, *_ in ALL_KEYS)
 
     @pytest.mark.parametrize(
         "section, key, text, field, value", ALL_KEYS, ids=[f"{s}.{k}" for s, k, *_ in ALL_KEYS]
     )
     def test_each_key_sets_its_field(self, tmp_path, section, key, text, field, value):
-        ini = f"[{section}]\n{key} = {text}\n"
-        expected = {field: value}
-        if key == "gates_per_pulse":  # both detectors must share the gating scheme
-            other = "apd_d1" if section == "apd_d0" else "apd_d0"
-            ini += f"[{other}]\n{key} = 1\n"
-            expected[f"{other}.{key}"] = 1
-        got = leaves(parse_config(write(tmp_path, ini)))
+        got = leaves(parse_config(write(tmp_path, f"[{section}]\n{key} = {text}\n")))
         defaults = leaves(SessionConfig())
-        assert {k: v for k, v in got.items() if v != defaults[k]} == expected
+        assert {k: v for k, v in got.items() if v != defaults[k]} == {field: value}
         assert type(got[field]) is type(value)
 
     def test_nonexistent_file(self, tmp_path):
@@ -217,15 +210,23 @@ class TestRejection:
             ("eve_amz", "delay_bins", "1"),
             ("apd_d0", "double_click_policy", "discard"),
             ("eve", "resend_on_no_click", "vacuum"),
+            # The transmitter has only phase keys, and both detectors share one gate count.
+            ("alice_amz", "excess_loss_db", "0"),
+            ("alice_amz", "visibility", "1"),
+            ("apd_d0", "gates_per_pulse", "3"),
+            ("apd_d1", "gates_per_pulse", "3"),
         ],
     )
     def test_removed_keys_are_unknown(self, tmp_path, section, key, value):
         with pytest.raises(ConfigError, match=rf"{section}\.{key}: unknown key"):
             parse_config(write(tmp_path, f"[{section}]\n{key} = {value}\n"))
 
-    def test_gate_mismatch(self, tmp_path):
-        with pytest.raises(ConfigError, match=r"apd_d1\.gates_per_pulse"):
-            parse_config(write(tmp_path, "[apd_d0]\ngates_per_pulse = 1\n"))
+    def test_gate_count(self, tmp_path):
+        for gates in (1, 3):
+            cfg = parse_config(write(tmp_path, f"[session]\ngates_per_pulse = {gates}\n"))
+            assert cfg.gates_per_pulse == gates
+        with pytest.raises(ConfigError, match=r"^session\.gates_per_pulse: must be 1 or 3$"):
+            parse_config(write(tmp_path, "[session]\ngates_per_pulse = 2\n"))
 
     def test_sample_fraction_bounds(self, tmp_path):
         with pytest.raises(ConfigError, match="sample_fraction"):
@@ -257,13 +258,12 @@ class TestWithValues:
         assert cfg.eve is not base.eve and cfg.eve.enabled is base.eve.enabled
 
     def test_each_spec_sees_all_its_new_values(self):
-        # SessionConfig's gating check passes only when both detectors change.
-        cfg = with_values(
-            SessionConfig(), {"apd_d0.gates_per_pulse": 1, "apd_d1.gates_per_pulse": 1}
-        )
-        assert cfg.apd_d0.gates_per_pulse == cfg.apd_d1.gates_per_pulse == 1
-        with pytest.raises(ConfigError, match=r"apd_d1\.gates_per_pulse"):
-            with_values(SessionConfig(), {"apd_d0.gates_per_pulse": 1})
+        # Two keys of one nested spec, one of its parent and one of the session.
+        values = {"eve_amz.visibility": 0.5, "eve_amz.phase_offset_rad": 0.2, "eve.enabled": True,
+                  "session.gates_per_pulse": 1}
+        cfg = with_values(SessionConfig(), values)
+        assert (cfg.eve.apparatus.visibility, cfg.eve.apparatus.phase_offset_rad) == (0.5, 0.2)
+        assert cfg.eve.enabled and cfg.gates_per_pulse == 1
 
     @pytest.mark.parametrize(
         "name, message",
@@ -291,3 +291,33 @@ class TestWithValues:
         assert cfg.n_pulses == 2000 and cfg.eve.enabled is True
         with pytest.raises(ConfigError, match=r"^session\.n_pulses: '10\.5' is not an integer$"):
             with_values(SessionConfig(), {"session.n_pulses": "10.5"}, parse=True)
+
+
+# The every-key check runs from a dense, attacked base link, so that each
+# key of every section has something to act on.
+ACTS_BASE = {
+    "eve.enabled": True, "channel.length_km": 5.0, "source.mu": 0.5, "apd_d0.efficiency": 0.5,
+    "apd_d1.efficiency": 0.5, "session.n_pulses": 200_000, "session.seed": 11,
+}
+# Each key's value from ALL_KEYS, except that the attacker, on in the base, goes off.
+ACTING_VALUES = {f"{s}.{k}": v for s, k, *_, v in ALL_KEYS} | {"eve.enabled": False}
+
+
+def run_outputs(values):
+    """(summary, (transmitter key, receiver key)) of a run with ``values`` set."""
+    result = run_session(with_values(SessionConfig(), values))
+    return result.summary, (result.alice_key.to_hex(), result.bob_key.to_hex())
+
+
+@pytest.fixture(scope="module")
+def base_outputs():
+    return run_outputs(ACTS_BASE)
+
+
+@pytest.mark.parametrize("name", sorted(_KEYS))
+def test_every_key_acts(name, base_outputs):
+    """Setting any one key away from the base changes the run's summary and
+    its keys: no key is parsed, checked and then ignored."""
+    summary, keys = run_outputs({**ACTS_BASE, name: ACTING_VALUES[name]})
+    assert summary != base_outputs[0]
+    assert keys != base_outputs[1]

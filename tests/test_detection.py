@@ -7,7 +7,6 @@ import pytest
 
 import matrix_oracle as oracle
 import per_pulse
-from timebin_bb84.config import SessionConfig
 from timebin_bb84.detection import (
     DOMAIN_DETECT,
     ApdSpec,
@@ -44,10 +43,10 @@ def dark_only_dist() -> SlotPortDistribution:
     return SlotPortDistribution(np.zeros((3, 2)))
 
 
-def any_click_probability(dist: SlotPortDistribution, mu: float, apd: ApdSpec) -> float:
-    """Probability that at least one gated cell clicks, with ``apd`` on
-    both ports: the total of the first-fire table."""
-    return float(first_fire_table(cell_click_probabilities(dist, mu, (apd, apd)))[-1])
+def any_click_probability(dist: SlotPortDistribution, mu: float, apd: ApdSpec, gates: int = 3) -> float:
+    """Probability that at least one of the cells armed by ``gates`` clicks,
+    with ``apd`` on both ports: the total of the first-fire table."""
+    return float(first_fire_table(cell_click_probabilities(dist, mu, (apd, apd), gates))[-1])
 
 
 def detect_alike(q, n: int, rng: np.random.Generator):
@@ -161,20 +160,17 @@ class TestExpectedRates:
             p = rng.random((3, 2))
             p *= rng.random() / p.sum()
             dist = SlotPortDistribution(p)
-            apd = ApdSpec(
-                efficiency=float(rng.random()),
-                dark_per_gate=float(rng.random() * 0.2),
-                gates_per_pulse=3 if rng.random() < 0.7 else 1,
-            )
+            apd = ApdSpec(efficiency=float(rng.random()), dark_per_gate=float(rng.random() * 0.2))
+            gates = 3 if rng.random() < 0.7 else 1
             mu = float(rng.random() * 3)
-            q = cell_click_probabilities(dist, mu, (apd, apd))
+            q = cell_click_probabilities(dist, mu, (apd, apd), gates)
             ref, ref_any = oracle.registration_by_enumeration(q)
-            assert np.max(np.abs(expected_event_rates(dist, mu, (apd, apd)) - ref)) < 1e-12
-            assert abs(any_click_probability(dist, mu, apd) - ref_any) < 1e-12
+            assert np.max(np.abs(expected_event_rates(dist, mu, (apd, apd), gates) - ref)) < 1e-12
+            assert abs(any_click_probability(dist, mu, apd, gates) - ref_any) < 1e-12
 
     def test_single_gate_only_central_slot(self):
-        apd = ApdSpec(efficiency=0.5, dark_per_gate=1e-3, gates_per_pulse=1)
-        r = expected_event_rates(ideal_dist(0), 0.2, (apd, apd))
+        apd = ApdSpec(efficiency=0.5, dark_per_gate=1e-3)
+        r = expected_event_rates(ideal_dist(0), 0.2, (apd, apd), gates=1)
         assert np.all(r[0] == 0.0) and np.all(r[2] == 0.0)
         assert np.all(r[1] > 0.0)
 
@@ -200,20 +196,18 @@ class TestExpectedRates:
 class TestGatingCost:
     def test_exact_ratio_formula(self):
         for d in (1e-5, 1e-3, 0.05):
-            apd3 = ApdSpec(dark_per_gate=d, gates_per_pulse=3)
-            apd1 = ApdSpec(dark_per_gate=d, gates_per_pulse=1)
-            p3 = any_click_probability(dark_only_dist(), 0.0, apd3)
-            p1 = any_click_probability(dark_only_dist(), 0.0, apd1)
+            apd = ApdSpec(dark_per_gate=d)
+            p3 = any_click_probability(dark_only_dist(), 0.0, apd, gates=3)
+            p1 = any_click_probability(dark_only_dist(), 0.0, apd, gates=1)
             expected = (1 - (1 - d) ** 6) / (1 - (1 - d) ** 2)
             assert abs(p3 / p1 - expected) < 1e-9 * expected
 
     def test_ratio_approaches_three(self):
         d = 1e-9
         ratio = (1 - (1 - d) ** 6) / (1 - (1 - d) ** 2)
-        apd3 = ApdSpec(dark_per_gate=d, gates_per_pulse=3)
-        apd1 = ApdSpec(dark_per_gate=d, gates_per_pulse=1)
-        got = any_click_probability(dark_only_dist(), 0.0, apd3) / any_click_probability(
-            dark_only_dist(), 0.0, apd1
+        apd = ApdSpec(dark_per_gate=d)
+        got = any_click_probability(dark_only_dist(), 0.0, apd, gates=3) / any_click_probability(
+            dark_only_dist(), 0.0, apd, gates=1
         )
         assert abs(got - 3.0) < 1e-7 and abs(got - ratio) < 1e-7
 
@@ -277,13 +271,14 @@ class TestDetectPulse:
         assert np.all(any_click)
 
 
+# (incoming distribution, mu, (D0, D1) detectors, gates per pulse)
 SAMPLER_CASES = {
     "asymmetric": (
         ideal_dist(2), 0.5,
-        (ApdSpec(efficiency=0.05, dark_per_gate=1e-3), ApdSpec(efficiency=0.4, dark_per_gate=1e-2)),
+        (ApdSpec(efficiency=0.05, dark_per_gate=1e-3), ApdSpec(efficiency=0.4, dark_per_gate=1e-2)), 3,
     ),
-    "single_gate": (ideal_dist(0), 2.0, (ApdSpec(efficiency=0.5, dark_per_gate=1e-2, gates_per_pulse=1),) * 2),
-    "high_click": (ideal_dist(0), 4.0, (ApdSpec(efficiency=1.0, dark_per_gate=0.05),) * 2),
+    "single_gate": (ideal_dist(0), 2.0, (ApdSpec(efficiency=0.5, dark_per_gate=1e-2),) * 2, 1),
+    "high_click": (ideal_dist(0), 4.0, (ApdSpec(efficiency=1.0, dark_per_gate=0.05),) * 2, 3),
 }
 
 
@@ -292,9 +287,9 @@ class TestFirstFireSampler:
     def test_matches_bernoulli_oracle_and_exact_law(self, case):
         """Both samplers' counts of all eight outcomes lie within the
         Bernstein band at Z of the law from enumerating click patterns."""
-        dist, mu, apds = SAMPLER_CASES[case]
+        dist, mu, apds, gates = SAMPLER_CASES[case]
         n = 400_000
-        q = cell_click_probabilities(dist, mu, apds)
+        q = cell_click_probabilities(dist, mu, apds, gates)
         reg, p_any = oracle.registration_by_enumeration(q)
         law = np.append(reg.reshape(6), [p_any - reg.sum(), 1.0 - p_any])
         assert np.max(np.abs(np.diff(first_fire_table(q), prepend=0.0) - law[:7])) < 1e-12
@@ -325,15 +320,15 @@ class TestFirstFireSampler:
         assert np.array_equal(first_fire_table(q[:, 7]), want[:, 7])  # one (6,) row
 
     @pytest.mark.parametrize(
-        "apds",
+        "apds, gates",
         [
-            (ApdSpec(efficiency=0.1, dark_per_gate=1e-5),) * 2,
-            (ApdSpec(efficiency=0.05, dark_per_gate=1e-3), ApdSpec(efficiency=0.4, dark_per_gate=1e-6)),
-            (ApdSpec(efficiency=0.9, dark_per_gate=1e-2, gates_per_pulse=1),) * 2,
+            ((ApdSpec(efficiency=0.1, dark_per_gate=1e-5),) * 2, 3),
+            ((ApdSpec(efficiency=0.05, dark_per_gate=1e-3), ApdSpec(efficiency=0.4, dark_per_gate=1e-6)), 3),
+            ((ApdSpec(efficiency=0.9, dark_per_gate=1e-2),) * 2, 1),
         ],
         ids=["equal", "unequal", "single_gate"],
     )
-    def test_drift_bound_covers_every_phase(self, apds):
+    def test_drift_bound_covers_every_phase(self, apds, gates):
         """The phase-independent bound is at least the any-click total of
         every incoming state at every receiver phase on a dense grid."""
         amz = AmzSpec(visibility=0.95, excess_loss_db=0.5, phase_offset_rad=0.3)
@@ -341,7 +336,7 @@ class TestFirstFireSampler:
         states = [canonical_link_state(s).bins[:, 0] for s in CANONICAL_STATES] + [np.zeros(2)]
         for early, late in states:
             for mu in (0.03, 0.5, 5.0):
-                bound = click_bound(bob_transform(link_state(early, late), amz), mu, apds)
+                bound = click_bound(bob_transform(link_state(early, late), amz), mu, apds, gates)
                 cells = np.stack(
                     [np.broadcast_to(c, phases.shape)
                      for row in slot_port_probabilities(early, late, amz, phases) for c in row]
@@ -349,7 +344,7 @@ class TestFirstFireSampler:
                 q = np.zeros_like(cells)
                 for j in range(6):
                     q[j] = click_probability(cells[j], mu, apds[j % 2])
-                if apds[0].gates_per_pulse == 1:
+                if gates == 1:
                     q[[0, 1, 4, 5]] = 0.0
                 total = first_fire_table(q)[-1]
                 assert np.all(total <= bound)
@@ -471,18 +466,6 @@ class TestAsymmetricDetectors:
         assert np.all(r[:, 0] == 0.0)
         assert np.all(r[:, 1] > 0.0)
 
-    def test_mismatched_gating_rejected(self):
-        # a session's detector pair is checked once, on configuration
-        with pytest.raises(ValueError, match="same gating scheme"):
-            SessionConfig(apd_d0=ApdSpec(gates_per_pulse=1), apd_d1=ApdSpec(gates_per_pulse=3))
-
-    def test_mismatched_gating_rejected_by_detection_functions(self):
-        for pair in ((ApdSpec(gates_per_pulse=1), ApdSpec(gates_per_pulse=3)),
-                     (ApdSpec(gates_per_pulse=3), ApdSpec(gates_per_pulse=1))):
-            for function in (cell_click_probabilities, click_bound, expected_event_rates):
-                with pytest.raises(ValueError, match="same gating scheme"):
-                    function(dark_only_dist(), 0.0, pair)
-
     def test_pair_in_batch_sampler(self):
         pair = (ApdSpec(efficiency=0.0, dark_per_gate=0.0), ApdSpec(efficiency=1.0, dark_per_gate=0.0))
         q = cell_click_probabilities(ideal_dist(0), 5.0, pair)
@@ -501,5 +484,3 @@ class TestSpecs:
             ApdSpec(efficiency=1.2)
         with pytest.raises(ValueError):
             ApdSpec(dark_per_gate=1.0)
-        with pytest.raises(ValueError):
-            ApdSpec(gates_per_pulse=2)

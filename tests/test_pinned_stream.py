@@ -11,13 +11,12 @@ import pytest
 
 from timebin_bb84 import cli, session
 
-# A dense link (eta 1, mu 0.5, lossless transmitter) with the attacker on,
-# over two full batches and 5 pulses: about 40% of pulses are candidates, so
-# each batch spans several 2^16-candidate slices.
+# A dense link (eta 1, mu 0.5) with the attacker on, over two full batches
+# and 5 pulses: about 40% of pulses are candidates, so each batch spans
+# several 2^16-candidate slices.
 _DENSE = (
     f"[session]\nn_pulses = {2 * session.BATCH_SIZE + 5}\nseed = SEED\n"
     "[source]\nmu = 0.5\n"
-    "[alice_amz]\nexcess_loss_db = 0.0\n"
     "[apd_d0]\nefficiency = 1.0\n[apd_d1]\nefficiency = 1.0\n"
     "[eve]\nenabled = true\n"
 )
@@ -59,8 +58,17 @@ PINNED = [
         _DENSE.replace("SEED", "20260107") + "[bob_amz]\nexcess_loss_db = 0.0\n",
         "0ecf04d285d77d5a26822135c2710a557feb074deec3e256368748731f786f63",
     ),
+    (
+        "[session]\nn_pulses = 2000000\nseed = 20260111\ngates_per_pulse = 1\n"
+        "[apd_d0]\ndark_per_gate = 1e-4\n"
+        "[bob_amz]\nphase_jitter_rad = 0.1\n",
+        "29fdaee692e4e0160569dfc1239ed078756aa0dc758e4b32f971a6ea4c190ae8",
+    ),
 ]
-PINNED_IDS = ["default", "eve_bob_drift", "eve_all_drift", "conventional_drift", "dense_drift", "dense_steady"]
+PINNED_IDS = [
+    "default", "eve_bob_drift", "eve_all_drift", "conventional_drift", "dense_drift", "dense_steady",
+    "one_gate_drift",
+]
 
 
 @pytest.mark.parametrize("ini, digest", PINNED, ids=PINNED_IDS)

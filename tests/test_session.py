@@ -20,6 +20,7 @@ from timebin_bb84.optics import (
     CANONICAL_STATES,
     AmzSpec,
     Basis,
+    PhaseSpec,
     SlotPortDistribution,
     bob_transform,
     canonical_link_state,
@@ -34,7 +35,6 @@ def ideal_config(**overrides) -> SessionConfig:
     """Lossless, noiseless variant used by analytic checks."""
     base = dict(
         source=SourceSpec(mu=0.1),
-        alice_amz=AmzSpec(excess_loss_db=0.0),
         bob_amz=AmzSpec(excess_loss_db=0.0),
         channel=ChannelSpec(length_km=0.0),
         apd_d0=ApdSpec(efficiency=0.1, dark_per_gate=0.0),
@@ -135,7 +135,7 @@ class TestVisibilityAndPhase:
     def test_transmitter_and_receiver_offsets_cancel(self):
         cfg = ideal_config(
             n_pulses=200_000,
-            alice_amz=AmzSpec(excess_loss_db=0.0, phase_offset_rad=0.7),
+            alice_amz=PhaseSpec(phase_offset_rad=0.7),
             bob_amz=AmzSpec(excess_loss_db=0.0, phase_offset_rad=0.7),
         )
         result = run_session(cfg)
@@ -168,7 +168,7 @@ class TestVisibilityAndPhase:
         )
         split = run_session(
             ideal_config(
-                alice_amz=AmzSpec(excess_loss_db=0.0, phase_jitter_rad=0.3),
+                alice_amz=PhaseSpec(phase_jitter_rad=0.3),
                 bob_amz=AmzSpec(excess_loss_db=0.0, phase_jitter_rad=0.4),
                 **kw,
             )
@@ -182,7 +182,7 @@ THINNING_CONFIGS = {
     "default": SessionConfig(n_pulses=300_000, seed=41),
     "receiver_drift": SessionConfig(
         n_pulses=300_000, seed=42,
-        alice_amz=AmzSpec(phase_jitter_rad=0.1), bob_amz=AmzSpec(phase_jitter_rad=0.3),
+        alice_amz=PhaseSpec(phase_jitter_rad=0.1), bob_amz=AmzSpec(phase_jitter_rad=0.3),
     ),
     "attacker_drift": SessionConfig(
         n_pulses=300_000, seed=43,
@@ -387,7 +387,7 @@ def test_dense_link_memory_holds_no_per_candidate_table():
     apd = ApdSpec(efficiency=1.0)
     bob_amz = dataclasses.replace(lossless, visibility=extinction_db_to_visibility(20.0))
     config = SessionConfig(
-        n_pulses=session.BATCH_SIZE, seed=48, source=SourceSpec(mu=0.5), alice_amz=lossless,
+        n_pulses=session.BATCH_SIZE, seed=48, source=SourceSpec(mu=0.5),
         bob_amz=bob_amz, apd_d0=apd, apd_d1=apd,
     )
     drifting_eve = EveSpec(enabled=True, apparatus=dataclasses.replace(lossless, phase_jitter_rad=0.2))
@@ -444,7 +444,7 @@ def test_slice_size_leaves_the_session_unchanged(monkeypatch, drift):
     lossless = AmzSpec(excess_loss_db=0.0)
     apd = ApdSpec(efficiency=1.0)
     config = SessionConfig(
-        n_pulses=150_000, seed=49, source=SourceSpec(mu=0.5), alice_amz=lossless,
+        n_pulses=150_000, seed=49, source=SourceSpec(mu=0.5),
         bob_amz=dataclasses.replace(lossless, phase_jitter_rad=0.1 * drift),
         eve=EveSpec(enabled=True, apparatus=dataclasses.replace(lossless, phase_jitter_rad=0.2 * drift)),
         apd_d0=apd, apd_d1=apd,
@@ -516,7 +516,7 @@ class TestEveSessions:
             source=SourceSpec(mu=0.5),
             apd_d0=ApdSpec(efficiency=1.0, dark_per_gate=0.0),
             apd_d1=ApdSpec(efficiency=1.0, dark_per_gate=0.0),
-            alice_amz=AmzSpec(excess_loss_db=0.0, phase_jitter_rad=0.3),
+            alice_amz=PhaseSpec(phase_jitter_rad=0.3),
             eve=EveSpec(
                 enabled=True,
                 apparatus=AmzSpec(excess_loss_db=0.0, phase_jitter_rad=0.4),
