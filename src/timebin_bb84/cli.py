@@ -66,8 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="enable the intercept-resend attacker",
         )
         sub.add_argument(
-            "--conventional-mode", dest="session.conventional_mode", action="store_true",
-            default=None, help="discard late-slot events before sifting (single-edge-slot baseline)",
+            "--conventional-mode", dest="session.gates_per_pulse", action="store_const", const=2,
+            help="leave the late slot ungated (single-edge-slot baseline; gates_per_pulse = 2)",
         )
 
     p_profile.add_argument(

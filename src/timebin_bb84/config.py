@@ -44,7 +44,7 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class SessionConfig:
     """Everything a session needs; see module docstring for provenance.
-    gates_per_pulse = 3 gates both detectors in every slot, 1 in the central one."""
+    gates_per_pulse = 3 gates both detectors in every slot, 2 leaves S3 dark, 1 gates S2 only."""
 
     source: SourceSpec = field(default_factory=SourceSpec)
     alice_amz: PhaseSpec = field(default_factory=PhaseSpec)
@@ -56,7 +56,6 @@ class SessionConfig:
     n_pulses: int = 100_000
     seed: int = 1
     sample_fraction: float = 0.1
-    conventional_mode: bool = False
     gates_per_pulse: int = 3
 
     def __post_init__(self) -> None:
@@ -66,8 +65,13 @@ class SessionConfig:
             raise ConfigError("must be a 64-bit unsigned integer", "session.seed")
         if not 0.0 < self.sample_fraction <= 1.0:
             raise ConfigError("must lie in (0, 1]", "session.sample_fraction")
-        if self.gates_per_pulse not in (1, 3):
-            raise ConfigError("must be 1 or 3", "session.gates_per_pulse")
+        if self.gates_per_pulse not in (1, 2, 3):
+            raise ConfigError("must be 1, 2 or 3", "session.gates_per_pulse")
+
+    @property
+    def conventional_mode(self) -> bool:
+        """Read by the benchmark's oracle only; no config key sets it."""
+        return self.gates_per_pulse == 2
 
 
 def integer(text: str) -> int:

@@ -7,8 +7,8 @@ cell with probability weight p produces a click with probability
 
 where eta is the detection efficiency and d the dark-count probability per
 gate.  With three gated slots there are six (slot, port) cells per pulse;
-a conventional single-gate receiver gates only the central slot, which is
-the baseline used to quantify the tripled dark-count exposure.
+the baselines gate two (S3 dark: the conventional one-edge-slot receiver)
+or only the central one (for the tripled dark-count exposure).
 
 Registration applies the first-fire rule: only the earliest slot with at
 least one click counts, which also neutralises after-pulsing from earlier
@@ -137,14 +137,20 @@ def click_probability(p_slot_port, mu_arrived: float, apd: ApdSpec):
     )
 
 
+def _ungated_slots(gates: int) -> list[Slot]:
+    """The slots left dark by ``gates`` gates per pulse: S3 first, then S1."""
+    if gates not in (1, 2, 3):
+        raise ValueError(f"gates must be 1, 2 or 3, got {gates}")
+    return [Slot.S3, Slot.S1][: 3 - gates]
+
+
 def cell_click_probabilities(dist: SlotPortDistribution, mu_arrived: float, apds: ApdPair,
                              gates: int = 3) -> np.ndarray:
     """Flattened (6,) click probabilities with the (D0, D1) detectors
-    ``apds``, both armed in ``gates`` slots per pulse: 3 arms every slot, 1
-    only the central one (single-gate baseline).  Ungated cells are zero."""
+    ``apds``, both armed in ``gates`` slots per pulse (see
+    :func:`_ungated_slots`).  Ungated cells are zero."""
     q = np.stack([click_probability(dist.p[:, port], mu_arrived, apds[port]) for port in (0, 1)], axis=1)
-    if gates == 1:
-        q[[Slot.S1, Slot.S3]] = 0.0
+    q[_ungated_slots(gates)] = 0.0
     return q.reshape(N_CELLS)
 
 
@@ -203,7 +209,7 @@ def click_bound(dist: SlotPortDistribution, mu_arrived: float, apds: ApdPair, ga
     computes can exceed the exact value by a few ulps.  A probability
     cannot exceed 1, so neither does the bound.
     """
-    p_total = float(dist.p[Slot.S2].sum() if gates == 1 else dist.p.sum())
+    p_total = float(np.delete(dist.p, _ungated_slots(gates), axis=0).sum())
     eta_max = max(a.efficiency for a in apds)
     dark = ((1.0 - apds[0].dark_per_gate) * (1.0 - apds[1].dark_per_gate)) ** gates
     return min(1.0, 1.0 - dark * math.exp(-eta_max * mu_arrived * p_total) + 1e-12)

@@ -226,29 +226,27 @@ def calibrate_pm() -> dict[CanonicalState, float]:
     }
 
 
-def alice_device_state(state: CanonicalState, spec: AmzSpec | None = None) -> TimeBinState:
+def alice_device_state(state: CanonicalState, spec: PhaseSpec | None = None) -> TimeBinState:
     """Physical link state from the full transmitter model.
 
     Composes the variable-ratio coupler at the calibrated phase, the one-bin
-    delay with the thermally tuned long-arm phase, and the output coupler
-    (whose second output is the monitor port and counts as loss).  Agrees
-    with :func:`canonical_link_state` up to a global phase; total
-    probability equals the device transmittance, 0.5 times the excess
-    transmittance.  In a session the mean photon number is fixed
-    downstream by the attenuator, so the session starts from the
-    normalized canonical states.
+    delay with the thermally tuned long-arm phase (``spec``'s offset), and
+    the output coupler, whose second output is the monitor port: total
+    probability is 0.5.  The device's own loss is not modelled, since the
+    attenuator after it fixes the mean photon number.  Normalized, the
+    state equals the session's prepared state (the canonical one with the
+    offset on its late bin) up to a global phase.
     """
-    spec = spec if spec is not None else AmzSpec()
+    spec = spec if spec is not None else PhaseSpec()
     phi = calibrate_pm()[state]
     a_short, a_long = variable_coupler(phi)
     # The long arm's carrier phase is thermally tuned to -pi/2, cancelling
     # the output coupler's cross-coupling i; phase_offset_rad is the
     # residual miscalibration.
     a_long = a_long * cmath.exp(1j * (spec.phase_offset_rad - math.pi / 2.0))
-    amp = math.sqrt(spec.excess_transmittance)
     early, _ = apply_coupler(a_short, 0.0, 0.5)   # early bin: short arm only
     late, _ = apply_coupler(0.0, a_long, 0.5)     # late bin: long arm only
-    return link_state(amp * early, amp * late)
+    return link_state(early, late)
 
 
 def slot_port_probabilities(early, late, spec: AmzSpec, phase=None):

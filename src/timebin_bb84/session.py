@@ -6,7 +6,8 @@ substreams, so results are reproducible for a given (seed, config) and the
 batches could in principle be evaluated in parallel and merged by pulse
 index.  A session sees at most five distinct incoming states (the four
 canonical ones plus vacuum when the attacker suppresses a pulse), so click
-and attack-outcome probabilities come from per-state tables.  Both
+and attack-outcome probabilities come from per-state tables; the receiver's
+always has the vacuum column, which gives the dark registration rate.  Both
 stations sample with ``detection.sample_outcomes`` from each pulse's own
 cumulative row: its state's table row, taken one edge at a time, or on a
 leg with phase drift (sigma > 0) a row computed from the pulse's
@@ -50,6 +51,7 @@ from .detection import (
     DOMAIN_JITTER,
     DOMAIN_SAMPLE,
     DOMAIN_SWEEP,
+    N_CELLS,
     ApdSpec,
     Candidates,
     RngHandle,
@@ -58,7 +60,6 @@ from .detection import (
     click_probability,
     detect_batch,
     draw_candidates,
-    expected_event_rates,
     first_fire_table,
 )
 from .optics import (
@@ -88,13 +89,14 @@ BATCH_SIZE = 1 << 20  # fixed: part of the reproducibility contract
 class SessionSummary:
     """Counts and rates of one completed session.
 
-    events_registered counts detector registrations before any
-    conventional-mode filtering; conclusive_count the basis-matched subset
-    that survives sifting (before sample disclosure).  qber is the
-    protocol's sampled estimate, while the true_* fields are simulator
-    diagnostics computed by comparing both stations' full sifted strings,
-    which no real deployment could do.  summary.csv has one column per
-    field, in this order.
+    conclusive_count is the basis-matched subset of events_registered that
+    survives sifting (before sample disclosure).  dark_fraction_estimate is
+    the exact expected number of dark-count registrations (n times the
+    vacuum column's rate) over the observed events_registered, capped at 1.
+    qber is the protocol's sampled estimate, while the true_* fields are
+    simulator diagnostics computed by comparing both stations' full sifted
+    strings, which no real deployment could do.  summary.csv has one column
+    per field, in this order.
     """
 
     pulses_sent: int
@@ -125,7 +127,6 @@ def summarize(
     classifications: ClassifiedEvents,
     sent: np.ndarray,
     key: SiftedKey,
-    events_registered: int,
     dark_register_prob: float,
 ) -> SessionSummary:
     """Counts, rates and diagnostic error rates of a finished session of
@@ -148,12 +149,12 @@ def summarize(
 
     return SessionSummary(
         pulses_sent=n,
-        events_registered=events_registered,
+        events_registered=len(ev),
         conclusive_count=conclusive,
         sifted_length=len(key),
         qber=key.qber_estimate,
         sifted_rate_per_pulse=conclusive / n,
-        dark_fraction_estimate=min(n * dark_register_prob / events_registered, 1.0),
+        dark_fraction_estimate=min(n * dark_register_prob / len(ev), 1.0),
         conclusive_z=conclusive_z,
         conclusive_x=conclusive_x,
         true_qber=_rate(errors, conclusive),
@@ -229,20 +230,17 @@ def run_session(config: SessionConfig) -> SessionResult:
         raise InsufficientKeyError("zero-pulse session yields no key to sample")
 
     records = PulseTrain(n, rng.child_seed(DOMAIN_ALICE, 0))
-    classifications, sent, events_registered = _detect_events(config, records, rng)
+    classifications, sent, dark_register_prob = _detect_events(config, records, rng)
     key_a, key_b, _ = run_protocol(
         records, classifications, config.sample_fraction, rng.stream(DOMAIN_SAMPLE), sent=sent
     )
-
-    apds = (config.apd_d0, config.apd_d1)
-    dark = expected_event_rates(SlotPortDistribution(np.zeros((3, 2))), 0.0, apds, config.gates_per_pulse)
-    summary = summarize(n, classifications, sent, key_a, events_registered, float(dark.sum()))
+    summary = summarize(n, classifications, sent, key_a, dark_register_prob)
     return SessionResult(summary, key_a, key_b, records, classifications)
 
 
 def _detect_events(config: SessionConfig, records: PulseTrain, rng: RngHandle):
-    """The session's events kept for sifting, the transmitter state of each
-    one's pulse and the registrations before any conventional-mode filter.
+    """The session's registered events, the transmitter state of each one's
+    pulse and the per-pulse registration probability of dark counts alone.
     Every per-batch and per-slice array is freed on return."""
     n = config.n_pulses
     apds, gates = (config.apd_d0, config.apd_d1), config.gates_per_pulse
@@ -259,10 +257,10 @@ def _detect_events(config: SessionConfig, records: PulseTrain, rng: RngHandle):
         sigma_eve_leg = math.hypot(
             config.alice_amz.phase_jitter_rad, config.eve.apparatus.phase_jitter_rad
         )
-        # Re-prepared states are fresh canonical ones, or vacuum for a
-        # suppressed pulse: only the receiver's own jitter acts on the
-        # final leg.
-        incoming = np.vstack([CANONICAL_AMPLITUDES, np.zeros(2)])
+        # Re-prepared states are fresh canonical ones, or vacuum (the last
+        # column) for a suppressed pulse: only the receiver's own jitter
+        # acts on the final leg.
+        incoming = CANONICAL_AMPLITUDES
         sigma_bob_leg = config.bob_amz.phase_jitter_rad
     else:
         incoming = prepared
@@ -271,7 +269,7 @@ def _detect_events(config: SessionConfig, records: PulseTrain, rng: RngHandle):
         )
 
     # The fiber scales every amplitude by sqrt(transmittance).
-    incoming = math.sqrt(transmittance(config.channel)) * incoming
+    incoming = math.sqrt(transmittance(config.channel)) * np.vstack([incoming, np.zeros(2)])
     dists = _receiver_distributions(incoming, bob_amz)
     # Cell-major tables: (6, k) click probabilities, (7, k) cumulative edges.
     q_table = np.stack([cell_click_probabilities(d, mu, apds, gates) for d in dists], axis=1)
@@ -284,7 +282,6 @@ def _detect_events(config: SessionConfig, records: PulseTrain, rng: RngHandle):
         p = cum_table[-1].max()
 
     events: list[tuple[np.ndarray, ...]] = []  # (pulse, slot, port, sent) per slice
-    events_registered = 0
 
     n_batches = (n + BATCH_SIZE - 1) // BATCH_SIZE
     for b in range(n_batches):
@@ -324,15 +321,12 @@ def _detect_events(config: SessionConfig, records: PulseTrain, rng: RngHandle):
             else:
                 bob_rows = (edge.take(states) for edge in cum_table)
             registered, slot, port, _ = detect_batch(cand, bob_rows)
-
-            events_registered += int(np.count_nonzero(registered))
-            keep = registered & (slot != Slot.S3) if config.conventional_mode else registered
-            at = np.flatnonzero(keep)
+            at = np.flatnonzero(registered)
             events.append((pulses.take(at), slot.take(at), port.take(at), sent.take(at)))
 
     idx, slots, ports, sent = (np.concatenate(column) for column in zip(*events))
     del events  # the slices' arrays go before classifying allocates
-    return ClassifiedEvents(idx, *classify_arrays(slots, ports)), sent, events_registered
+    return ClassifiedEvents(idx, *classify_arrays(slots, ports)), sent, float(cum_table[N_CELLS - 1, -1])
 
 
 # ---------------------------------------------------------------------------

@@ -129,7 +129,8 @@ def test_criterion_2_extinction_error_link():
 
 
 def test_criterion_3_twofold_key_rate():
-    """Both edge slots contribute key: Z yield doubles vs one-edge mode."""
+    """Both edge slots contribute key: Z yield doubles vs the two-gate
+    receiver, whose late slot S3 is not gated."""
     kw = dict(
         source=SourceSpec(mu=0.02),
         apd_d0=ApdSpec(efficiency=1.0, dark_per_gate=0.0),
@@ -138,7 +139,7 @@ def test_criterion_3_twofold_key_rate():
         seed=330_001,
     )
     full = run_session(lossless_config(**kw)).summary
-    conv = run_session(lossless_config(conventional_mode=True, **kw)).summary
+    conv = run_session(lossless_config(gates_per_pulse=2, **kw)).summary
     ratio = full.conclusive_z / conv.conclusive_z
     report(
         3,

@@ -144,6 +144,18 @@ class TestRunCommand:
         ratio = outs["full"].conclusive_z / outs["conv"].conclusive_z
         assert abs(ratio - 2.0) < 0.15
 
+    def test_conventional_mode_flag_is_two_gates(self, tmp_path, ideal_cfg):
+        """--conventional-mode writes the bytes of gates_per_pulse = 2 set in the file."""
+        two_gates = tmp_path / "two.ini"
+        two_gates.write_text(ideal_cfg.read_text() + "[session]\ngates_per_pulse = 2\n")
+        runs = {"flag": (str(ideal_cfg), ["--conventional-mode"]), "file": (str(two_gates), [])}
+        for name, (path, flag) in runs.items():
+            argv = ["run", "--config", path, *flag, "--pulses", "200000", "--seed", "8",
+                    "--out", str(tmp_path / name)]
+            assert main(argv) == 0
+        for name in ("summary.csv", "alice.key", "bob.key"):
+            assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
+
     def test_insufficient_key_exits_2(self, tmp_path, ideal_cfg, capsys):
         out = tmp_path / "out"
         code = main(
@@ -221,18 +233,18 @@ class TestFlagsAndFile:
 
     def test_file_values_hold_without_flags(self, tmp_path):
         path = tmp_path / "on.ini"
-        path.write_text("[eve]\nenabled = true\n[session]\nconventional_mode = true\n")
+        path.write_text("[eve]\nenabled = true\n[session]\ngates_per_pulse = 2\n")
         for command in ("run", "sweep"):
             extra = ["--axis", "mu", "--values", "0.1"] if command == "sweep" else []
             cfg = self.load(command, "--config", str(path), *extra)
-            assert cfg.eve.enabled is True and cfg.conventional_mode is True
+            assert cfg.eve.enabled is True and cfg.gates_per_pulse == 2
 
     def test_flags_set_values(self, tmp_path):
         path = tmp_path / "off.ini"
         path.write_text("[eve]\nenabled = false\n")
         assert self.load("run", "--config", str(path)).eve.enabled is False
         cfg = self.load("run", "--config", str(path), "--eve", "--conventional-mode")
-        assert cfg.eve.enabled is True and cfg.conventional_mode is True
+        assert cfg.eve.enabled is True and cfg.gates_per_pulse == 2
 
     def test_seed_and_pulses_override_file(self, tmp_path):
         path = tmp_path / "s.ini"

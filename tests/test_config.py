@@ -32,7 +32,6 @@ ALL_KEYS = [
     ("session", "n_pulses", "2e3", "n_pulses", 2000),
     ("session", "seed", "7", "seed", 7),
     ("session", "sample_fraction", "0.5", "sample_fraction", 0.5),
-    ("session", "conventional_mode", "on", "conventional_mode", True),
     ("session", "gates_per_pulse", "1.0", "gates_per_pulse", 1),
     ("source", "mu", "0.3", "source.mu", 0.3),
     ("alice_amz", "phase_offset_rad", "0.25", "alice_amz.phase_offset_rad", 0.25),
@@ -89,7 +88,7 @@ class TestParsing:
             "apd_d0", "apd_d1", "eve", "eve_amz",
         ]
         listed = [(s, k) for s in parser.sections() for k in parser[s]]
-        assert len(listed) == 24
+        assert len(listed) == 23
         assert sorted(listed) == sorted((s, k) for s, k, *_ in ALL_KEYS)
 
     @pytest.mark.parametrize(
@@ -114,7 +113,7 @@ class TestParsing:
 n_pulses = 1e6
 seed = 42
 sample_fraction = 0.25
-conventional_mode = yes
+gates_per_pulse = 2
 
 [source]
 mu = 0.2
@@ -127,7 +126,7 @@ length_km = 25
         assert cfg.n_pulses == 1_000_000
         assert cfg.seed == 42
         assert cfg.sample_fraction == 0.25
-        assert cfg.conventional_mode is True
+        assert cfg.gates_per_pulse == 2
         assert cfg.source.mu == 0.2
         assert cfg.channel.length_km == 25.0
 
@@ -168,8 +167,8 @@ class TestRejection:
             parse_config(write(tmp_path, "[session]\nn_pulses = many\n"))
         with pytest.raises(ConfigError, match=r"session\.n_pulses"):
             parse_config(write(tmp_path, "[session]\nn_pulses = 10.5\n"))
-        with pytest.raises(ConfigError, match=r"session\.conventional_mode"):
-            parse_config(write(tmp_path, "[session]\nconventional_mode = maybe\n"))
+        with pytest.raises(ConfigError, match=r"eve\.enabled"):
+            parse_config(write(tmp_path, "[eve]\nenabled = maybe\n"))
 
     def test_negative_mu(self, tmp_path):
         with pytest.raises(ConfigError, match="source"):
@@ -210,11 +209,12 @@ class TestRejection:
             ("eve_amz", "delay_bins", "1"),
             ("apd_d0", "double_click_policy", "discard"),
             ("eve", "resend_on_no_click", "vacuum"),
-            # The transmitter has only phase keys, and both detectors share one gate count.
+            # The transmitter has only phase keys, and one gate count describes the receiver.
             ("alice_amz", "excess_loss_db", "0"),
             ("alice_amz", "visibility", "1"),
             ("apd_d0", "gates_per_pulse", "3"),
             ("apd_d1", "gates_per_pulse", "3"),
+            ("session", "conventional_mode", "true"),
         ],
     )
     def test_removed_keys_are_unknown(self, tmp_path, section, key, value):
@@ -222,11 +222,12 @@ class TestRejection:
             parse_config(write(tmp_path, f"[{section}]\n{key} = {value}\n"))
 
     def test_gate_count(self, tmp_path):
-        for gates in (1, 3):
+        for gates in (1, 2, 3):
             cfg = parse_config(write(tmp_path, f"[session]\ngates_per_pulse = {gates}\n"))
             assert cfg.gates_per_pulse == gates
-        with pytest.raises(ConfigError, match=r"^session\.gates_per_pulse: must be 1 or 3$"):
-            parse_config(write(tmp_path, "[session]\ngates_per_pulse = 2\n"))
+        for gates in (0, 4):
+            with pytest.raises(ConfigError, match=r"^session\.gates_per_pulse: must be 1, 2 or 3$"):
+                parse_config(write(tmp_path, f"[session]\ngates_per_pulse = {gates}\n"))
 
     def test_sample_fraction_bounds(self, tmp_path):
         with pytest.raises(ConfigError, match="sample_fraction"):

@@ -212,6 +212,24 @@ class TestGatingCost:
         assert abs(got - 3.0) < 1e-7 and abs(got - ratio) < 1e-7
 
 
+class TestGateCount:
+    @pytest.mark.parametrize("gates", [1, 2, 3])
+    def test_bound_covers_the_armed_dark_counts(self, gates):
+        """On vacuum the bound is the any-click total of the armed cells, the
+        dark counts of ``gates`` slots, to within its 1e-12 rounding margin."""
+        apds = (ApdSpec(dark_per_gate=1e-3),) * 2
+        total = first_fire_table(cell_click_probabilities(dark_only_dist(), 0.0, apds, gates))[-1]
+        bound = click_bound(dark_only_dist(), 0.0, apds, gates)
+        assert total <= bound <= total + 1e-12
+        assert abs(total - (1.0 - (1.0 - 1e-3) ** (2 * gates))) < 1e-15
+
+    @pytest.mark.parametrize("gates", [0, 4])
+    @pytest.mark.parametrize("fn", [cell_click_probabilities, click_bound, expected_event_rates])
+    def test_other_gate_counts_refused(self, fn, gates):
+        with pytest.raises(ValueError, match="^gates must be 1, 2 or 3, got"):
+            fn(dark_only_dist(), 0.0, (ApdSpec(),) * 2, gates)
+
+
 class TestDetectPulse:
     def test_no_light_no_dark_never_fires(self):
         apd = ApdSpec(dark_per_gate=0.0)
@@ -278,6 +296,7 @@ SAMPLER_CASES = {
         (ApdSpec(efficiency=0.05, dark_per_gate=1e-3), ApdSpec(efficiency=0.4, dark_per_gate=1e-2)), 3,
     ),
     "single_gate": (ideal_dist(0), 2.0, (ApdSpec(efficiency=0.5, dark_per_gate=1e-2),) * 2, 1),
+    "two_gate": (ideal_dist(1), 2.0, (ApdSpec(efficiency=0.5, dark_per_gate=1e-2),) * 2, 2),
     "high_click": (ideal_dist(0), 4.0, (ApdSpec(efficiency=1.0, dark_per_gate=0.05),) * 2, 3),
 }
 
@@ -325,8 +344,9 @@ class TestFirstFireSampler:
             ((ApdSpec(efficiency=0.1, dark_per_gate=1e-5),) * 2, 3),
             ((ApdSpec(efficiency=0.05, dark_per_gate=1e-3), ApdSpec(efficiency=0.4, dark_per_gate=1e-6)), 3),
             ((ApdSpec(efficiency=0.9, dark_per_gate=1e-2),) * 2, 1),
+            ((ApdSpec(efficiency=0.3, dark_per_gate=1e-2),) * 2, 2),
         ],
-        ids=["equal", "unequal", "single_gate"],
+        ids=["equal", "unequal", "single_gate", "two_gate"],
     )
     def test_drift_bound_covers_every_phase(self, apds, gates):
         """The phase-independent bound is at least the any-click total of
@@ -344,8 +364,7 @@ class TestFirstFireSampler:
                 q = np.zeros_like(cells)
                 for j in range(6):
                     q[j] = click_probability(cells[j], mu, apds[j % 2])
-                if gates == 1:
-                    q[[0, 1, 4, 5]] = 0.0
+                q[{3: [], 2: [4, 5], 1: [0, 1, 4, 5]}[gates]] = 0.0  # ungated cells
                 total = first_fire_table(q)[-1]
                 assert np.all(total <= bound)
                 if apds[0] == apds[1]:

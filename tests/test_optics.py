@@ -13,6 +13,7 @@ from timebin_bb84.optics import (
     AmzSpec,
     Basis,
     CanonicalState,
+    PhaseSpec,
     Port,
     Slot,
     TimeBinState,
@@ -28,6 +29,8 @@ from timebin_bb84.optics import (
     variable_coupler,
     visibility_to_extinction_db,
 )
+from timebin_bb84.config import SessionConfig
+from timebin_bb84.session import _prepared_amplitudes
 
 TOL = 1e-12
 
@@ -135,16 +138,25 @@ class TestAlicePrepare:
         assert cmath.isclose(state.bins[1, 0], -r, abs_tol=TOL)
 
     def test_default_transmittance(self):
-        # the final coupler's monitor port takes half, excess loss the rest
+        # the final coupler's monitor port takes half; the device's own loss
+        # is not modelled, since the attenuator after it fixes mu
         t = np.sum(np.abs(alice_device_state(CanonicalState(Basis.Z, 0)).bins) ** 2)
-        assert abs(t - 0.5 * 10 ** (-0.2)) < TOL
-        assert abs(t - 0.3155) < 1e-4
+        assert abs(t - 0.5) < TOL
 
     @pytest.mark.parametrize("state", CANONICAL_STATES)
     def test_device_norm_equals_transmittance(self, state):
-        spec = AmzSpec(excess_loss_db=1.3)
-        t = 0.5 * spec.excess_transmittance
-        assert abs(np.sum(np.abs(alice_device_state(state, spec).bins) ** 2) - t) < TOL
+        for spec in (PhaseSpec(phase_offset_rad=0.7), SessionConfig().alice_amz):
+            assert abs(np.sum(np.abs(alice_device_state(state, spec).bins) ** 2) - 0.5) < TOL
+
+    @pytest.mark.parametrize("offset", [0.3, -1.1])
+    def test_device_state_is_the_prepared_state(self, offset):
+        """Normalized, the device state at a phase offset is the session's
+        prepared state up to a global phase."""
+        spec = PhaseSpec(phase_offset_rad=offset)
+        for state, prepared in zip(CANONICAL_STATES, _prepared_amplitudes(spec)):
+            device = alice_device_state(state, spec).bins[:, 0]
+            fidelity = abs(np.vdot(prepared, device / np.linalg.norm(device))) ** 2
+            assert abs(fidelity - 1.0) < TOL
 
 
 EXPECTED_TABLES = {

@@ -42,11 +42,11 @@ PINNED = [
         "8118dc4174951edddb5e9d7783c25c008fa1728109882275b332b953ffad700d",
     ),
     (
-        "[session]\nn_pulses = 2000000\nseed = 20260105\nconventional_mode = true\n"
+        "[session]\nn_pulses = 2000000\nseed = 20260105\ngates_per_pulse = 2\n"
         "[apd_d1]\nefficiency = 0.05\n"
         "[alice_amz]\nphase_offset_rad = 0.3\nphase_jitter_rad = 0.05\n"
         "[bob_amz]\nphase_jitter_rad = 0.1\n",
-        "42b65f34107c5ac092fa4c9d0630852179410538aa258efb7a9cf6aed1754562",
+        "358db8d6dbd5a1c9fb23e7c694df9f87e1ceb409bb237e46e2bfefaf24dc4f6e",
     ),
     (
         _DENSE.replace("SEED", "20260106")

@@ -89,18 +89,34 @@ class TestDeterminism:
         assert one.alice_key.to_hex() != two.alice_key.to_hex()
 
 
+def z1_events(classifications) -> int:
+    """Events read as (Z, 1): the S3 registrations, the only ones."""
+    return int(np.count_nonzero((classifications.bases == 0) & (classifications.bits == 1)))
+
+
 class TestConventionalMode:
+    """The conventional receiver is the two-gate one: S3 is not gated."""
+
     def test_late_slot_events_dropped_before_sifting(self):
-        cfg = ideal_config(n_pulses=400_000, conventional_mode=True)
+        result = run_session(ideal_config(n_pulses=400_000, gates_per_pulse=2))
+        assert result.summary.events_registered == len(result.classifications) > 0
+        assert z1_events(result.classifications) == 0
+
+    @pytest.mark.parametrize("gates", [1, 2, 3])
+    def test_every_registration_is_an_event(self, gates):
+        cfg = SessionConfig(n_pulses=400_000, seed=6, gates_per_pulse=gates,
+                            apd_d0=ApdSpec(dark_per_gate=1e-3), apd_d1=ApdSpec(dark_per_gate=1e-3))
         result = run_session(cfg)
-        # S3 events classify to (Z, 1); without them no receiver Z-bit is 1
-        z_mask = result.classifications.bases == 0
-        assert not np.any(result.classifications.bits[z_mask] == 1)
+        assert result.summary.events_registered == len(result.classifications) > 0
 
     def test_full_mode_doubles_time_basis_yield(self):
         full = run_session(ideal_config(n_pulses=2_000_000, seed=5))
-        conv = run_session(ideal_config(n_pulses=2_000_000, seed=5, conventional_mode=True))
-        assert full.summary.events_registered == conv.summary.events_registered
+        conv = run_session(ideal_config(n_pulses=2_000_000, seed=5, gates_per_pulse=2))
+        # Without dark counts the candidate bound is the (Z, 0) state's, which
+        # has no S3 weight, so both receivers draw the same candidates: the
+        # two-gate one registers exactly the full one's S1 and S2 events.
+        s3 = z1_events(full.classifications)
+        assert conv.summary.events_registered == full.summary.events_registered - s3 > 0
         ratio = full.summary.conclusive_z / conv.summary.conclusive_z
         assert abs(ratio - 2.0) < 0.1
         assert full.summary.conclusive_x == conv.summary.conclusive_x
