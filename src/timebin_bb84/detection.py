@@ -19,16 +19,20 @@ discard, and no click.  Their cumulative probabilities have a closed form
 uniform and its own row with :func:`sample_outcomes`, the sampler the
 attacker uses too.  Rows are edge-major: n pulses' rows of K edges are a
 (K, n) array, one contiguous row per edge, and their click probabilities
-a (6, n) array, cells on the leading axis.  Most pulses of a lossy link
-cannot click: a pulse whose uniform is at or above an upper bound ``p``
-on every click probability is "no click" without further work.  So
-:func:`draw_candidates` draws only the pulses whose uniform lies below
-``p`` (the candidates), as geometric gaps between positions, and gives
-each the uniform ``p * v``, ``v`` uniform on [0, 1): exactly the law of a
-uniform given that it lies below ``p``.  :func:`detect_batch` then
-evaluates only those candidates; the session calls it once per slice of
-up to 2^16 of a batch's candidates, each slice a :class:`Candidates` of
-its own over the pulses it spans.
+a (6, n) array, cells on the leading axis.  Click probabilities and the
+drift bound take (3, 2, ...) slot/port weight arrays, so one call over
+``optics.slot_port_probabilities`` of k states gives their (6, k) table;
+only :func:`expected_event_rates`, the one-state oracle API of the tests
+and the benchmark's checks, takes a ``SlotPortDistribution``.  Most
+pulses of a lossy link cannot click: a pulse whose uniform is at or above
+an upper bound ``p`` on every click probability is "no click" without
+further work.  So :func:`draw_candidates` draws only the pulses whose
+uniform lies below ``p`` (the candidates), as geometric gaps between
+positions, and gives each the uniform ``p * v``, ``v`` uniform on [0, 1):
+exactly the law of a uniform given that it lies below ``p``.
+:func:`detect_batch` then evaluates only those candidates; the session
+calls it once per slice of up to 2^16 of a batch's candidates, each slice
+a :class:`Candidates` of its own over the pulses it spans.
 
 All randomness flows through :class:`RngHandle`, which derives named
 substreams (one per domain, batch or sweep point) from a single 64-bit
@@ -144,14 +148,16 @@ def _ungated_slots(gates: int) -> list[Slot]:
     return [Slot.S3, Slot.S1][: 3 - gates]
 
 
-def cell_click_probabilities(dist: SlotPortDistribution, mu_arrived: float, apds: ApdPair,
-                             gates: int = 3) -> np.ndarray:
-    """Flattened (6,) click probabilities with the (D0, D1) detectors
-    ``apds``, both armed in ``gates`` slots per pulse (see
+def cell_click_probabilities(w, mu_arrived: float, apds: ApdPair, gates: int = 3) -> np.ndarray:
+    """(6, ...) click probabilities, cells slot-major, of (3, 2, ...)
+    slot/port weights ``w`` (one state's (3, 2) table, or k states' as
+    ``np.array(slot_port_probabilities(...))`` gives them) with the (D0, D1)
+    detectors ``apds``, both armed in ``gates`` slots per pulse (see
     :func:`_ungated_slots`).  Ungated cells are zero."""
-    q = np.stack([click_probability(dist.p[:, port], mu_arrived, apds[port]) for port in (0, 1)], axis=1)
+    w = np.asarray(w, dtype=float)
+    q = np.stack([click_probability(w[:, port], mu_arrived, apds[port]) for port in (0, 1)], axis=1)
     q[_ungated_slots(gates)] = 0.0
-    return q.reshape(N_CELLS)
+    return q.reshape((N_CELLS,) + w.shape[2:])
 
 
 def _first_fire_increments(q):
@@ -199,17 +205,19 @@ def first_fire_table(q) -> np.ndarray:
     return cumulative_edges(list(_first_fire_increments(np.asarray(q, dtype=float))))
 
 
-def click_bound(dist: SlotPortDistribution, mu_arrived: float, apds: ApdPair, gates: int = 3) -> float:
-    """Upper bound on the any-click probability of ``dist`` at every
-    receiver phase: 1 - prod(1-d) * exp(-eta_max * mu * p_total).
+def click_bound(w, mu_arrived: float, apds: ApdPair, gates: int = 3) -> float:
+    """Upper bound on the any-click probability at every receiver phase of
+    each state whose (3, 2, ...) slot/port weights are ``w``, the largest
+    over the trailing axis: 1 - prod(1-d) * exp(-eta_max * mu * p_total).
 
     Only the two S2 cells depend on the phase, and they always sum to the
-    same weight, so p_total (the gated weight of ``dist``) does not.  The
+    same weight, so p_total (a state's gated weight) does not.  The bound
+    grows with p_total, so the largest state's is every state's.  The
     added 1e-12 covers rounding: the totals :func:`first_fire_table`
     computes can exceed the exact value by a few ulps.  A probability
     cannot exceed 1, so neither does the bound.
     """
-    p_total = float(np.delete(dist.p, _ungated_slots(gates), axis=0).sum())
+    p_total = float(np.delete(w, _ungated_slots(gates), axis=0).sum(axis=(0, 1)).max())
     eta_max = max(a.efficiency for a in apds)
     dark = ((1.0 - apds[0].dark_per_gate) * (1.0 - apds[1].dark_per_gate)) ** gates
     return min(1.0, 1.0 - dark * math.exp(-eta_max * mu_arrived * p_total) + 1e-12)
@@ -305,6 +313,7 @@ def detect_batch(
 def expected_event_rates(dist: SlotPortDistribution, mu_arrived: float, apds: ApdPair,
                          gates: int = 3) -> np.ndarray:
     """Exact (3, 2) first-fire registration probabilities per cell with
-    ``gates`` slots armed: the six cell increments of :func:`first_fire_table`."""
-    q = cell_click_probabilities(dist, mu_arrived, apds, gates)
+    ``gates`` slots armed: the six cell increments of :func:`first_fire_table`.
+    The one-state oracle of the benchmark's checks and the tests."""
+    q = cell_click_probabilities(dist.p, mu_arrived, apds, gates)
     return np.array(list(_first_fire_increments(q))[:N_CELLS]).reshape(3, 2)

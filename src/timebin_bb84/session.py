@@ -6,8 +6,9 @@ substreams, so results are reproducible for a given (seed, config) and the
 batches could in principle be evaluated in parallel and merged by pulse
 index.  A session sees at most five distinct incoming states (the four
 canonical ones plus vacuum when the attacker suppresses a pulse), so click
-and attack-outcome probabilities come from per-state tables; the receiver's
-always has the vacuum column, which gives the dark registration rate.  Both
+and attack-outcome probabilities come from per-state tables, each built in
+one broadcast call over the states' amplitudes; the receiver's always has
+the vacuum column, which gives the dark registration rate.  Both
 stations sample with ``detection.sample_outcomes`` from each pulse's own
 cumulative row: its state's table row, taken one edge at a time, or on a
 leg with phase drift (sigma > 0) a row computed from the pulse's
@@ -68,11 +69,11 @@ from .optics import (
     AmzSpec,
     PhaseSpec,
     Slot,
-    SlotPortDistribution,
-    bob_transform,
-    link_state,
     slot_port_probabilities,
 )
+# Unused here: the benchmark's tracer wraps ``session.bob_transform`` and
+# reports its calls, which the run path no longer makes.
+from .optics import bob_transform  # noqa: F401
 from .protocol import (
     ClassifiedEvents,
     InsufficientKeyError,
@@ -175,10 +176,6 @@ def _prepared_amplitudes(alice_amz: PhaseSpec) -> np.ndarray:
     return amps
 
 
-def _receiver_distributions(arrived: np.ndarray, bob_amz: AmzSpec) -> list[SlotPortDistribution]:
-    return [bob_transform(link_state(early, late), bob_amz) for early, late in arrived]
-
-
 def _drifted_rows(
     q: np.ndarray,
     amps: np.ndarray,
@@ -270,14 +267,15 @@ def _detect_events(config: SessionConfig, records: PulseTrain, rng: RngHandle):
 
     # The fiber scales every amplitude by sqrt(transmittance).
     incoming = math.sqrt(transmittance(config.channel)) * np.vstack([incoming, np.zeros(2)])
-    dists = _receiver_distributions(incoming, bob_amz)
-    # Cell-major tables: (6, k) click probabilities, (7, k) cumulative edges.
-    q_table = np.stack([cell_click_probabilities(d, mu, apds, gates) for d in dists], axis=1)
+    # Cell-major tables: (3, 2, k) weights, (6, k) click probabilities,
+    # (7, k) cumulative edges.
+    weights = np.array(slot_port_probabilities(*incoming.T, bob_amz))
+    q_table = cell_click_probabilities(weights, mu, apds, gates)
     cum_table = first_fire_table(q_table)
     # Under receiver drift a pulse's click probability moves with its
     # phase, so candidates are drawn below a phase-independent bound.
     if sigma_bob_leg > 0.0:
-        p = max(click_bound(d, mu, apds, gates) for d in dists)
+        p = click_bound(weights, mu, apds, gates)
     else:
         p = cum_table[-1].max()
 
@@ -347,9 +345,11 @@ def profile_rows(config: SessionConfig, sampled_pulses: int = 0) -> list[Profile
     followed by the receiver's six slot/port probabilities.
 
     With sampled_pulses > 0 the receiver probabilities are estimated by
-    Monte Carlo instead: per-cell click frequencies are inverted through
-    the detector response, emulating a classical intensity measurement.
-    The transmitter rows stay analytic in both modes.
+    Monte Carlo instead: per-cell click frequencies, with all three slots
+    gated, are inverted through the detector response, emulating a
+    classical intensity measurement.  The rows describe the light, so the
+    gate count does not enter either mode.  The transmitter rows stay
+    analytic in both modes.
     """
     if sampled_pulses < 0:
         raise ValueError(f"sampled_pulses must be >= 0, got {sampled_pulses}")
@@ -357,37 +357,24 @@ def profile_rows(config: SessionConfig, sampled_pulses: int = 0) -> list[Profile
     apds = (config.apd_d0, config.apd_d1)
     prepared = _prepared_amplitudes(config.alice_amz)
     arrived = math.sqrt(transmittance(config.channel)) * prepared
-    dists = _receiver_distributions(arrived, config.bob_amz)
+    weights = np.array(slot_port_probabilities(*arrived.T, config.bob_amz))
     rows: list[ProfileRow] = []
     for k, state in enumerate(CANONICAL_STATES):
-        label = state.label()
-        amps = prepared[k]
-        rows.append(ProfileRow(label, "bin0", "link", float(abs(amps[0]) ** 2)))
-        rows.append(ProfileRow(label, "bin1", "link", float(abs(amps[1]) ** 2)))
+        label, w = state.label(), weights[..., k]
         if sampled_pulses > 0:
-            p = _sampled_cell_probabilities(
-                dists[k], config.source.mu, apds, config.gates_per_pulse, sampled_pulses,
-                rng.indexed_stream(DOMAIN_DETECT, 1000 + k),
-            )
-        else:
-            p = dists[k].p
-        for slot_i, slot_name in enumerate(("S1", "S2", "S3")):
-            for port_i, port_name in enumerate(("D0", "D1")):
-                rows.append(ProfileRow(label, slot_name, port_name, float(p[slot_i, port_i])))
+            w = _sampled_cell_probabilities(w, config.source.mu, apds, sampled_pulses,
+                                            rng.indexed_stream(DOMAIN_DETECT, 1000 + k))
+        rows += [ProfileRow(label, f"bin{b}", "link", float(abs(prepared[k, b]) ** 2)) for b in (0, 1)]
+        rows += [ProfileRow(label, f"S{s + 1}", f"D{j}", float(w[s, j])) for s in range(3) for j in (0, 1)]
     return rows
 
 
-def _sampled_cell_probabilities(
-    dist: SlotPortDistribution,
-    mu: float,
-    apds: tuple[ApdSpec, ApdSpec],
-    gates: int,
-    n_pulses: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Invert empirical click frequencies through the detector response;
-    each cell's click count over ``n_pulses`` pulses is one binomial draw."""
-    counts = rng.binomial(n_pulses, cell_click_probabilities(dist, mu, apds, gates))
+def _sampled_cell_probabilities(w: np.ndarray, mu: float, apds: tuple[ApdSpec, ApdSpec], n_pulses: int,
+                                rng: np.random.Generator) -> np.ndarray:
+    """Invert empirical click frequencies of the (3, 2) weights ``w``, all
+    three slots gated, through the detector response; each cell's click
+    count over ``n_pulses`` pulses is one binomial draw."""
+    counts = rng.binomial(n_pulses, cell_click_probabilities(w, mu, apds))
     freq = counts / n_pulses
     p = np.zeros(6)
     for cell in range(6):

@@ -160,7 +160,7 @@ def test_criterion_4_dark_exposure():
     p_exact = {}
     for gates in (3, 1):
         apd = ApdSpec(efficiency=0.1, dark_per_gate=d)
-        cum = first_fire_table(cell_click_probabilities(vacuum, 0.0, (apd, apd), gates))
+        cum = first_fire_table(cell_click_probabilities(vacuum.p, 0.0, (apd, apd), gates))
         p_exact[gates] = float(cum[-1])  # any gated cell clicks
         rng = RngHandle(440_001).indexed_stream(DOMAIN_DETECT, gates)
         batch = draw_candidates(n, cum[-1], rng)

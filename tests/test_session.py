@@ -25,6 +25,8 @@ from timebin_bb84.optics import (
     bob_transform,
     canonical_link_state,
     extinction_db_to_visibility,
+    link_state,
+    slot_port_probabilities,
     vacuum_state,
 )
 from timebin_bb84.protocol import InsufficientKeyError, run_protocol
@@ -344,7 +346,7 @@ class TestClickBoundEdges:
         reaches 1: every pulse is a candidate, with no warning."""
         noisy = ApdSpec(dark_per_gate=0.999)
         vacuum = SlotPortDistribution(np.zeros((3, 2)))
-        assert detection.click_bound(vacuum, 0.0, (noisy, noisy)) == 1.0
+        assert detection.click_bound(vacuum.p, 0.0, (noisy, noisy)) == 1.0
         config = SessionConfig(
             n_pulses=50_000, seed=46, apd_d0=noisy, apd_d1=noisy,
             bob_amz=AmzSpec(phase_jitter_rad=0.1),
@@ -433,9 +435,51 @@ def drifting_receiver_tables():
     apds = (ApdSpec(efficiency=0.2, dark_per_gate=1e-3), ApdSpec(efficiency=0.5, dark_per_gate=1e-4))
     prepared = session._prepared_amplitudes(AmzSpec(phase_offset_rad=0.2))
     incoming = 0.8 * np.vstack([prepared, np.zeros(2)])
-    dists = session._receiver_distributions(incoming, bob_amz)
-    q_table = np.stack([detection.cell_click_probabilities(d, 0.4, apds) for d in dists], axis=1)
+    weights = np.array(slot_port_probabilities(*incoming.T, bob_amz))
+    q_table = detection.cell_click_probabilities(weights, 0.4, apds)
     return bob_amz, apds, incoming, q_table, detection.first_fire_table(q_table)
+
+
+# Receiver setups for the tie between the one-call tables and the
+# single-state oracle API: the default link, a dense 20 dB-extinction link
+# and unequal detectors.
+ORACLE_SETUPS = {
+    "default": SessionConfig(),
+    "extinction_20db": SessionConfig(
+        source=SourceSpec(mu=0.5),
+        bob_amz=AmzSpec(excess_loss_db=0.0, visibility=extinction_db_to_visibility(20.0)),
+        apd_d0=ApdSpec(efficiency=1.0),
+        apd_d1=ApdSpec(efficiency=1.0),
+    ),
+    "unequal_detectors": SessionConfig(
+        apd_d0=ApdSpec(efficiency=0.1, dark_per_gate=1e-5),
+        apd_d1=ApdSpec(efficiency=0.05, dark_per_gate=1e-4),
+    ),
+}
+
+
+@pytest.mark.parametrize("gates", [1, 2, 3])
+@pytest.mark.parametrize("setup", ORACLE_SETUPS)
+def test_array_tables_equal_the_single_state_oracle(setup, gates):
+    """The tables built in one call over the four prepared states (at a
+    transmitter offset of 0.3) plus vacuum equal, bit for bit, what the
+    single-state API gives state by state: each click-probability column,
+    the registration rates, whose running sums are the column's first six
+    cumulative edges, and the drift bound, the largest single-state one."""
+    cfg = ORACLE_SETUPS[setup]
+    apds, mu = (cfg.apd_d0, cfg.apd_d1), cfg.source.mu
+    prepared = session._prepared_amplitudes(PhaseSpec(phase_offset_rad=0.3))
+    amps = math.sqrt(transmittance(cfg.channel)) * np.vstack([prepared, np.zeros(2)])
+    weights = np.array(slot_port_probabilities(*amps.T, cfg.bob_amz))
+    q = detection.cell_click_probabilities(weights, mu, apds, gates)
+    bounds = []
+    for k, (early, late) in enumerate(amps):
+        dist = bob_transform(link_state(early, late), cfg.bob_amz)
+        assert np.array_equal(q[:, k], detection.cell_click_probabilities(dist.p, mu, apds, gates))
+        rates = expected_event_rates(dist, mu, apds, gates)
+        assert np.array_equal(np.cumsum(rates), detection.first_fire_table(q[:, k])[:6])
+        bounds.append(detection.click_bound(dist.p, mu, apds, gates))
+    assert detection.click_bound(weights, mu, apds, gates) == max(bounds)
 
 
 class TestDriftedRows:
@@ -644,6 +688,12 @@ class TestProfile:
                 assert r.probability == exact[(r.state, r.slot, r.port)]
             else:
                 assert abs(r.probability - exact[(r.state, r.slot, r.port)]) < 0.01
+
+    def test_sampled_rows_do_not_depend_on_the_gate_count(self):
+        """The rows describe the light: the sampled profile gates all three
+        slots, so one seed gives the same rows at every gate count."""
+        rows = [profile_rows(SessionConfig(seed=5, gates_per_pulse=g), sampled_pulses=10**6) for g in (1, 2, 3)]
+        assert rows[0] == rows[1] == rows[2]
 
 
 class TestSweep:
