@@ -23,26 +23,25 @@ opening messages (the receiver's announce; the transmitter has none),
 hands the message objects from one endpoint to the other on the caller's
 thread, and the transmitter can read the announced pulses' states from the
 caller instead of hashing them.  On a byte stream, ``drive`` runs one
-endpoint over a transport; messages are newline-terminated, self-describing
-JSON records, and a record longer than the endpoint's ``max_line`` is
-refused.  Any malformed, out-of-order or out-of-range message aborts the
-session.
+endpoint over a transport; each binary record follows its length, and a
+length above the endpoint's ``max_record`` is refused unread.  Any
+malformed, out-of-order or out-of-range message aborts the session.
 
-Inside a record, a set of pulse indices or positions is an object
-``{"count", "width", "gaps"}``: the strictly increasing indices as
-little-endian unsigned gaps (the first gap is the first index + 1),
-``width`` bytes each, in base64.  The width is the narrowest of 1, 2, 4 or
-8 bytes that holds the largest gap.  A bit string (bases, Z = 0 and X = 1,
-or disclosed bits) is an object ``{"count", "packed"}``: ``np.packbits``
-output in base64.
+A record is a kind byte (0 announce, 1 match reply, 2 sample bits, 3 QBER
+report), then the message's fields in order.  A set of pulse indices or
+positions is a u64 count, a u8 width and ``count * width`` bytes of
+little-endian unsigned gaps between the strictly increasing indices (the
+first gap is the first index + 1).  The width is the narrowest of 1, 2, 4
+or 8 bytes that holds the largest gap.  A bit string (bases, Z = 0 and
+X = 1, or disclosed bits) is a u64 count and the ``np.packbits`` bytes,
+and the QBER a float64.  Every number is little-endian.
 """
 
 from __future__ import annotations
 
-import base64
-import json
 import math
 import socket
+import struct
 import threading
 from dataclasses import dataclass
 
@@ -178,114 +177,88 @@ ClassicalMessage = BobBasisAnnounce | AliceMatchReply | SampleBits | QberReport
 _GAP_DTYPES = {d.itemsize: d for d in map(np.dtype, ("<u1", "<u2", "<u4", "<u8"))}
 
 
-def _index_field(indices: np.ndarray) -> list[bytes]:
+def _index_field(indices: np.ndarray) -> list:
     gaps = np.diff(np.asarray(indices, dtype=np.int64), prepend=-1)
     if gaps.min(initial=1) < 1:
         raise ProtocolError("cannot encode indices that are negative or not strictly increasing")
     top = int(gaps.max(initial=0))
     dtype = next(d for d in _GAP_DTYPES.values() if top < 256**d.itemsize)
-    head = b'{"count":%d,"width":%d,"gaps":"' % (gaps.size, dtype.itemsize)
-    return [head, base64.b64encode(gaps.astype(dtype)), b'"}']
+    return [struct.pack("<QB", gaps.size, dtype.itemsize), gaps.astype(dtype)]
 
 
-def _bit_field(bits: np.ndarray) -> list[bytes]:
-    head = b'{"count":%d,"packed":"' % np.asarray(bits).size
-    return [head, base64.b64encode(np.packbits(bits)), b'"}']
+def _bit_field(bits: np.ndarray) -> list:
+    return [struct.pack("<Q", np.asarray(bits).size), np.packbits(bits)]
 
 
 def encode_message(msg: ClassicalMessage) -> bytes:
-    """One self-describing JSON record per message, newline-terminated: the
-    bytes of ``json.dumps(record, separators=(",", ":"))``, assembled from
-    parts so that each base64 payload is copied once, not scanned again."""
+    """One binary record per message: the kind byte, then the fields in
+    order, each gap or packed-bit array copied once, by the join."""
     if isinstance(msg, BobBasisAnnounce):
-        parts = [b'{"type":"basis_announce","indices":', *_index_field(msg.indices),
-                 b',"bases":', *_bit_field(msg.bases)]
+        parts = [b"\0", *_index_field(msg.indices), *_bit_field(msg.bases)]
     elif isinstance(msg, AliceMatchReply):
-        parts = [b'{"type":"match_reply","indices":', *_index_field(msg.indices),
-                 b',"sample":', *_index_field(msg.sample)]
+        parts = [b"\1", *_index_field(msg.indices), *_index_field(msg.sample)]
     elif isinstance(msg, SampleBits):
-        parts = [b'{"type":"sample_bits","bits":', *_bit_field(msg.bits)]
+        parts = [b"\2", *_bit_field(msg.bits)]
     elif isinstance(msg, QberReport):
-        parts = [b'{"type":"qber_report","value":', json.dumps(msg.value).encode("ascii")]
+        parts = [struct.pack("<Bd", 3, msg.value)]
     else:
         raise ProtocolError(f"cannot encode message of type {type(msg).__name__}")
-    parts.append(b"}\n")
     return b"".join(parts)
 
 
-def _scalar(value, types: tuple[type, ...]):
-    """``value`` if its type is exactly one of ``types``: a JSON boolean is
-    not an int here, and an int is not a float unless ``types`` says so."""
-    if type(value) not in types:
-        raise ProtocolError(f"expected {' or '.join(t.__name__ for t in types)}, got {value!r}")
-    return value
-
-
-def _count(field) -> int:
-    count = _scalar(_scalar(field, (dict,))["count"], (int,))
-    if count < 0:
-        raise ProtocolError(f"negative count {count}")
-    return count
-
-
-def _payload(value, size: int, what: str) -> bytes:
-    raw = base64.b64decode(_scalar(value, (str,)), validate=True)
-    if len(raw) != size:
-        raise ProtocolError(f"{what} payload holds {len(raw)} bytes, not {size}")
-    return raw
-
-
-def _indices(field) -> np.ndarray:
-    """An index field as strictly increasing non-negative int64 indices."""
-    count = _count(field)
-    width = _scalar(field["width"], (int,))
+def _indices(record: bytes, at: int) -> tuple[np.ndarray, int]:
+    """The index field at byte ``at`` as strictly increasing non-negative
+    int64 indices, and the offset after it."""
+    count, width = struct.unpack_from("<QB", record, at)
     if width not in _GAP_DTYPES:
         raise ProtocolError(f"unknown index width {width}")
-    gaps = np.frombuffer(_payload(field["gaps"], count * width, "index"), _GAP_DTYPES[width])
+    gaps = np.frombuffer(record, _GAP_DTYPES[width], count, at + 9)
     if gaps.min(initial=1) == 0:
         raise ProtocolError("index gap of 0: indices must strictly increase")
     ends = gaps.astype(np.uint64)
     np.cumsum(ends, out=ends)
     # Only when count gaps of this width can pass 2**63 can the sum wrap.
-    if count * (256**width - 1) > 2**63 and (
-        ends[-1] > 2**63 or np.any(ends[1:] <= ends[:-1])
-    ):
+    if count * (256**width - 1) > 2**63 and (ends[-1] > 2**63 or np.any(ends[1:] <= ends[:-1])):
         raise ProtocolError("index gaps sum past the int64 range")
     ends -= np.uint64(1)
-    return ends.view(np.int64)
+    return ends.view(np.int64), at + 9 + count * width
 
 
-def _bits(field, what: str) -> np.ndarray:
-    """A bit field as a uint8 array of 0s and 1s."""
-    count = _count(field)
-    bits = np.unpackbits(np.frombuffer(_payload(field["packed"], -(-count // 8), what), np.uint8))
+def _bits(record: bytes, at: int, what: str) -> tuple[np.ndarray, int]:
+    """The bit field at byte ``at`` as 0s and 1s, and the offset after it."""
+    (count,) = struct.unpack_from("<Q", record, at)
+    size = -(-count // 8)
+    bits = np.unpackbits(np.frombuffer(record, np.uint8, size, at + 8))
     if bits[count:].any():
         raise ProtocolError(f"{what} padding bits are not zero")
-    return bits[:count]
+    return bits[:count], at + 8 + size
 
 
-def decode_message(line: bytes) -> ClassicalMessage:
+def decode_message(record: bytes) -> ClassicalMessage:
     try:
-        obj = json.loads(line)
-        kind = obj["type"]
-        if kind == "basis_announce":
-            indices = _indices(obj["indices"])
-            bases = _bits(obj["bases"], "basis_announce bases")
+        kind = record[0]
+        if kind == 0:
+            indices, at = _indices(record, 1)
+            bases, at = _bits(record, at, "basis_announce bases")
             if bases.size != indices.size:
                 raise ProtocolError("basis_announce has different numbers of indices and bases")
-            return BobBasisAnnounce(indices=indices, bases=bases)
-        if kind == "match_reply":
-            return AliceMatchReply(_indices(obj["indices"]), _indices(obj["sample"]))
-        if kind == "sample_bits":
-            return SampleBits(_bits(obj["bits"], "sample_bits"))
-        if kind == "qber_report":
-            return QberReport(float(_scalar(obj["value"], (int, float))))
-        raise ProtocolError(f"unknown message type {kind!r}")
-    except ProtocolError:
-        raise
-    # binascii.Error from base64 is a ValueError; json raises RecursionError
-    # on deeply nested input.
-    except (KeyError, ValueError, TypeError, OverflowError, RecursionError) as exc:
+            msg = BobBasisAnnounce(indices, bases)
+        elif kind == 1:
+            indices, at = _indices(record, 1)
+            sample, at = _indices(record, at)
+            msg = AliceMatchReply(indices, sample)
+        elif kind == 2:
+            bits, at = _bits(record, 1, "sample_bits")
+            msg = SampleBits(bits)
+        elif kind == 3:
+            msg, at = QberReport(*struct.unpack_from("<d", record, 1)), 9
+        else:
+            raise ProtocolError(f"unknown message kind {kind}")
+        if at != len(record):
+            raise ProtocolError(f"{len(record) - at} bytes after the last field")
+        return msg
+    # np.frombuffer raises OverflowError for a count past the C integer range.
+    except (struct.error, ValueError, IndexError, OverflowError) as exc:
         raise ProtocolError(f"malformed message: {exc}") from exc
 
 
@@ -295,7 +268,8 @@ def decode_message(line: bytes) -> ClassicalMessage:
 
 
 class SocketTransport:
-    """Newline-delimited JSON records over a byte-stream socket."""
+    """Binary records over a byte-stream socket, each after its length as
+    an 8-byte little-endian unsigned integer."""
 
     def __init__(self, sock: socket.socket, timeout: float = 120.0):
         sock.settimeout(timeout)
@@ -303,22 +277,33 @@ class SocketTransport:
         self._reader = sock.makefile("rb")
 
     def send(self, msg: ClassicalMessage) -> None:
+        record = encode_message(msg)
         try:
-            self._sock.sendall(encode_message(msg))
+            self._sock.sendall(struct.pack("<Q", len(record)) + record)
         except OSError as exc:
             raise ProtocolError(f"socket send failed: {exc}") from exc
 
-    def recv(self, max_line: int) -> ClassicalMessage:
-        """Next message; a record longer than ``max_line`` bytes aborts."""
+    def _read(self, size: int) -> bytes:
+        """``size`` bytes in requests of at most 16 MiB: the reader sets aside
+        each request whole, and the peer's length is only a claim."""
+        parts = []
         try:
-            line = self._reader.readline(max_line + 1)
+            while size > 0:
+                parts.append(self._reader.read(min(size, 1 << 24)))
+                if not parts[-1]:
+                    raise ProtocolError("transport closed by peer")
+                size -= len(parts[-1])
         except OSError as exc:
             raise ProtocolError(f"socket recv failed: {exc}") from exc
-        if not line:
-            raise ProtocolError("transport closed by peer")
-        if len(line) > max_line:
-            raise ProtocolError(f"record longer than {max_line} bytes")
-        return decode_message(line)
+        return b"".join(parts)
+
+    def recv(self, max_record: int) -> ClassicalMessage:
+        """Next message; a length above ``max_record`` bytes aborts before
+        any of the record is read."""
+        (size,) = struct.unpack("<Q", self._read(8))
+        if size > max_record:
+            raise ProtocolError(f"record of {size} bytes is longer than {max_record}")
+        return decode_message(self._read(size))
 
     def close(self) -> None:
         try:
@@ -356,18 +341,14 @@ class SiftedKey:
         return np.packbits(self.bits).tobytes().hex()
 
 
-def _max_line(count: int) -> int:
-    """Bound on the longest record an honest receiver sends when its
-    announce lists at most ``count`` pulse indices, the transmitter's pulse
-    count.  At the widest width, 8 bytes of gap per index take at most
-    (32 * n + 8) / 3 bytes of base64 in a field of n, and a packed basis bit
-    per index at most count / 6 + 4: under 11 * count + 7 per record.  The
-    JSON keys, two counts of at most 20 digits and two widths take under
-    150 of the 256 bytes left."""
-    return 256 + 11 * count
+def _max_record(count: int) -> int:
+    """Length of the fullest announce of ``count`` pulse indices, the
+    transmitter's pulse count: every gap at width 8 and a packed basis bit
+    per index.  No honest announce is longer, and sample bits are shorter."""
+    return 1 + 9 + 8 * count + 8 + -(-count // 8)
 
 
-def _reply_max_line(events: int) -> int:
+def _reply_max_record(events: int) -> int:
     """Length of the longest match reply an honest transmitter can send for
     ``events`` announced events.  Each of its two lists holds at most
     ``events`` positions below ``events`` (a sample position lies below the
@@ -375,8 +356,7 @@ def _reply_max_line(events: int) -> int:
     narrowest width that holds that count.  Both lists full at that width
     give the bound; a QBER report is shorter."""
     width = next(w for w in _GAP_DTYPES if events < 256**w)
-    field = len('{"count":,"width":1,"gaps":""}') + len(str(events)) + 4 * -(-events * width // 3)
-    return len('{"type":"match_reply","indices":,"sample":}\n') + 2 * field
+    return 1 + 2 * (9 + events * width)
 
 
 def _expect(msg: ClassicalMessage, kind: type | None) -> None:
@@ -388,11 +368,13 @@ def _expect(msg: ClassicalMessage, kind: type | None) -> None:
 
 
 def _require_increasing_within(
-    indices: np.ndarray, size: int, what: str, outside: str = "position outside the agreed set"
+    indices: np.ndarray, size: int, what: str, outside: str = "position outside the agreed set",
+    ordered: bool = False,
 ) -> None:
-    """Abort unless ``indices`` strictly increase inside ``range(size)``;
+    """Abort unless ``indices`` strictly increase inside ``range(size)``; an
+    ``ordered`` array is known to increase, so only its range is checked.
     ``outside`` completes the error for an index out of that range."""
-    if np.any(indices[1:] <= indices[:-1]):
+    if not ordered and np.any(indices[1:] <= indices[:-1]):
         raise ProtocolError(f"{what} indices are not strictly increasing")
     if indices.size and (indices[0] < 0 or indices[-1] >= size):
         raise ProtocolError(f"{what} {outside}")
@@ -422,7 +404,7 @@ class AliceEndpoint:
         self._known = known or (None, None)
         self.sample_fraction = sample_fraction
         self.rng = rng
-        self.max_line = _max_line(len(records))
+        self.max_record = _max_record(len(records))
         self.key: SiftedKey | None = None
         self._next: type | None = BobBasisAnnounce
 
@@ -432,10 +414,10 @@ class AliceEndpoint:
     def receive(self, msg: ClassicalMessage) -> list[ClassicalMessage]:
         _expect(msg, self._next)
         if isinstance(msg, BobBasisAnnounce):
-            _require_increasing_within(
-                msg.indices, len(self.records), "announced", "pulse index out of session range"
-            )
+            # ClassifiedEvents checked that the events' own index array increases.
             sent = self._known[1] if msg.indices is self._known[0] else None
+            _require_increasing_within(msg.indices, len(self.records), "announced",
+                                       "pulse index out of session range", ordered=sent is not None)
             bits, bases = self.records.choices(msg.indices) if sent is None else (sent & 1, sent >> 1)
             matched = np.flatnonzero(bases == msg.bases)
             n_sample = int(self.sample_fraction * matched.size)
@@ -462,7 +444,7 @@ class BobEndpoint:
 
     def __init__(self, classifications: ClassifiedEvents):
         self.classifications = classifications
-        self.max_line = _reply_max_line(len(classifications))
+        self.max_record = _reply_max_record(len(classifications))
         self.key: SiftedKey | None = None
         self._next: type | None = AliceMatchReply
 
@@ -501,7 +483,7 @@ def drive(endpoint: AliceEndpoint | BobEndpoint, transport) -> list[ClassicalMes
             log += out
             if endpoint.key is not None:
                 return log
-            msg = transport.recv(endpoint.max_line)
+            msg = transport.recv(endpoint.max_record)
             log.append(msg)
             out = endpoint.receive(msg)
     except ProtocolError:

@@ -1,10 +1,9 @@
 """Sifting/estimation state machines, wire codec and transports."""
 
-import base64
-import json
 import math
 import re
 import socket
+import struct
 
 import numpy as np
 import pytest
@@ -241,43 +240,41 @@ class TestEstimateQber:
         assert len(key_a) == 400 - key_a.disclosed_count
 
 
-def index_field(*gaps, size=1, **field):
-    """An index field holding ``gaps`` at ``size`` bytes each; keyword
-    arguments replace its members."""
-    raw = np.array(gaps, f"<u{size}").tobytes()
-    return {"count": len(gaps), "width": size, "gaps": base64.b64encode(raw).decode()} | field
+def index_field(*gaps, size=1, count=None, width=None) -> bytes:
+    """An index field holding ``gaps`` at ``size`` bytes each; ``count``
+    and ``width`` replace the header's values."""
+    codes = {1: "B", 2: "H", 4: "I", 8: "Q"}
+    header = struct.pack("<QB", len(gaps) if count is None else count, width or size)
+    return header + struct.pack(f"<{len(gaps)}{codes[size]}", *gaps)
 
 
-def bit_field(*bits, **field):
-    """A bit field packing ``bits``, padding bits included; keyword
-    arguments replace its members."""
-    raw = np.packbits(np.array(bits, np.uint8)).tobytes()
-    return {"count": len(bits), "packed": base64.b64encode(raw).decode()} | field
+def bit_field(*bits, count=None) -> bytes:
+    """A bit field packing ``bits`` MSB first, padding bits included;
+    ``count`` replaces the header's value."""
+    packed = bytes(int("".join(map(str, bits[k : k + 8])).ljust(8, "0"), 2) for k in range(0, len(bits), 8))
+    return struct.pack("<Q", len(bits) if count is None else count) + packed
 
 
-def reply_record(**fields):
-    """A match_reply record with one sifted and one disclosed position;
-    keyword arguments replace its fields."""
-    return {"type": "match_reply", "indices": index_field(1), "sample": index_field(1)} | fields
+def reply_record(sample=index_field(1)) -> bytes:
+    """A match_reply record with one sifted position and ``sample``."""
+    return b"\x01" + index_field(1) + sample
 
 
-def json_record(msg) -> bytes:
-    """``msg`` as the record ``json.dumps(record, separators=(",", ":"))``
-    writes, each gap list at the narrowest width that holds its gaps."""
+def layout(msg) -> bytes:
+    """``msg`` as its record built field by field with ``struct``, each gap
+    list at the narrowest width that holds its gaps."""
 
     def indices(values):
         gaps = np.diff(np.asarray(values, np.int64), prepend=-1).tolist()
         return index_field(*gaps, size=next(w for w in (1, 2, 4, 8) if max(gaps, default=0) < 256**w))
 
     if isinstance(msg, BobBasisAnnounce):
-        record = {"type": "basis_announce", "indices": indices(msg.indices), "bases": bit_field(*msg.bases)}
-    elif isinstance(msg, AliceMatchReply):
-        record = {"type": "match_reply", "indices": indices(msg.indices), "sample": indices(msg.sample)}
-    elif isinstance(msg, SampleBits):
-        record = {"type": "sample_bits", "bits": bit_field(*msg.bits)}
-    else:
-        record = {"type": "qber_report", "value": msg.value}
-    return (json.dumps(record, separators=(",", ":")) + "\n").encode("ascii")
+        return b"\x00" + indices(msg.indices) + bit_field(*msg.bases.tolist())
+    if isinstance(msg, AliceMatchReply):
+        return b"\x01" + indices(msg.indices) + indices(msg.sample)
+    if isinstance(msg, SampleBits):
+        return b"\x02" + bit_field(*msg.bits.tolist())
+    return struct.pack("<Bd", 3, msg.value)
 
 
 def spaced(top: int, count: int = 11) -> np.ndarray:
@@ -304,6 +301,16 @@ CODEC_MESSAGES = {
 }
 
 
+@st.composite
+def damaged_record(draw):
+    """A ``CODEC_MESSAGES`` record cut short or with one byte replaced."""
+    record = encode_message(draw(st.sampled_from(list(CODEC_MESSAGES.values()))))
+    k = draw(st.integers(0, len(record) - 1))
+    if draw(st.booleans()):
+        return record[:k]
+    return record[:k] + bytes([draw(st.integers(0, 255))]) + record[k + 1 :]
+
+
 class TestCodec:
     @pytest.mark.parametrize(
         "msg",
@@ -315,9 +322,7 @@ class TestCodec:
         ],
     )
     def test_round_trip(self, msg):
-        line = encode_message(msg)
-        assert line.endswith(b"\n")
-        back = decode_message(line)
+        back = decode_message(encode_message(msg))
         assert type(back) is type(msg)
         for name, value in vars(msg).items():
             got = getattr(back, name)
@@ -327,23 +332,17 @@ class TestCodec:
                 assert got == value
 
     @pytest.mark.parametrize("msg", CODEC_MESSAGES.values(), ids=CODEC_MESSAGES.keys())
-    def test_record_is_the_json_dumps_record(self, msg):
-        """Each record is byte for byte the compact json.dumps record, at
-        every gap width, with empty lists and partly filled packed bytes."""
-        assert encode_message(msg) == json_record(msg)
-
-    def test_gaps_spelling_true_round_trip(self):
-        # Gaps 182, 187, 158 are the bytes b6 bb 9e, whose base64 is "true":
-        # a decoder that scanned records for JSON booleans refused this one.
-        line = encode_message(AliceMatchReply(np.array([181, 368, 526]), np.array([0])))
-        assert b'"gaps":"true"' in line
-        assert decode_message(line).indices.tolist() == [181, 368, 526]
+    def test_record_is_the_struct_layout(self, msg):
+        """Each record is byte for byte its field-by-field layout, at every
+        gap width, with empty lists and partly filled packed bytes."""
+        assert encode_message(msg) == layout(msg)
 
     def test_width_is_narrowest_that_holds_largest_gap(self):
         for top, width in [(255, 1), (256, 2), (2**16, 4), (2**32 - 1, 4), (2**32, 8)]:
             indices = np.array([3, 3 + top])
-            record = json.loads(encode_message(AliceMatchReply(indices, indices)))
-            assert record["indices"]["width"] == record["sample"]["width"] == width
+            record = encode_message(AliceMatchReply(indices, indices))
+            # kind, count, width, two gaps, then the sample's count and width
+            assert record[9] == record[18 + 2 * width] == width
 
     def test_unencodable_indices_refused(self):
         for indices in ([-1, 4], [4, 4], [5, 2]):
@@ -354,65 +353,55 @@ class TestCodec:
 
     def test_malformed_rejected(self):
         with pytest.raises(ProtocolError):
-            decode_message(b"not json\n")
+            decode_message(b"")
         with pytest.raises(ProtocolError):
-            decode_message(b'{"type":"mystery"}\n')
-        with pytest.raises(ProtocolError):
-            decode_message(b'{"type":"match_reply","indices":{"count":0,"width":1,"gaps":""}}\n')
+            decode_message(b"\x01" + index_field())  # a match_reply without its sample
 
     @pytest.mark.parametrize(
         "record,error",
         [
-            ({"type": "basis_announce", "indices": index_field(1, 5, 4), "bases": bit_field(1, 0)},
-             "different numbers of indices and bases"),
-            ({"type": "match_reply", "indices": index_field(1, count=1.7, width=True)},
-             "expected int, got 1.7"),
-            ({"type": "match_reply", "indices": index_field(1, width=True)}, "expected int, got True"),
-            ({"type": "match_reply", "indices": index_field(1, width=1.0)}, "expected int, got 1.0"),
-            ({"type": "match_reply", "indices": index_field(1, count=1.0)}, "expected int, got 1.0"),
-            ({"type": "sample_bits", "bits": bit_field(1, count=True)}, "expected int, got True"),
-            ({"type": "sample_bits", "bits": bit_field(count=-1)}, "negative count -1"),
-            (reply_record(sample=index_field(2**64 - 1, 2, size=8)),
-             "index gaps sum past the int64 range"),
-            ({"type": "basis_announce", "indices": index_field(1),
-              "bases": bit_field(1, packed=["gA=="])}, "expected str, got ['gA==']"),
-            ({"type": "sample_bits", "bits": bit_field(1, packed=101)}, "expected str, got 101"),
-            ({"type": "match_reply", "indices": index_field(1, gaps=101)}, "expected str, got 101"),
-            ({"type": "match_reply", "indices": [[1, 2], [3, 4]]}, "expected dict, got [[1, 2], [3, 4]]"),
-            ({"type": "qber_report", "value": "0.5"}, "expected int or float, got '0.5'"),
-            ({"type": "qber_report", "value": True}, "expected int or float, got True"),
-            (reply_record(sample=index_field(1, 0)),
-             "index gap of 0: indices must strictly increase"),
-            (reply_record(sample=index_field(1, count=2)), "index payload holds 1 bytes, not 2"),
-            (reply_record(sample=index_field(1, gaps="A!==")), "Only base64 data is allowed"),
-            ({"type": "sample_bits", "bits": bit_field(1, 0, 0, 0, 0, 0, 0, 1, count=1)},
-             "sample_bits padding bits are not zero"),
-            (reply_record(sample=index_field(1, width=3)), "unknown index width 3"),
+            (b"\x00" + index_field(1, 5, 4) + bit_field(1, 0), "different numbers of indices and bases"),
+            (reply_record(index_field(2**64 - 1, 2, size=8)), "index gaps sum past the int64 range"),
+            (reply_record(index_field(1, 0)), "index gap of 0: indices must strictly increase"),
+            (reply_record(index_field(1, count=2)), "malformed message"),
+            (reply_record() + b"\x00", "1 bytes after the last field"),
+            (b"\x02" + bit_field(1, 0, 0, 0, 0, 0, 0, 1, count=1), "sample_bits padding bits are not zero"),
+            (reply_record(index_field(1, width=3)), "unknown index width 3"),
+            (b"\x04" + reply_record()[1:], "unknown message kind 4"),
+            (reply_record(index_field(1, size=8, count=2**64 - 1)), "malformed message"),
+            (b"\x02" + bit_field(1, count=2**64 - 1), "malformed message"),
         ],
         ids=[
-            "length_mismatch", "float_and_bool", "bool_among_ints", "float", "count_float", "bool",
-            "count_negative", "overflow", "bases_not_string",
-            "bits_not_string", "gaps_not_string", "two_dimensional", "qber_string", "qber_bool",
-            "gap_zero", "byte_length", "not_base64", "padding_bits", "unknown_width",
+            "length_mismatch", "overflow", "gap_zero", "byte_length", "trailing_bytes",
+            "padding_bits", "unknown_width", "unknown_kind", "index_count_max", "bit_count_max",
         ],
     )
     def test_malformed_fields_rejected(self, record, error):
         with pytest.raises(ProtocolError, match=re.escape(error)):
-            decode_message(json.dumps(record).encode() + b"\n")
+            decode_message(record)
 
-    @pytest.mark.parametrize(
-        "record",
-        [{"type": "basis_request", "start": 0, "stop": 1000},
-         {"type": "sample_indices", "indices": index_field(10)}],
-        ids=["basis_request", "sample_indices"],
-    )
-    def test_retired_message_types_rejected(self, record):
-        with pytest.raises(ProtocolError, match="unknown message type"):
-            decode_message(json.dumps(record).encode() + b"\n")
+    def test_every_truncation_refused(self):
+        for msg in CODEC_MESSAGES.values():
+            record = encode_message(msg)
+            for k in range(len(record)):
+                with pytest.raises(ProtocolError):
+                    decode_message(record[:k])
 
-    def test_deep_nesting_rejected(self):
-        with pytest.raises(ProtocolError, match="recursion"):
-            decode_message(b"[" * 5000 + b"\n")
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(st.binary(max_size=64), damaged_record()))
+    def test_any_bytes_decode_or_refuse(self, record):
+        """Any bytes decode to a message whose index sets strictly increase
+        from 0 up and whose bits are 0 or 1, or raise ProtocolError."""
+        try:
+            msg = decode_message(record)
+        except ProtocolError:
+            return
+        assert isinstance(msg, protocol.ClassicalMessage)
+        for value in vars(msg).values():
+            if isinstance(value, np.ndarray) and value.dtype == np.int64:
+                assert np.all(np.diff(value) > 0) and value.min(initial=0) >= 0
+            elif isinstance(value, np.ndarray):
+                assert value.dtype == np.uint8 and value.max(initial=0) <= 1
 
 
 # Gaps that force each index width: the largest gap is at least ``lo``.
@@ -457,48 +446,49 @@ class TestRecordCap:
     @given(wide_session())
     def test_honest_records_fit_recipient_cap(self, session):
         width, records, events, fraction = session
-        alice_cap = AliceEndpoint(records, fraction, np.random.default_rng(0)).max_line
-        bob_cap = BobEndpoint(events).max_line
+        alice_cap = AliceEndpoint(records, fraction, np.random.default_rng(0)).max_record
+        bob_cap = BobEndpoint(events).max_record
         _, _, transcript = run_protocol(records, events, fraction, np.random.default_rng(5))
-        assert json.loads(encode_message(transcript[0]))["indices"]["width"] == width
+        assert encode_message(transcript[0])[9] == width  # the announce's gap width
         for msg in transcript:
-            line = encode_message(msg)
+            record = encode_message(msg)
             to_alice = isinstance(msg, (BobBasisAnnounce, SampleBits))
-            assert len(line) <= (alice_cap if to_alice else bob_cap)
-            assert_same_message(decode_message(line), msg)
+            assert len(record) <= (alice_cap if to_alice else bob_cap)
+            assert_same_message(decode_message(record), msg)
 
     @pytest.mark.parametrize("events", [0, 1, 200, 255])
     def test_receiver_cap_is_the_fullest_honest_reply(self, events):
         """Below 256 events every gap fits one byte, so the receiver's cap
         is exactly the fullest honest match reply, every announced position
-        sifted and disclosed: that reply is read, and the same record one
-        byte longer (JSON whitespace before its newline) is refused."""
+        sifted and disclosed: that reply is read, and the same record with
+        one more byte, and a length one longer, is refused."""
         bob = BobEndpoint(make_events(*[(i, 0, 0) for i in range(events)]))
         full = AliceMatchReply(np.arange(events), np.arange(events))
         record = encode_message(full)
+        assert len(record) == bob.max_record
         sock_a, sock_b = socket.socketpair()
         transport = SocketTransport(sock_a, timeout=5.0)
         try:
-            sock_b.sendall(record)
-            assert_same_message(transport.recv(bob.max_line), full)
-            sock_b.sendall(record[:-1] + b" \n")
+            sock_b.sendall(struct.pack("<Q", len(record)) + record)
+            assert_same_message(transport.recv(bob.max_record), full)
+            sock_b.sendall(struct.pack("<Q", len(record) + 1) + record + b"\x00")
             with pytest.raises(ProtocolError, match="longer than"):
-                transport.recv(bob.max_line)
+                transport.recv(bob.max_record)
         finally:
             transport.close()
             sock_b.close()
 
     def test_empty_records_fit_cap(self):
-        cap = BobEndpoint(make_events()).max_line
+        cap = BobEndpoint(make_events()).max_record
         empty = np.empty(0, np.int64)
         for msg in [
             BobBasisAnnounce(empty, np.empty(0, np.uint8)),
             AliceMatchReply(empty, empty),
             SampleBits(np.empty(0, np.uint8)),
         ]:
-            line = encode_message(msg)
-            assert len(line) <= cap
-            assert_same_message(decode_message(line), msg)
+            record = encode_message(msg)
+            assert len(record) <= cap
+            assert_same_message(decode_message(record), msg)
 
 
 def run_over_sockets(records, events, sample_fraction, seed):
@@ -542,19 +532,34 @@ class TestTransports:
         tb.close()
 
     def test_overlong_record_aborts(self):
-        # Without the cap, readline would wait for a newline that never
-        # comes; the 5 s socket timeout would then fail the match below.
+        # The peer sends only a length one byte over the cap and keeps its
+        # socket open: a recv that read any of the body would wait for it
+        # and time out after 5 s, failing the match below.
         sock_a, sock_b = socket.socketpair()
         ta = SocketTransport(sock_a, timeout=5.0)
         records = random_train(50, np.random.default_rng(0))
         alice = AliceEndpoint(records, 0.5, np.random.default_rng(1))
-        sock_b.sendall(b"[" * (alice.max_line + 10))
+        sock_b.sendall(struct.pack("<Q", alice.max_record + 1))
         try:
             with pytest.raises(ProtocolError, match="longer than"):
                 drive(alice, ta)
         finally:
             ta.close()
             sock_b.close()
+
+    def test_claimed_length_is_not_set_aside(self):
+        """A length under a large cap from a peer that then closes ends in
+        "closed by peer": the record is read in bounded requests, not set
+        aside whole from the claim (a 1 TiB request raised MemoryError)."""
+        sock_a, sock_b = socket.socketpair()
+        ta = SocketTransport(sock_a, timeout=5.0)
+        sock_b.sendall(struct.pack("<Q", 2**40) + b"\x00" * 100)
+        sock_b.close()
+        try:
+            with pytest.raises(ProtocolError, match="closed by peer"):
+                ta.recv(2**41)
+        finally:
+            ta.close()
 
     def test_in_process_session_starts_no_thread(self, monkeypatch):
         def no_thread(*args, **kwargs):
@@ -747,14 +752,16 @@ class TestTranscript:
 
 
 def honest_wire():
-    """A valid session's encoded records, each tagged with its recipient."""
+    """A valid session's records as sent on the wire, each after its
+    length, and each tagged with its recipient."""
     rng = np.random.default_rng(21)
     records = random_train(60, rng)
     idx = np.sort(rng.choice(60, size=30, replace=False))
     events = ClassifiedEvents(idx, rng.integers(0, 2, 30).astype(np.uint8), records.bits[idx])
     _, _, transcript = run_protocol(records, events, 0.3, np.random.default_rng(22))
     to_alice = (BobBasisAnnounce, SampleBits)
-    wire = [(not isinstance(m, to_alice), encode_message(m)) for m in transcript]
+    framed = (encode_message(m) for m in transcript)
+    wire = [(not isinstance(m, to_alice), struct.pack("<Q", len(r)) + r) for m, r in zip(transcript, framed)]
     return records, events, wire
 
 
