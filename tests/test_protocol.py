@@ -380,6 +380,18 @@ class TestCodec:
         with pytest.raises(ProtocolError, match=re.escape(error)):
             decode_message(record)
 
+    @pytest.mark.parametrize(
+        "record,kind",
+        [(b"\x04" + struct.pack("<QQ", 0, 1000), 4),
+         (b"\x05" + index_field(*[1] * 10), 5)],
+        ids=["basis_request", "sample_indices"],
+    )
+    def test_retired_message_types_rejected(self, record, kind):
+        """The retired basis_request and sample_indices messages, laid out
+        under kind bytes past the four in use, are refused by kind."""
+        with pytest.raises(ProtocolError, match=f"unknown message kind {kind}"):
+            decode_message(record)
+
     def test_every_truncation_refused(self):
         for msg in CODEC_MESSAGES.values():
             record = encode_message(msg)
