@@ -15,11 +15,12 @@ least one click counts, which also neutralises after-pulsing from earlier
 avalanches.  If both ports click in that slot the pulse is discarded.
 So a pulse has eight outcomes: six (slot, port) registrations, the
 discard, and no click.  Their cumulative probabilities have a closed form
-(:func:`first_fire_table`), and a pulse's outcome is sampled from one
+(:func:`first_fire_table`), a recurrence that :func:`first_fire_increments`
+can resume at a later slot, and a pulse's outcome is sampled from one
 uniform and its own row with :func:`sample_outcomes`, the sampler the
-attacker uses too.  Rows are edge-major: n pulses' rows of K edges are a
-(K, n) array, one contiguous row per edge, and their click probabilities
-a (6, n) array, cells on the leading axis.  Click probabilities and the
+attacker uses too.  Rows are edge-major: n pulses' rows of K edges are K
+arrays of n or one (K, n) array, and their click probabilities a (6, n)
+array, cells on the leading axis.  Click probabilities and the
 drift bound take (3, 2, ...) slot/port weight arrays, so one call over
 ``optics.slot_port_probabilities`` of k states gives their (6, k) table;
 only :func:`expected_event_rates`, the one-state oracle API of the tests
@@ -160,30 +161,31 @@ def cell_click_probabilities(w, mu_arrived: float, apds: ApdPair, gates: int = 3
     return q.reshape((N_CELLS,) + w.shape[2:])
 
 
-def _first_fire_increments(q):
-    """The seven first-fire outcome probabilities of (6, ...) click
-    probabilities ``q``, one array per outcome in edge order; see
-    :func:`first_fire_table`."""
-    shadow, discard = 1.0, 0.0
-    for s in range(3):
+def first_fire_increments(q, shadow=1.0, discard=0.0) -> tuple[list, np.ndarray]:
+    """First-fire outcome probabilities of the slots whose cells ``q`` holds
+    (each slot's two registrations, then the discard) and the probability
+    that none clicked; earlier slots' ``shadow`` and ``discard`` resume it."""
+    increments = []
+    for s in range(len(q) // 2):
         q0, q1 = q[2 * s], q[2 * s + 1]
         n0, n1 = 1.0 - q0, 1.0 - q1
         r0, r1 = shadow * q0, shadow * q1
-        yield r0 * n1
-        yield r1 * n0
+        increments += [r0 * n1, r1 * n0]
         discard = discard + r0 * q1
         shadow = shadow * (n0 * n1)
-    yield discard
+    return increments + [discard], shadow
+
+
+def running_sums(increments, edge=None):
+    """Running sums of outcome probabilities, onto ``edge`` if given; each a fresh array."""
+    for increment in increments:
+        edge = increment if edge is None else edge + increment
+        yield edge
 
 
 def cumulative_edges(increments: list) -> np.ndarray:
-    """Running sums of K broadcastable outcome probabilities, added one
-    after another: a (K, ...) array with one contiguous row per edge."""
-    edges = np.empty((len(increments),) + np.broadcast_shapes(*map(np.shape, increments)))
-    edges[0] = increments[0]
-    for k in range(1, len(increments)):
-        np.add(edges[k - 1], increments[k], out=edges[k, ...])
-    return edges
+    """:func:`running_sums` of K outcome probabilities as a (K, ...) array, one row per edge."""
+    return np.array(np.broadcast_arrays(*running_sums(increments)), dtype=float)
 
 
 def first_fire_table(q) -> np.ndarray:
@@ -202,7 +204,7 @@ def first_fire_table(q) -> np.ndarray:
     and the pulse is discarded iff both ports click in its first firing
     slot.  :func:`expected_event_rates` reads the same closed form.
     """
-    return cumulative_edges(list(_first_fire_increments(np.asarray(q, dtype=float))))
+    return cumulative_edges(first_fire_increments(q)[0])
 
 
 def click_bound(w, mu_arrived: float, apds: ApdPair, gates: int = 3) -> float:
@@ -316,4 +318,4 @@ def expected_event_rates(dist: SlotPortDistribution, mu_arrived: float, apds: Ap
     ``gates`` slots armed: the six cell increments of :func:`first_fire_table`.
     The one-state oracle of the benchmark's checks and the tests."""
     q = cell_click_probabilities(dist.p, mu_arrived, apds, gates)
-    return np.array(list(_first_fire_increments(q))[:N_CELLS]).reshape(3, 2)
+    return np.array(first_fire_increments(q)[0][:N_CELLS]).reshape(3, 2)

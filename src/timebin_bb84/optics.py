@@ -32,6 +32,9 @@ from enum import Enum, IntEnum
 import numpy as np
 
 NORM_TOL = 1e-12
+# Largest phase jitter: past a few pi the wrapped phase is uniform anyway, and
+# a leg's math.hypot of two jitters times any float64 normal stays finite.
+MAX_PHASE_JITTER_RAD = 1e6
 
 
 class Basis(Enum):
@@ -141,8 +144,8 @@ class PhaseSpec:
     def __post_init__(self) -> None:
         if not math.isfinite(self.phase_offset_rad):
             raise ValueError("phase_offset_rad must be finite")
-        if not (math.isfinite(self.phase_jitter_rad) and self.phase_jitter_rad >= 0):
-            raise ValueError("phase_jitter_rad must be finite and >= 0")
+        if not 0 <= self.phase_jitter_rad <= MAX_PHASE_JITTER_RAD:
+            raise ValueError(f"phase_jitter_rad must be finite, >= 0 and <= {MAX_PHASE_JITTER_RAD:g}")
 
 
 @dataclass(frozen=True)
@@ -249,6 +252,24 @@ def alice_device_state(state: CanonicalState, spec: PhaseSpec | None = None) -> 
     return link_state(early, late)
 
 
+def interference_terms(early, late):
+    """The :func:`s2_weights` inputs of link amplitudes, elementwise:
+    |early|^2 + |late|^2 and the real and imaginary parts of early*conj(late)."""
+    inter = early * np.conj(late)
+    return np.abs(early) ** 2 + np.abs(late) ** 2, inter.real, inter.imag
+
+
+def s2_weights(intensity, re, im, spec: AmzSpec, phase):
+    """(D0, D1) weights of slot S2 at long-arm phase ``phase``, elementwise: the
+    only phase-dependent cells, shared by the tables and the drifting legs.  The
+    cross term 2*V*Re(exp(i*phase)*early*conj(late)) is scaled by the visibility."""
+    cross = (2.0 * spec.visibility) * (np.cos(phase) * re - np.sin(phase) * im)
+    loss = spec.excess_transmittance
+    # Where the cross term cancels the intensity, rounding can leave -1 ulp.
+    return (np.maximum(loss * (intensity - cross) / 4.0, 0.0),
+            np.maximum(loss * (intensity + cross) / 4.0, 0.0))
+
+
 def slot_port_probabilities(early, late, spec: AmzSpec, phase=None):
     """Slot/port probabilities after the receiver interferometer, elementwise.
 
@@ -259,25 +280,19 @@ def slot_port_probabilities(early, late, spec: AmzSpec, phase=None):
     one bin and carries phase exp(i*phase).  Port D0 collects the
     difference of adjacent-bin amplitudes, D1 the sum, so at perfect
     calibration the (X,0) state exits entirely on D1 in slot S2 and (X,1)
-    on D0.  The S2 cross term 2*V*Re(exp(i*phase)*early*conj(late)) is
-    scaled by the visibility V, and every cell by the excess transmittance.
+    on D0.  S2 comes from :func:`s2_weights`; the edge slots are a quarter
+    of their bin's intensity, scaled by the excess transmittance.
 
     Returns the rows (S1, S2, S3), each a (D0, D1) pair; ``np.array`` of the
     result is the slot-major (3, 2, ...) table.
     """
     if phase is None:
         phase = spec.phase_offset_rad
-    inter = early * np.conj(late)
-    cross = 2.0 * spec.visibility * (np.cos(phase) * inter.real - np.sin(phase) * inter.imag)
-    r0 = np.abs(early) ** 2
-    r1 = np.abs(late) ** 2
     loss = spec.excess_transmittance
-    edge_early = loss * r0 / 4.0
-    edge_late = loss * r1 / 4.0
-    # Where the cross term cancels the intensity, rounding can leave -1 ulp.
-    s2_d0 = np.maximum(loss * (r0 + r1 - cross) / 4.0, 0.0)
-    s2_d1 = np.maximum(loss * (r0 + r1 + cross) / 4.0, 0.0)
-    return (edge_early, edge_early), (s2_d0, s2_d1), (edge_late, edge_late)
+    edge_early = loss * np.abs(early) ** 2 / 4.0
+    edge_late = loss * np.abs(late) ** 2 / 4.0
+    s2 = s2_weights(*interference_terms(early, late), spec, phase)
+    return (edge_early, edge_early), s2, (edge_late, edge_late)
 
 
 def bob_transform(state: TimeBinState, spec: AmzSpec) -> SlotPortDistribution:

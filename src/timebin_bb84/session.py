@@ -10,12 +10,11 @@ and attack-outcome probabilities come from per-state tables, each built in
 one broadcast call over the states' amplitudes; the receiver's always has
 the vacuum column, which gives the dark registration rate.  Both
 stations sample with ``detection.sample_outcomes`` from each pulse's own
-cumulative row: its state's table row, taken one edge at a time, or on a
-leg with phase drift (sigma > 0) a row computed from the pulse's
-amplitudes and phase through the same optics and click formulas, in
-broadcast calls.  Rows are edge-major: the tables are (K, k) over the k
-states and the drifted rows (K, n) over n candidates, one contiguous row
-per edge.
+cumulative row: its state's table row, taken one edge at a time.  On a
+leg with phase drift (sigma > 0) only the two S2 cells move with the
+phase, so per-state constants from the tables give the rest of a row and
+per candidate only ``optics.s2_weights`` and what follows is computed.
+The tables are edge-major (K, k), one contiguous row per edge.
 
 The transmitter's choices come from one 64-bit DOMAIN_ALICE key through
 the counter-based ``PulseTrain``, so they cost nothing until read.  Per
@@ -61,7 +60,9 @@ from .detection import (
     click_probability,
     detect_batch,
     draw_candidates,
+    first_fire_increments,
     first_fire_table,
+    running_sums,
 )
 from .optics import (
     CANONICAL_AMPLITUDES,
@@ -69,6 +70,8 @@ from .optics import (
     AmzSpec,
     PhaseSpec,
     Slot,
+    interference_terms,
+    s2_weights,
     slot_port_probabilities,
 )
 # Unused here: the benchmark's tracer wraps ``session.bob_transform`` and
@@ -176,22 +179,33 @@ def _prepared_amplitudes(alice_amz: PhaseSpec) -> np.ndarray:
     return amps
 
 
-def _drifted_rows(
-    q: np.ndarray,
-    amps: np.ndarray,
-    phases: np.ndarray,
-    bob_amz: AmzSpec,
-    mu: float,
-    apds: tuple[ApdSpec, ApdSpec],
-) -> np.ndarray:
-    """(7, n) edge-major first-fire rows of n pulses with (2, n) link
-    amplitudes ``amps`` at receiver phases ``phases``.  Only the two S2
-    cells depend on the phase; the others keep the pulses' (6, n) table
-    click probabilities ``q``, whose two S2 rows are overwritten in place."""
-    _, s2, _ = slot_port_probabilities(*amps, bob_amz, phases)
-    for port in (0, 1):
-        q[2 * Slot.S2 + port] = click_probability(s2[port], mu, apds[port])
-    return first_fire_table(q)
+def _drifting_receiver(incoming, q_table, cum_table, bob_amz: AmzSpec, mu: float, apds):
+    """Rows of a drifting receiver's candidates, a function of their states
+    and phases: only S2 moves with the phase, so each state's interference
+    terms, first two edges, S1 shadow and discard and S3 clicks are kept,
+    and the first-fire recurrence resumes at S2."""
+    (_, _, s1_discard), s1_shadow = first_fire_increments(q_table[:2])
+    consts = np.vstack([*interference_terms(*incoming.T), cum_table[:2], s1_shadow, s1_discard, q_table[4:]])
+    def rows(states, phases):
+        intensity, re, im, edge0, edge1, shadow, discard, q_s3_d0, q_s3_d1 = consts.take(states, axis=1)
+        s2 = s2_weights(intensity, re, im, bob_amz, phases)
+        q_s2 = [click_probability(w, mu, apd) for w, apd in zip(s2, apds)]
+        increments, _ = first_fire_increments([*q_s2, q_s3_d0, q_s3_d1], shadow, discard)
+        return [edge0, edge1, *running_sums(increments, edge1)]
+    return rows
+
+
+def _drifting_attacker(prepared, eve_cum, apparatus: AmzSpec):
+    """Rows of a drifting attacker's candidates, as for _drifting_receiver:
+    each state's interference terms, first two edges and S3 weight are
+    kept, and the S2 weights summed on in ``cumulative_outcomes``' order."""
+    s3, _ = slot_port_probabilities(*prepared.T, apparatus)[Slot.S3]
+    consts = np.vstack([*interference_terms(*prepared.T), eve_cum[:2], s3])
+    def rows(states, phases):
+        intensity, re, im, edge0, edge1, s3 = consts.take(states, axis=1)
+        s2 = s2_weights(intensity, re, im, apparatus, phases)
+        return [edge0, edge1, *running_sums([*s2, s3, s3], edge1)]
+    return rows
 
 
 _ROW_CHUNK = 1 << 16  # candidates per slice of a batch's pass
@@ -251,9 +265,9 @@ def _detect_events(config: SessionConfig, records: PulseTrain, rng: RngHandle):
     eve_on = config.eve.enabled
     if eve_on:
         eve_cum = eavesdrop.cumulative_outcomes(*prepared.T, config.eve)
-        sigma_eve_leg = math.hypot(
-            config.alice_amz.phase_jitter_rad, config.eve.apparatus.phase_jitter_rad
-        )
+        sigma_eve_leg = math.hypot(config.alice_amz.phase_jitter_rad, config.eve.apparatus.phase_jitter_rad)
+        if sigma_eve_leg > 0.0:
+            eve_drifted = _drifting_attacker(prepared, eve_cum, config.eve.apparatus)
         # Re-prepared states are fresh canonical ones, or vacuum (the last
         # column) for a suppressed pulse: only the receiver's own jitter
         # acts on the final leg.
@@ -261,9 +275,7 @@ def _detect_events(config: SessionConfig, records: PulseTrain, rng: RngHandle):
         sigma_bob_leg = config.bob_amz.phase_jitter_rad
     else:
         incoming = prepared
-        sigma_bob_leg = math.hypot(
-            config.alice_amz.phase_jitter_rad, config.bob_amz.phase_jitter_rad
-        )
+        sigma_bob_leg = math.hypot(config.alice_amz.phase_jitter_rad, config.bob_amz.phase_jitter_rad)
 
     # The fiber scales every amplitude by sqrt(transmittance).
     incoming = math.sqrt(transmittance(config.channel)) * np.vstack([incoming, np.zeros(2)])
@@ -276,6 +288,7 @@ def _detect_events(config: SessionConfig, records: PulseTrain, rng: RngHandle):
     # phase, so candidates are drawn below a phase-independent bound.
     if sigma_bob_leg > 0.0:
         p = click_bound(weights, mu, apds, gates)
+        bob_drifted = _drifting_receiver(incoming, q_table, cum_table, bob_amz, mu, apds)
     else:
         p = cum_table[-1].max()
 
@@ -296,9 +309,9 @@ def _detect_events(config: SessionConfig, records: PulseTrain, rng: RngHandle):
 
         # One pass over cache-sized slices of the candidates.  Each station
         # samples every candidate from its own cumulative row: on a
-        # drifting leg broadcast calls over the slice's amplitudes and
-        # phases, else its state's table row, taken one edge at a time so
-        # that no (K, n) gather is held.
+        # drifting leg the S2 term of its phase on its state's constants,
+        # else its state's table row, taken one edge at a time so that no
+        # (K, n) gather is held.
         for chunk, cand in _candidate_slices(batch):
             pulses = lo + cand.offsets
             sent = records.states(pulses)
@@ -306,16 +319,14 @@ def _detect_events(config: SessionConfig, records: PulseTrain, rng: RngHandle):
             if eve_on:
                 if sigma_eve_leg > 0.0:
                     phases = config.eve.apparatus.phase_offset_rad + sigma_eve_leg * eve_normals[chunk]
-                    eve_rows = eavesdrop.cumulative_outcomes(
-                        *prepared.T.take(states, axis=1), config.eve, phases)
+                    eve_rows = eve_drifted(states, phases)
                 else:
                     eve_rows = (edge.take(states) for edge in eve_cum)
                 _, resent = eavesdrop.attack_batch(eve_u[chunk], eve_rows)
                 states = resent.astype(np.intp)
             if sigma_bob_leg > 0.0:
                 phases = bob_amz.phase_offset_rad + sigma_bob_leg * bob_normals[chunk]
-                bob_rows = _drifted_rows(q_table.take(states, axis=1), incoming.T.take(states, axis=1),
-                                         phases, bob_amz, mu, apds)
+                bob_rows = bob_drifted(states, phases)
             else:
                 bob_rows = (edge.take(states) for edge in cum_table)
             registered, slot, port, _ = detect_batch(cand, bob_rows)

@@ -291,6 +291,17 @@ class TestExitCodes:
         assert main(["profile", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jitter", ["1e308", "1000001"])
+    def test_overflowing_phase_jitter_is_a_config_error(self, tmp_path, capsys, jitter):
+        """A jitter whose product with a standard normal could overflow the
+        phase is refused before any session runs: exit 1 and no outputs."""
+        bad = tmp_path / "bad.ini"
+        bad.write_text(f"[bob_amz]\nphase_jitter_rad = {jitter}\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(bad), "--pulses", "2e6", "--seed", "3", "--out", str(out)]) == 1
+        assert "config error: bob_amz: phase_jitter_rad must be finite, >= 0 and <= 1e+06" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_is_1(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "ghost.ini")]) == 1
 

@@ -427,7 +427,7 @@ def test_dense_link_memory_holds_no_per_candidate_table():
         assert peak < bound_mb * 2**20, f"{name}: peak {peak / 2**20:.1f} MB"
 
 
-def drifting_receiver_tables():
+def drifting_receiver_tables(gates: int = 3):
     """A drifting receiver's inputs as run_session builds them: five
     incoming states (vacuum among them) with unequal detectors, their
     (6, 5) click probabilities and their (7, 5) cumulative edges."""
@@ -436,8 +436,15 @@ def drifting_receiver_tables():
     prepared = session._prepared_amplitudes(AmzSpec(phase_offset_rad=0.2))
     incoming = 0.8 * np.vstack([prepared, np.zeros(2)])
     weights = np.array(slot_port_probabilities(*incoming.T, bob_amz))
-    q_table = detection.cell_click_probabilities(weights, 0.4, apds)
+    q_table = detection.cell_click_probabilities(weights, 0.4, apds, gates)
     return bob_amz, apds, incoming, q_table, detection.first_fire_table(q_table)
+
+
+def drifting_phases(offset: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n phases: a quarter at ``offset``, the rest uniform on |phase| <= 1e3."""
+    phases = rng.uniform(-1e3, 1e3, n)
+    phases[: n // 4] = offset
+    return phases
 
 
 # Receiver setups for the tie between the one-call tables and the
@@ -483,17 +490,41 @@ def test_array_tables_equal_the_single_state_oracle(setup, gates):
 
 
 class TestDriftedRows:
-    def test_rows_at_the_receiver_offset_are_the_table_rows(self):
-        """With every phase at the receiver's offset, the per-candidate
-        rows equal each candidate's state's table row, bit for bit."""
-        bob_amz, apds, incoming, q_table, cum_table = drifting_receiver_tables()
-        states = np.random.default_rng(3).integers(0, 5, 20_000).astype(np.uint8)
-        phases = np.full(states.size, bob_amz.phase_offset_rad)
-        rows = session._drifted_rows(
-            q_table.take(states, axis=1), incoming.T.take(states, axis=1), phases, bob_amz, 0.4, apds
-        )
-        assert rows.shape == (7, states.size) and rows.flags.c_contiguous
-        assert np.array_equal(rows, cum_table.take(states, axis=1))
+    @pytest.mark.parametrize("gates", [1, 2, 3])
+    def test_receiver_rows_are_the_full_recompute(self, gates):
+        """Rows from the per-state constants plus the S2 term equal, bit for
+        bit, the rows recomputed from every candidate's amplitudes and
+        phase through the optics, click and first-fire formulas; at the
+        receiver's offset they are the candidates' table rows."""
+        bob_amz, apds, incoming, q_table, cum_table = drifting_receiver_tables(gates)
+        rng = np.random.default_rng(3)
+        states = rng.integers(0, 5, 20_000)
+        phases = drifting_phases(bob_amz.phase_offset_rad, states.size, rng)
+        rows = session._drifting_receiver(incoming, q_table, cum_table, bob_amz, 0.4, apds)(states, phases)
+        amps = incoming.T.take(states, axis=1)
+        weights = np.array(slot_port_probabilities(*amps, bob_amz, phases))
+        want = detection.first_fire_table(detection.cell_click_probabilities(weights, 0.4, apds, gates))
+        assert len(rows) == 7 and np.array_equal(rows, want)
+        at_offset = slice(states.size // 4)
+        assert np.array_equal(want[:, at_offset], cum_table.take(states[at_offset], axis=1))
+
+    def test_attacker_rows_are_the_full_recompute(self):
+        """A drifting attacker's rows from the per-state constants plus the
+        S2 term equal ``cumulative_outcomes`` of every candidate's
+        amplitudes and phase, bit for bit; at the apparatus offset they are
+        the candidates' table rows."""
+        spec = EveSpec(enabled=True, apparatus=AmzSpec(
+            visibility=0.9, excess_loss_db=0.7, phase_offset_rad=-0.4, phase_jitter_rad=0.2))
+        prepared = session._prepared_amplitudes(PhaseSpec(phase_offset_rad=0.3))
+        eve_cum = cumulative_outcomes(*prepared.T, spec)
+        rng = np.random.default_rng(4)
+        states = rng.integers(0, 4, 20_000)
+        phases = drifting_phases(spec.apparatus.phase_offset_rad, states.size, rng)
+        rows = session._drifting_attacker(prepared, eve_cum, spec.apparatus)(states, phases)
+        want = cumulative_outcomes(*prepared.T.take(states, axis=1), spec, phases)
+        assert len(rows) == 6 and np.array_equal(rows, want)
+        at_offset = slice(states.size // 4)
+        assert np.array_equal(want[:, at_offset], eve_cum.take(states[at_offset], axis=1))
 
 
 @pytest.mark.parametrize("drift", [True, False], ids=["drift", "steady"])
