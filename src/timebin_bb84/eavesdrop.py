@@ -9,9 +9,7 @@ forwarded).  Because her measurement is the passive three-slot one rather
 than a random two-basis projection, the induced error rate is worth
 computing exactly, over every (sent state, attacker outcome, receiver
 cell) branch, instead of assuming the textbook 25%: the computation
-confirms exactly 1/4 in both bases for ideal devices.  Under drift the
-session sums ``optics.s2_weights`` onto each state's first two edges and
-S3 weight in :func:`cumulative_outcomes`' order: the same numbers.
+confirms exactly 1/4 in both bases for ideal devices.
 """
 
 from __future__ import annotations

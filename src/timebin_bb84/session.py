@@ -11,10 +11,13 @@ one broadcast call over the states' amplitudes; the receiver's always has
 the vacuum column, which gives the dark registration rate.  Both
 stations sample with ``detection.sample_outcomes`` from each pulse's own
 cumulative row: its state's table row, taken one edge at a time.  On a
-leg with phase drift (sigma > 0) only the two S2 cells move with the
-phase, so per-state constants from the tables give the rest of a row and
-per candidate only ``optics.s2_weights`` and what follows is computed.
-The tables are edge-major (K, k), one contiguous row per edge.
+receiver leg with phase drift (sigma > 0) only the two S2 cells move with
+the phase, so per-state constants from the tables give the rest of a row
+and per candidate only ``optics.s2_weights`` and what follows is computed.
+A drifting attacker's rows are ``eavesdrop.cumulative_outcomes`` of the
+candidates' amplitudes and phases, in broadcast calls.  Rows are
+edge-major: the tables are (K, k) over the k states, one contiguous row
+per edge.
 
 The transmitter's choices come from one 64-bit DOMAIN_ALICE key through
 the counter-based ``PulseTrain``, so they cost nothing until read.  Per
@@ -69,7 +72,6 @@ from .optics import (
     CANONICAL_STATES,
     AmzSpec,
     PhaseSpec,
-    Slot,
     interference_terms,
     s2_weights,
     slot_port_probabilities,
@@ -195,19 +197,6 @@ def _drifting_receiver(incoming, q_table, cum_table, bob_amz: AmzSpec, mu: float
     return rows
 
 
-def _drifting_attacker(prepared, eve_cum, apparatus: AmzSpec):
-    """Rows of a drifting attacker's candidates, as for _drifting_receiver:
-    each state's interference terms, first two edges and S3 weight are
-    kept, and the S2 weights summed on in ``cumulative_outcomes``' order."""
-    s3, _ = slot_port_probabilities(*prepared.T, apparatus)[Slot.S3]
-    consts = np.vstack([*interference_terms(*prepared.T), eve_cum[:2], s3])
-    def rows(states, phases):
-        intensity, re, im, edge0, edge1, s3 = consts.take(states, axis=1)
-        s2 = s2_weights(intensity, re, im, apparatus, phases)
-        return [edge0, edge1, *running_sums([*s2, s3, s3], edge1)]
-    return rows
-
-
 _ROW_CHUNK = 1 << 16  # candidates per slice of a batch's pass
 
 
@@ -265,9 +254,9 @@ def _detect_events(config: SessionConfig, records: PulseTrain, rng: RngHandle):
     eve_on = config.eve.enabled
     if eve_on:
         eve_cum = eavesdrop.cumulative_outcomes(*prepared.T, config.eve)
-        sigma_eve_leg = math.hypot(config.alice_amz.phase_jitter_rad, config.eve.apparatus.phase_jitter_rad)
-        if sigma_eve_leg > 0.0:
-            eve_drifted = _drifting_attacker(prepared, eve_cum, config.eve.apparatus)
+        sigma_eve_leg = math.hypot(
+            config.alice_amz.phase_jitter_rad, config.eve.apparatus.phase_jitter_rad
+        )
         # Re-prepared states are fresh canonical ones, or vacuum (the last
         # column) for a suppressed pulse: only the receiver's own jitter
         # acts on the final leg.
@@ -275,7 +264,9 @@ def _detect_events(config: SessionConfig, records: PulseTrain, rng: RngHandle):
         sigma_bob_leg = config.bob_amz.phase_jitter_rad
     else:
         incoming = prepared
-        sigma_bob_leg = math.hypot(config.alice_amz.phase_jitter_rad, config.bob_amz.phase_jitter_rad)
+        sigma_bob_leg = math.hypot(
+            config.alice_amz.phase_jitter_rad, config.bob_amz.phase_jitter_rad
+        )
 
     # The fiber scales every amplitude by sqrt(transmittance).
     incoming = math.sqrt(transmittance(config.channel)) * np.vstack([incoming, np.zeros(2)])
@@ -309,9 +300,10 @@ def _detect_events(config: SessionConfig, records: PulseTrain, rng: RngHandle):
 
         # One pass over cache-sized slices of the candidates.  Each station
         # samples every candidate from its own cumulative row: on a
-        # drifting leg the S2 term of its phase on its state's constants,
-        # else its state's table row, taken one edge at a time so that no
-        # (K, n) gather is held.
+        # drifting receiver leg the S2 term of its phase on its state's
+        # constants, on a drifting attacker leg broadcast calls over the
+        # slice's amplitudes and phases, else its state's table row, taken
+        # one edge at a time so that no (K, n) gather is held.
         for chunk, cand in _candidate_slices(batch):
             pulses = lo + cand.offsets
             sent = records.states(pulses)
@@ -319,7 +311,8 @@ def _detect_events(config: SessionConfig, records: PulseTrain, rng: RngHandle):
             if eve_on:
                 if sigma_eve_leg > 0.0:
                     phases = config.eve.apparatus.phase_offset_rad + sigma_eve_leg * eve_normals[chunk]
-                    eve_rows = eve_drifted(states, phases)
+                    eve_rows = eavesdrop.cumulative_outcomes(
+                        *prepared.T.take(states, axis=1), config.eve, phases)
                 else:
                     eve_rows = (edge.take(states) for edge in eve_cum)
                 _, resent = eavesdrop.attack_batch(eve_u[chunk], eve_rows)

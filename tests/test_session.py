@@ -508,24 +508,6 @@ class TestDriftedRows:
         at_offset = slice(states.size // 4)
         assert np.array_equal(want[:, at_offset], cum_table.take(states[at_offset], axis=1))
 
-    def test_attacker_rows_are_the_full_recompute(self):
-        """A drifting attacker's rows from the per-state constants plus the
-        S2 term equal ``cumulative_outcomes`` of every candidate's
-        amplitudes and phase, bit for bit; at the apparatus offset they are
-        the candidates' table rows."""
-        spec = EveSpec(enabled=True, apparatus=AmzSpec(
-            visibility=0.9, excess_loss_db=0.7, phase_offset_rad=-0.4, phase_jitter_rad=0.2))
-        prepared = session._prepared_amplitudes(PhaseSpec(phase_offset_rad=0.3))
-        eve_cum = cumulative_outcomes(*prepared.T, spec)
-        rng = np.random.default_rng(4)
-        states = rng.integers(0, 4, 20_000)
-        phases = drifting_phases(spec.apparatus.phase_offset_rad, states.size, rng)
-        rows = session._drifting_attacker(prepared, eve_cum, spec.apparatus)(states, phases)
-        want = cumulative_outcomes(*prepared.T.take(states, axis=1), spec, phases)
-        assert len(rows) == 6 and np.array_equal(rows, want)
-        at_offset = slice(states.size // 4)
-        assert np.array_equal(want[:, at_offset], eve_cum.take(states[at_offset], axis=1))
-
 
 @pytest.mark.parametrize("drift", [True, False], ids=["drift", "steady"])
 def test_slice_size_leaves_the_session_unchanged(monkeypatch, drift):
