@@ -187,9 +187,9 @@ def _drifting_receiver(incoming, q_table, cum_table, bob_amz: AmzSpec, mu: float
     terms, first two edges, S1 shadow and discard and S3 clicks are kept,
     and the first-fire recurrence resumes at S2."""
     (_, _, s1_discard), s1_shadow = first_fire_increments(q_table[:2])
-    consts = np.vstack([*interference_terms(*incoming.T), cum_table[:2], s1_shadow, s1_discard, q_table[4:]])
+    consts = [*interference_terms(*incoming.T), *cum_table[:2], s1_shadow, s1_discard, *q_table[4:]]
     def rows(states, phases):
-        intensity, re, im, edge0, edge1, shadow, discard, q_s3_d0, q_s3_d1 = consts.take(states, axis=1)
+        intensity, re, im, edge0, edge1, shadow, discard, q_s3_d0, q_s3_d1 = (c.take(states) for c in consts)
         s2 = s2_weights(intensity, re, im, bob_amz, phases)
         q_s2 = [click_probability(w, mu, apd) for w, apd in zip(s2, apds)]
         increments, _ = first_fire_increments([*q_s2, q_s3_d0, q_s3_d1], shadow, discard)
