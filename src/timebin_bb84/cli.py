@@ -32,11 +32,7 @@ EXIT_RUNTIME = 2
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # usage errors exit 1, not argparse's 2
         self.print_usage(sys.stderr)
-        raise SystemExit_Usage(message)
-
-
-class SystemExit_Usage(Exception):
-    pass
+        raise ValueError(message)
 
 
 @functools.cache
@@ -139,7 +135,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SystemExit_Usage, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ProtocolError as exc:

@@ -61,6 +61,8 @@ class SessionConfig:
     def __post_init__(self) -> None:
         if self.n_pulses < 0:
             raise ConfigError("must be >= 0", "session.n_pulses")
+        if self.n_pulses >= 2**63:
+            raise ConfigError("must be below 2**63 (pulse indices are int64)", "session.n_pulses")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("must be a 64-bit unsigned integer", "session.seed")
         if not 0.0 < self.sample_fraction <= 1.0:

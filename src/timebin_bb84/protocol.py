@@ -31,10 +31,13 @@ A record is a kind byte (0 announce, 1 match reply, 2 sample bits, 3 QBER
 report), then the message's fields in order.  A set of pulse indices or
 positions is a u64 count, a u8 width and ``count * width`` bytes of
 little-endian unsigned gaps between the strictly increasing indices (the
-first gap is the first index + 1).  The width is the narrowest of 1, 2, 4
-or 8 bytes that holds the largest gap.  A bit string (bases, Z = 0 and
-X = 1, or disclosed bits) is a u64 count and the ``np.packbits`` bytes,
-and the QBER a float64.  Every number is little-endian.
+first gap is the first index + 1).  The width w(m) is the narrowest of 1,
+2, 4 or 8 bytes that holds the largest gap m, so ``count`` indices with no
+gap above m take at most ``9 + count * w(m)`` bytes: each ``max_record``
+is the fullest record whose count and m are the pulse count (announce) or
+the event count (match reply).  A bit string (bases, Z = 0 and X = 1, or
+disclosed bits) is a u64 count and the ``np.packbits`` bytes, and the QBER
+a float64.  Every number is little-endian.
 """
 
 from __future__ import annotations
@@ -175,6 +178,11 @@ class QberReport:
 ClassicalMessage = BobBasisAnnounce | AliceMatchReply | SampleBits | QberReport
 
 _GAP_DTYPES = {d.itemsize: d for d in map(np.dtype, ("<u1", "<u2", "<u4", "<u8"))}
+
+
+def _index_field_cap(count: int, largest: int) -> int:
+    """Length of the longest index field of ``count`` gaps none above ``largest``."""
+    return 9 + count * next(w for w in _GAP_DTYPES if largest < 256**w)
 
 
 def _index_field(indices: np.ndarray) -> list:
@@ -341,24 +349,6 @@ class SiftedKey:
         return np.packbits(self.bits).tobytes().hex()
 
 
-def _max_record(count: int) -> int:
-    """Length of the fullest announce of ``count`` pulse indices, the
-    transmitter's pulse count: every gap at width 8 and a packed basis bit
-    per index.  No honest announce is longer, and sample bits are shorter."""
-    return 1 + 9 + 8 * count + 8 + -(-count // 8)
-
-
-def _reply_max_record(events: int) -> int:
-    """Length of the longest match reply an honest transmitter can send for
-    ``events`` announced events.  Each of its two lists holds at most
-    ``events`` positions below ``events`` (a sample position lies below the
-    sifted count), so no gap exceeds ``events``, and every gap fits the
-    narrowest width that holds that count.  Both lists full at that width
-    give the bound; a QBER report is shorter."""
-    width = next(w for w in _GAP_DTYPES if events < 256**w)
-    return 1 + 2 * (9 + events * width)
-
-
 def _expect(msg: ClassicalMessage, kind: type | None) -> None:
     if kind is None or not isinstance(msg, kind):
         expected = "nothing, session complete" if kind is None else kind.__name__
@@ -404,7 +394,8 @@ class AliceEndpoint:
         self._known = known or (None, None)
         self.sample_fraction = sample_fraction
         self.rng = rng
-        self.max_record = _max_record(len(records))
+        n = len(records)  # no announced gap exceeds n; sample bits are shorter
+        self.max_record = 1 + _index_field_cap(n, n) + 8 + -(-n // 8)
         self.key: SiftedKey | None = None
         self._next: type | None = BobBasisAnnounce
 
@@ -444,7 +435,8 @@ class BobEndpoint:
 
     def __init__(self, classifications: ClassifiedEvents):
         self.classifications = classifications
-        self.max_record = _reply_max_record(len(classifications))
+        events = len(classifications)  # a reply's positions lie below it
+        self.max_record = 1 + 2 * _index_field_cap(events, events)
         self.key: SiftedKey | None = None
         self._next: type | None = AliceMatchReply
 

@@ -33,23 +33,31 @@ def bar(probability: float, width: int = 48) -> str:
     return _FULL * int(full) + (_EIGHTHS[eighth] if eighth else "")
 
 
-def write_profile_csv(path: str | Path, rows: list[ProfileRow]) -> None:
+def _write_csv(path: str | Path, header, rows) -> None:
+    """``header``, then ``rows``, each float as its ``repr``, which reads back exactly."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(PROFILE_COLUMNS)
-        for row in rows:
-            writer.writerow([row.state, row.slot, row.port, repr(row.probability)])
+        writer.writerow(header)
+        writer.writerows([repr(v) if isinstance(v, float) else v for v in row] for row in rows)
+
+
+def _read_csv(path: str | Path, what: str, fits) -> tuple[tuple[str, ...], list[dict[str, str]]]:
+    """(header, rows as dicts); a header that ``fits`` refuses names the ``what`` columns."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        names = tuple(reader.fieldnames or ())
+        if not fits(names):
+            raise ValueError(f"unexpected {what} columns: {reader.fieldnames}")
+        return names, list(reader)
+
+
+def write_profile_csv(path: str | Path, rows: list[ProfileRow]) -> None:
+    _write_csv(path, PROFILE_COLUMNS, map(dataclasses.astuple, rows))
 
 
 def read_profile_csv(path: str | Path) -> list[ProfileRow]:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != PROFILE_COLUMNS:
-            raise ValueError(f"unexpected profile columns: {reader.fieldnames}")
-        return [
-            ProfileRow(r["state"], r["slot"], r["port"], float(r["probability"]))
-            for r in reader
-        ]
+    _, rows = _read_csv(path, "profile", lambda names: names == PROFILE_COLUMNS)
+    return [ProfileRow(r["state"], r["slot"], r["port"], float(r["probability"])) for r in rows]
 
 
 def format_profile_text(rows: list[ProfileRow]) -> str:
@@ -66,23 +74,13 @@ def format_profile_text(rows: list[ProfileRow]) -> str:
 
 
 def write_summary_csv(path: str | Path, summary: SessionSummary) -> None:
-    values = dataclasses.asdict(summary)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(values)
-        writer.writerow([repr(v) for v in values.values()])
+    _write_csv(path, [f.name for f in dataclasses.fields(summary)], [dataclasses.astuple(summary)])
 
 
 def read_summary_csv(path: str | Path) -> SessionSummary:
-    fields = dataclasses.fields(SessionSummary)
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != tuple(f.name for f in fields):
-            raise ValueError(f"unexpected summary columns: {reader.fieldnames}")
-        row = next(iter(reader))
-    return SessionSummary(
-        **{f.name: (int if f.type == "int" else float)(row[f.name]) for f in fields}
-    )
+    parsers = {f.name: int if f.type == "int" else float for f in dataclasses.fields(SessionSummary)}
+    _, rows = _read_csv(path, "summary", lambda names: names == tuple(parsers))
+    return SessionSummary(**{name: parse(rows[0][name]) for name, parse in parsers.items()})
 
 
 def format_summary_text(summary: SessionSummary) -> str:
@@ -113,21 +111,13 @@ def _sweep_rows(results: list[tuple[float, SessionSummary]]) -> list[tuple[float
 def write_sweep_csv(
     path: str | Path, axis: str, results: list[tuple[float, SessionSummary]]
 ) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow((axis,) + SWEEP_VALUE_COLUMNS)
-        writer.writerows([repr(x) for x in row] for row in _sweep_rows(results))
+    _write_csv(path, (axis,) + SWEEP_VALUE_COLUMNS, _sweep_rows(results))
 
 
 def read_sweep_csv(path: str | Path) -> tuple[str, list[dict[str, float]]]:
     """Returns (axis name, rows); each row maps column name to value."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        names = tuple(reader.fieldnames or ())
-        if len(names) != 4 or names[1:] != SWEEP_VALUE_COLUMNS:
-            raise ValueError(f"unexpected sweep columns: {names}")
-        rows = [{k: float(v) for k, v in r.items()} for r in reader]
-    return names[0], rows
+    names, rows = _read_csv(path, "sweep", lambda names: names[1:] == SWEEP_VALUE_COLUMNS)
+    return names[0], [{k: float(v) for k, v in r.items()} for r in rows]
 
 
 def format_sweep_text(axis: str, results: list[tuple[float, SessionSummary]]) -> str:

@@ -302,6 +302,20 @@ class TestExitCodes:
         assert "config error: bob_amz: phase_jitter_rad must be finite, >= 0 and <= 1e+06" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("pulses", ["1e19", str(2**63)])
+    def test_pulse_count_past_int64_is_a_config_error(self, tmp_path, capsys, monkeypatch, pulses):
+        """Refused before any session runs; one that ran would loop over
+        about 1e13 batches, so the stand-in fails at once instead."""
+
+        def no_session(config):
+            raise AssertionError(f"a session of {config.n_pulses} pulses ran")
+
+        monkeypatch.setattr(cli, "run_session", no_session)
+        out = tmp_path / "o"
+        assert main(["run", "--pulses", pulses, "--out", str(out)]) == 1
+        assert "config error: session.n_pulses: must be below 2**63" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_is_1(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "ghost.ini")]) == 1
 

@@ -285,6 +285,16 @@ class TestWithValues:
         with pytest.raises(ConfigError, match=r"^session\.n_pulses: must be >= 0$"):
             with_values(SessionConfig(), {"session.n_pulses": -1})
 
+    def test_pulse_count_past_int64_refused(self, tmp_path):
+        """Pulse indices are int64 in the events and in the wire's gap sums."""
+        assert SessionConfig(n_pulses=2**63 - 1).n_pulses == 2**63 - 1
+        message = r"^session\.n_pulses: must be below 2\*\*63 \(pulse indices are int64\)$"
+        for count in (2**63, 10**19, 2**64):
+            with pytest.raises(ConfigError, match=message):
+                SessionConfig(n_pulses=count)
+        with pytest.raises(ConfigError, match=message):
+            parse_config(write(tmp_path, "[session]\nn_pulses = 1e30\n"))
+
     def test_parse_reads_text_by_key_type(self):
         cfg = with_values(
             SessionConfig(), {"session.n_pulses": "2e3", "eve.enabled": "yes"}, parse=True

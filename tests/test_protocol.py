@@ -453,6 +453,25 @@ def assert_same_message(back, msg):
             assert got == value
 
 
+def assert_cap_is_exact(cap: int, full) -> None:
+    """``full``'s record is ``cap`` bytes long and is read, and a length one
+    byte longer is refused before any of its body is read: no body follows
+    that length, so a read would time out instead."""
+    record = encode_message(full)
+    assert len(record) == cap
+    sock_a, sock_b = socket.socketpair()
+    transport = SocketTransport(sock_a, timeout=5.0)
+    try:
+        sock_b.sendall(struct.pack("<Q", len(record)) + record)
+        assert_same_message(transport.recv(cap), full)
+        sock_b.sendall(struct.pack("<Q", len(record) + 1))
+        with pytest.raises(ProtocolError, match="longer than"):
+            transport.recv(cap)
+    finally:
+        transport.close()
+        sock_b.close()
+
+
 class TestRecordCap:
     @settings(max_examples=60, deadline=None)
     @given(wide_session())
@@ -472,23 +491,33 @@ class TestRecordCap:
     def test_receiver_cap_is_the_fullest_honest_reply(self, events):
         """Below 256 events every gap fits one byte, so the receiver's cap
         is exactly the fullest honest match reply, every announced position
-        sifted and disclosed: that reply is read, and the same record with
-        one more byte, and a length one longer, is refused."""
+        sifted and disclosed."""
         bob = BobEndpoint(make_events(*[(i, 0, 0) for i in range(events)]))
-        full = AliceMatchReply(np.arange(events), np.arange(events))
-        record = encode_message(full)
-        assert len(record) == bob.max_record
-        sock_a, sock_b = socket.socketpair()
-        transport = SocketTransport(sock_a, timeout=5.0)
-        try:
-            sock_b.sendall(struct.pack("<Q", len(record)) + record)
-            assert_same_message(transport.recv(bob.max_record), full)
-            sock_b.sendall(struct.pack("<Q", len(record) + 1) + record + b"\x00")
-            with pytest.raises(ProtocolError, match="longer than"):
-                transport.recv(bob.max_record)
-        finally:
-            transport.close()
-            sock_b.close()
+        assert_cap_is_exact(bob.max_record, AliceMatchReply(np.arange(events), np.arange(events)))
+
+    @pytest.mark.parametrize("n", [1, 200, 255])
+    def test_transmitter_cap_is_the_fullest_honest_announce(self, n):
+        """Below 256 pulses every gap fits one byte, so the transmitter's cap
+        is exactly the announce of every pulse."""
+        alice = AliceEndpoint(PulseTrain(n, 0), 0.5, np.random.default_rng(0))
+        assert_cap_is_exact(alice.max_record, BobBasisAnnounce(np.arange(n), np.ones(n, np.uint8)))
+
+    @pytest.mark.parametrize("n, width", [(256, 2), (65535, 2), (65536, 4)])
+    def test_transmitter_cap_holds_announces_at_width_boundaries(self, n, width):
+        """The lone index n - 1 has the largest gap an announce can have, n,
+        and every pulse announced has the most gaps; both fit the cap."""
+        cap = AliceEndpoint(PulseTrain(n, 0), 0.5, np.random.default_rng(0)).max_record
+        for idx in (np.array([n - 1]), np.arange(n)):
+            msg = BobBasisAnnounce(idx, np.ones(idx.size, np.uint8))
+            record = encode_message(msg)
+            assert len(record) <= cap
+            assert_same_message(decode_message(record), msg)
+        assert encode_message(BobBasisAnnounce(np.array([n - 1]), np.ones(1, np.uint8)))[9] == width
+
+    @pytest.mark.parametrize("n, cap", [(0, 18), (200, 243), (10**7, 41_250_018)])
+    def test_transmitter_cap_takes_the_width_of_the_pulse_count(self, n, cap):
+        """w(n) bytes per pulse, the width that holds n, and a packed basis bit."""
+        assert AliceEndpoint(PulseTrain(n, 0), 0.5, np.random.default_rng(0)).max_record == cap
 
     def test_empty_records_fit_cap(self):
         cap = BobEndpoint(make_events()).max_record
