@@ -11,8 +11,8 @@ can reach Bob in one of three time slots:
     S2  short+long or long+short          -> the two paths interfere
     S3  long path in both devices         -> late bin, no interference
 
-Amplitudes are plain ``complex`` numbers.  Every coupler uses the fixed
-unitary convention
+Amplitudes are ``complex`` numbers or arrays of them.  Every coupler uses
+the fixed unitary convention
 
     [[sqrt(t),        i*sqrt(1-t)],
      [i*sqrt(1-t),    sqrt(t)   ]]
@@ -24,7 +24,6 @@ the corresponding extinction ratio is (1+V)/(1-V).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
@@ -204,52 +203,35 @@ def apply_coupler(a: complex, b: complex, t: float) -> tuple[complex, complex]:
     return bar * a + cross * b, cross * a + bar * b
 
 
-def variable_coupler(phi: float) -> tuple[complex, complex]:
-    """Variable-ratio coupler built from a balanced interferometer.
+# Modulator phase that prepares each canonical state, in CANONICAL_STATES order.
+PM_PHASES = np.array([-math.pi / 2.0, math.pi / 2.0, 0.0, math.pi])
 
-    A Y-branch splits the input 50/50, the modulated arm picks up exp(i*phi),
-    and a balanced coupler recombines.  Returns the (short-arm, long-arm)
-    amplitudes feeding the delay stage: ((1 + i e^{i phi})/2, (i + e^{i phi})/2).
-    Power steers fully to the short arm at phi = -pi/2 and to the long arm
-    at phi = +pi/2.
+
+def alice_device_amplitudes(phi, spec: PhaseSpec | None = None):
+    """Link amplitudes (early, late) of the transmitter at modulator phase
+    ``phi``, elementwise; ``PM_PHASES`` gives the four states in one call.
+
+    A Y-branch splits the input 50/50, the modulated arm picks up exp(i*phi)
+    and a balanced coupler recombines: a variable-ratio coupler that steers
+    all power to the short arm at phi = -pi/2 and to the long arm at +pi/2.
+    The long arm is delayed one bin at the thermally tuned phase (``spec``'s
+    offset), and the output coupler's second output is the monitor port, so
+    total probability is 0.5.  The attenuator after the device fixes the mean
+    photon number, so its own loss is not modelled.  Normalized, each state
+    is the session's prepared state up to a global phase.
     """
-    if not math.isfinite(phi):
+    phi = np.asarray(phi, dtype=float)
+    if not np.all(np.isfinite(phi)):
         raise ValueError("phi must be finite")
-    rot = cmath.exp(1j * phi)
-    return apply_coupler(_SQRT_HALF, _SQRT_HALF * rot, 0.5)
-
-
-def calibrate_pm() -> dict[CanonicalState, float]:
-    """Modulator phase settings that prepare each canonical state."""
-    return {
-        CANONICAL_STATES[0]: -math.pi / 2.0,
-        CANONICAL_STATES[1]: +math.pi / 2.0,
-        CANONICAL_STATES[2]: 0.0,
-        CANONICAL_STATES[3]: math.pi,
-    }
-
-
-def alice_device_state(state: CanonicalState, spec: PhaseSpec | None = None) -> TimeBinState:
-    """Physical link state from the full transmitter model.
-
-    Composes the variable-ratio coupler at the calibrated phase, the one-bin
-    delay with the thermally tuned long-arm phase (``spec``'s offset), and
-    the output coupler, whose second output is the monitor port: total
-    probability is 0.5.  The device's own loss is not modelled, since the
-    attenuator after it fixes the mean photon number.  Normalized, the
-    state equals the session's prepared state (the canonical one with the
-    offset on its late bin) up to a global phase.
-    """
     spec = spec if spec is not None else PhaseSpec()
-    phi = calibrate_pm()[state]
-    a_short, a_long = variable_coupler(phi)
+    a_short, a_long = apply_coupler(_SQRT_HALF, _SQRT_HALF * np.exp(1j * phi), 0.5)
     # The long arm's carrier phase is thermally tuned to -pi/2, cancelling
     # the output coupler's cross-coupling i; phase_offset_rad is the
     # residual miscalibration.
-    a_long = a_long * cmath.exp(1j * (spec.phase_offset_rad - math.pi / 2.0))
+    a_long = a_long * np.exp(1j * (spec.phase_offset_rad - math.pi / 2.0))
     early, _ = apply_coupler(a_short, 0.0, 0.5)   # early bin: short arm only
     late, _ = apply_coupler(0.0, a_long, 0.5)     # late bin: long arm only
-    return link_state(early, late)
+    return early, late
 
 
 def interference_terms(early, late):

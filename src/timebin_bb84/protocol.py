@@ -80,8 +80,8 @@ class PulseTrain:
     _CHUNK = 1 << 16  # indices hashed per pass: keeps the temporaries in cache
 
     def __init__(self, n: int, key: int):
-        if n < 0 or not 0 <= key < 2**64:
-            raise ValueError("a train needs n >= 0 and a 64-bit unsigned key")
+        if not 0 <= n < 2**63 or not 0 <= key < 2**64:
+            raise ValueError("a train needs 0 <= n < 2**63 (int64 indices) and a 64-bit unsigned key")
         self.n = n
         self.key = np.uint64(key)
 
@@ -248,8 +248,6 @@ def decode_message(record: bytes) -> ClassicalMessage:
         if kind == 0:
             indices, at = _indices(record, 1)
             bases, at = _bits(record, at, "basis_announce bases")
-            if bases.size != indices.size:
-                raise ProtocolError("basis_announce has different numbers of indices and bases")
             msg = BobBasisAnnounce(indices, bases)
         elif kind == 1:
             indices, at = _indices(record, 1)
@@ -405,6 +403,8 @@ class AliceEndpoint:
     def receive(self, msg: ClassicalMessage) -> list[ClassicalMessage]:
         _expect(msg, self._next)
         if isinstance(msg, BobBasisAnnounce):
+            if msg.bases.shape != msg.indices.shape or np.any(msg.bases >> 1):  # any bit but the lowest
+                raise ProtocolError("basis_announce needs one basis, 0 or 1, per index")
             # ClassifiedEvents checked that the events' own index array increases.
             sent = self._known[1] if msg.indices is self._known[0] else None
             _require_increasing_within(msg.indices, len(self.records), "announced",

@@ -1,0 +1,48 @@
+"""The benchmark's tracer hooks still find, and are called through, the
+names in the package that they wrap.
+
+``bench/`` changes only together with its metric list, so a change to
+``src/`` that renames or stops calling a wrapped name would blank a
+per-layer metric without failing anything.  These tests read ``bench/``
+and change nothing in it.
+"""
+
+import sys
+from pathlib import Path
+
+from timebin_bb84 import session
+from timebin_bb84.config import SessionConfig
+from timebin_bb84.eavesdrop import EveSpec
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import tracing  # noqa: E402
+import workloads  # noqa: E402
+
+# The namespaces ``bench/run.py`` installs the hooks over.
+NAMESPACES = {**vars(workloads), "workloads": workloads}
+
+
+def test_every_hook_finds_its_target():
+    tracer = tracing.Tracer()
+    original = session.detect_batch
+    with tracing.installed(tracer, NAMESPACES):
+        assert session.detect_batch is not original
+    assert session.detect_batch is original  # restored
+    assert tracer.absent == set()
+
+
+def test_a_session_calls_through_the_hooked_names():
+    """A session with the attacker on feeds every per-layer span of the
+    in-process run path.  ``session.bob_transform`` is hooked but no longer
+    called, so its metrics read 0; session keeps importing it because the
+    bench prints an absent metric as no number at all."""
+    tracer = tracing.Tracer()
+    cfg = SessionConfig(n_pulses=20_000, seed=5, eve=EveSpec(enabled=True))
+    with tracing.installed(tracer, NAMESPACES):
+        session.run_session(cfg)
+    assert {s.name for s in tracer.spans} == {
+        "session.run_session", "detection.detect_batch", "eavesdrop.attack_batch",
+        "protocol.classify_arrays", "protocol.run_protocol", "session.summarize",
+    }
+    counted = {name for _, name in tracer.counters}
+    assert {"channel.transmittance.calls", "detection.pulses", "eavesdrop.pulses"} <= counted

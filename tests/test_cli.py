@@ -320,6 +320,23 @@ class TestExitCodes:
         assert main(["run", "--config", str(tmp_path / "ghost.ini")]) == 1
 
 
+class TestCsvColumns:
+    @pytest.mark.parametrize(
+        "read,header,what",
+        [
+            (read_profile_csv, "state,slot,port,prob", "profile"),
+            (read_summary_csv, "pulses_sent,qber", "summary"),
+            (read_sweep_csv, "mu,registered_rate,qber", "sweep"),
+        ],
+        ids=["profile", "summary", "sweep"],
+    )
+    def test_unexpected_columns_refused(self, tmp_path, read, header, what):
+        path = tmp_path / "table.csv"
+        path.write_text(header + "\n")
+        with pytest.raises(ValueError, match=f"unexpected {what} columns"):
+            read(path)
+
+
 class TestBarRendering:
     def test_proportionality(self):
         assert bar(0.0) == ""

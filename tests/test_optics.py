@@ -10,6 +10,7 @@ import matrix_oracle as oracle
 from timebin_bb84.optics import (
     CANONICAL_STATES,
     CELL_STATE,
+    PM_PHASES,
     AmzSpec,
     Basis,
     CanonicalState,
@@ -17,16 +18,14 @@ from timebin_bb84.optics import (
     Port,
     Slot,
     TimeBinState,
-    alice_device_state,
+    alice_device_amplitudes,
     apply_coupler,
     bob_transform,
-    calibrate_pm,
     canonical_link_state,
     extinction_db_to_visibility,
     ideal_amz,
     link_state,
     slot_port_probabilities,
-    variable_coupler,
     visibility_to_extinction_db,
 )
 from timebin_bb84.config import SessionConfig
@@ -74,6 +73,17 @@ class TestApplyCoupler:
             assert abs(before - after) < 1e-12 * max(1.0, before)
 
 
+def device_by_network(phi, offset=0.0):
+    """Oracle: the transmitter as 2x2 matrix products.  Y-branch, phase on the
+    second arm and balanced coupler make the (short, long) arms; the long arm
+    takes the tuned -pi/2 plus the offset; each arm enters the output coupler
+    alone, in its own time bin."""
+    c = oracle.coupler_matrix(0.5)
+    short, long_ = c @ np.array([1.0, np.exp(1j * phi)]) / math.sqrt(2)
+    long_ *= np.exp(1j * (offset - math.pi / 2))
+    return (c @ np.array([short, 0.0]))[0], (c @ np.array([0.0, long_]))[0]
+
+
 class TestVariableCoupler:
     @pytest.mark.parametrize(
         "phi,expected",
@@ -84,45 +94,51 @@ class TestVariableCoupler:
         ],
     )
     def test_steering(self, phi, expected):
-        out = variable_coupler(phi)
-        # oracle: Y-branch, phase on second arm, balanced coupler
-        ref = matrix_apply(1 / math.sqrt(2), cmath.exp(1j * phi) / math.sqrt(2), 0.5)
-        for got, want, ref_val in zip(out, expected, ref):
-            assert cmath.isclose(got, want, abs_tol=TOL)
+        # ``expected`` are the (short, long) arm amplitudes; the output
+        # coupler passes half of each arm's power into its bin
+        out = alice_device_amplitudes(phi)
+        for got, want, ref_val in zip(out, expected, device_by_network(phi)):
+            assert cmath.isclose(got * math.sqrt(2), want, abs_tol=TOL)
             assert cmath.isclose(got, ref_val, abs_tol=TOL)
 
-    def test_always_unit_norm(self):
-        for phi in np.linspace(-math.pi, math.pi, 41):
-            a, b = variable_coupler(phi)
-            assert abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) < TOL
+    def test_half_power_at_every_phase_and_offset(self):
+        phis = np.linspace(-math.pi, math.pi, 41)
+        for offset in (0.0, 0.7, -2.9):
+            early, late = alice_device_amplitudes(phis, PhaseSpec(phase_offset_rad=offset))
+            assert np.max(np.abs(np.abs(early) ** 2 + np.abs(late) ** 2 - 0.5)) < TOL
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            variable_coupler(math.nan)
+        for phi in (math.nan, math.inf, [0.0, -math.inf]):
+            with pytest.raises(ValueError, match="phi must be finite"):
+                alice_device_amplitudes(phi)
 
 
 def _solve_phase_for_zero_long_arm() -> float:
-    """Oracle: scan+refine the modulator phase nulling the long arm."""
+    """Oracle: scan the modulator phase nulling the late bin (the long arm)."""
     phis = np.linspace(-math.pi, math.pi, 100_001)
-    mags = [abs(variable_coupler(p)[1]) for p in phis]
-    return float(phis[int(np.argmin(mags))])
+    return float(phis[int(np.argmin(np.abs(alice_device_amplitudes(phis)[1])))])
 
 
 class TestCalibration:
     def test_z0_phase_nulls_long_arm(self):
-        assert abs(calibrate_pm()[CanonicalState(Basis.Z, 0)] - _solve_phase_for_zero_long_arm()) < 1e-4
+        assert abs(PM_PHASES[0] - _solve_phase_for_zero_long_arm()) < 1e-4
 
     def test_z1_phase_nulls_short_arm(self):
-        phi = calibrate_pm()[CanonicalState(Basis.Z, 1)]
-        assert abs(variable_coupler(phi)[0]) < TOL
+        assert abs(alice_device_amplitudes(PM_PHASES[1])[0]) < TOL
 
     @pytest.mark.parametrize("state", CANONICAL_STATES)
     def test_device_state_fidelity(self, state):
         target = canonical_link_state(state).bins[:, 0]
-        device = alice_device_state(state).bins[:, 0]
+        device = np.array(alice_device_amplitudes(PM_PHASES[CANONICAL_STATES.index(state)]))
         norm = np.linalg.norm(device)
         fidelity = abs(np.vdot(target, device / norm)) ** 2
         assert abs(fidelity - 1.0) < TOL
+
+    def test_one_call_is_the_per_state_calls(self):
+        spec = PhaseSpec(phase_offset_rad=0.3)
+        together = np.array(alice_device_amplitudes(PM_PHASES, spec))
+        for k, phi in enumerate(PM_PHASES):
+            assert np.array_equal(together[:, k], alice_device_amplitudes(phi, spec))
 
 
 class TestAlicePrepare:
@@ -140,21 +156,23 @@ class TestAlicePrepare:
     def test_default_transmittance(self):
         # the final coupler's monitor port takes half; the device's own loss
         # is not modelled, since the attenuator after it fixes mu
-        t = np.sum(np.abs(alice_device_state(CanonicalState(Basis.Z, 0)).bins) ** 2)
-        assert abs(t - 0.5) < TOL
+        early, late = alice_device_amplitudes(PM_PHASES[0])
+        assert abs(abs(early) ** 2 + abs(late) ** 2 - 0.5) < TOL
 
     @pytest.mark.parametrize("state", CANONICAL_STATES)
     def test_device_norm_equals_transmittance(self, state):
+        phi = PM_PHASES[CANONICAL_STATES.index(state)]
         for spec in (PhaseSpec(phase_offset_rad=0.7), SessionConfig().alice_amz):
-            assert abs(np.sum(np.abs(alice_device_state(state, spec).bins) ** 2) - 0.5) < TOL
+            early, late = alice_device_amplitudes(phi, spec)
+            assert abs(abs(early) ** 2 + abs(late) ** 2 - 0.5) < TOL
 
     @pytest.mark.parametrize("offset", [0.3, -1.1])
     def test_device_state_is_the_prepared_state(self, offset):
         """Normalized, the device state at a phase offset is the session's
         prepared state up to a global phase."""
         spec = PhaseSpec(phase_offset_rad=offset)
-        for state, prepared in zip(CANONICAL_STATES, _prepared_amplitudes(spec)):
-            device = alice_device_state(state, spec).bins[:, 0]
+        devices = np.transpose(alice_device_amplitudes(PM_PHASES, spec))
+        for device, prepared in zip(devices, _prepared_amplitudes(spec), strict=True):
             fidelity = abs(np.vdot(prepared, device / np.linalg.norm(device))) ** 2
             assert abs(fidelity - 1.0) < TOL
 

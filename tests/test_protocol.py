@@ -97,6 +97,11 @@ class TestAliceGenerate:
             with pytest.raises(ValueError):
                 PulseTrain(n, key)
 
+    def test_train_holds_at_most_an_int64_index_of_pulses(self):
+        assert len(PulseTrain(2**63 - 1, 0)) == 2**63 - 1
+        with pytest.raises(ValueError, match=re.escape("0 <= n < 2**63")):
+            PulseTrain(2**63, 0)
+
 
 CELLS = [
     (Slot.S1, Port.D0, Basis.Z, 0),
@@ -351,6 +356,10 @@ class TestCodec:
             with pytest.raises(ProtocolError, match="cannot encode"):
                 encode_message(AliceMatchReply(np.array([0]), np.array(indices)))
 
+    def test_unknown_message_type_refused(self):
+        with pytest.raises(ProtocolError, match="cannot encode message of type str"):
+            encode_message("qber 0.1")
+
     def test_malformed_rejected(self):
         with pytest.raises(ProtocolError):
             decode_message(b"")
@@ -360,7 +369,6 @@ class TestCodec:
     @pytest.mark.parametrize(
         "record,error",
         [
-            (b"\x00" + index_field(1, 5, 4) + bit_field(1, 0), "different numbers of indices and bases"),
             (reply_record(index_field(2**64 - 1, 2, size=8)), "index gaps sum past the int64 range"),
             (reply_record(index_field(1, 0)), "index gap of 0: indices must strictly increase"),
             (reply_record(index_field(1, count=2)), "malformed message"),
@@ -372,7 +380,7 @@ class TestCodec:
             (b"\x02" + bit_field(1, count=2**64 - 1), "malformed message"),
         ],
         ids=[
-            "length_mismatch", "overflow", "gap_zero", "byte_length", "trailing_bytes",
+            "overflow", "gap_zero", "byte_length", "trailing_bytes",
             "padding_bits", "unknown_width", "unknown_kind", "index_count_max", "bit_count_max",
         ],
     )
@@ -602,6 +610,39 @@ class TestTransports:
         finally:
             ta.close()
 
+    @pytest.mark.parametrize("op", ["send", "recv"])
+    def test_socket_error_is_a_protocol_error(self, op):
+        """A send to a closed peer, or a recv past its timeout, aborts the
+        session with ProtocolError instead of the socket's OSError."""
+        sock_a, sock_b = socket.socketpair()
+        transport = SocketTransport(sock_a, timeout=0.05)
+        if op == "send":
+            sock_b.close()
+        try:
+            with pytest.raises(ProtocolError, match=f"socket {op} failed"):
+                if op == "send":
+                    transport.send(QberReport(0.0))
+                else:
+                    transport.recv(100)
+        finally:
+            transport.close()
+            sock_b.close()
+
+    def test_receiver_thread_error_reaches_the_caller(self, monkeypatch):
+        """An error on the receiver's helper thread, raised after the
+        transmitter's side has completed, is raised again to the caller."""
+        receive = BobEndpoint.receive
+
+        def fail_on_report(self, msg):
+            if isinstance(msg, QberReport):
+                raise RuntimeError("receiver failed on the report")
+            return receive(self, msg)
+
+        monkeypatch.setattr(BobEndpoint, "receive", fail_on_report)
+        records = ArrayTrain(np.zeros(8, np.uint8), np.zeros(8, np.uint8))
+        with pytest.raises(RuntimeError, match="receiver failed on the report"):
+            run_over_sockets(records, make_events((0, 0, 0), (2, 0, 0), (5, 0, 1)), 0.5, seed=0)
+
     def test_in_process_session_starts_no_thread(self, monkeypatch):
         def no_thread(*args, **kwargs):
             raise AssertionError("an in-process session started a thread")
@@ -707,6 +748,55 @@ class TestAborts:
         alice.start()
         with pytest.raises(ProtocolError, match="strictly increasing"):
             alice.receive(BobBasisAnnounce(np.array([3, 1]), np.array([0, 0], np.uint8)))
+
+    @pytest.mark.parametrize(
+        "announce",
+        [
+            BobBasisAnnounce(np.array([1, 5, 9]), np.array([0], np.uint8)),
+            b"\x00" + index_field(1, 5, 4) + bit_field(1, 0),
+            BobBasisAnnounce(np.array([1, 5]), np.array([0, 2], np.uint8)),
+            BobBasisAnnounce(np.array([1, 5]), np.array([-1, 0])),
+        ],
+        ids=["three_indices_one_basis", "decoded_length_mismatch", "basis_2", "basis_negative"],
+    )
+    def test_announce_needs_one_basis_per_index(self, announce):
+        """The transmitter checks an announce's bases, decoded or handed over
+        in process: decoding reads the bases' count from their own field."""
+        if isinstance(announce, bytes):
+            announce = decode_message(announce)
+        records = ArrayTrain(np.zeros(12, np.uint8), np.zeros(12, np.uint8))
+        alice = AliceEndpoint(records, 0.5, np.random.default_rng(0))
+        with pytest.raises(ProtocolError, match="one basis, 0 or 1, per index"):
+            alice.receive(announce)
+
+    def test_sample_bits_length_checked(self):
+        records = ArrayTrain(np.zeros(12, np.uint8), np.zeros(12, np.uint8))
+        alice = AliceEndpoint(records, 0.5, np.random.default_rng(0))
+        [reply] = alice.receive(BobBasisAnnounce(np.array([1, 5, 9, 11]), np.zeros(4, np.uint8)))
+        with pytest.raises(ProtocolError, match="sample_bits length does not match"):
+            alice.receive(SampleBits(np.zeros(reply.sample.size + 1, np.uint8)))
+
+    @pytest.mark.parametrize("value", [-0.25, 1.5, math.nan])
+    def test_reported_qber_outside_unit_interval(self, value):
+        bob = BobEndpoint(make_events((4, 0, 0), (5, 1, 1), (8, 0, 1)))
+        bob.start()
+        bob.receive(AliceMatchReply(np.array([0, 2]), np.array([1])))
+        with pytest.raises(ProtocolError, match="outside \\[0, 1\\]"):
+            bob.receive(QberReport(value))
+
+    @pytest.mark.parametrize(
+        "idx,bases,bits,error",
+        [
+            ([1, 2, 3], [0, 1], [0, 1, 1], "1-D and equal length"),
+            ([[1, 2]], [[0, 1]], [[0, 1]], "1-D and equal length"),
+            ([1, 3, 3], [0, 1, 0], [0, 1, 1], "strictly increasing"),
+            ([4, 2], [0, 1], [0, 1], "strictly increasing"),
+        ],
+        ids=["short_bases", "two_d", "repeated_index", "decreasing"],
+    )
+    def test_classified_events_refusals(self, idx, bases, bits, error):
+        with pytest.raises(ValueError, match=error):
+            ClassifiedEvents(np.array(idx), np.array(bases), np.array(bits))
 
     def test_sample_outside_sifted_set(self):
         bob = BobEndpoint(make_events((4, 0, 0), (5, 1, 1), (8, 0, 1)))
