@@ -12,7 +12,7 @@ import re
 import sys
 from pathlib import Path
 
-from .config import ConfigError, integer, parse_config, with_values
+from .config import ConfigError, SessionConfig, integer, parse_config, with_values
 from .protocol import ProtocolError
 from .reporting import (
     format_profile_text,
@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--seed", dest="session.seed", type=integer, metavar="N", help="override session.seed"
         )
-        sub.add_argument("--out", metavar="DIR", default="out", help="output directory")
+        sub.add_argument("--out", metavar="DIR", type=Path, default="out", help="output directory")
     # Flags that change the simulated session; the exact profile runs none.
     for sub in (p_run, p_sweep):
         sub.add_argument(
@@ -82,65 +82,55 @@ def _load_config(args: argparse.Namespace):
     return with_values(parse_config(args.config), flags)
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+def _profile(args: argparse.Namespace, config: SessionConfig) -> tuple[str, dict]:
     rows = profile_rows(config, sampled_pulses=args.sampled)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_profile_csv(out / "profile.csv", rows)
-    print(format_profile_text(rows))
-    print(f"\nwrote {out / 'profile.csv'}")
-    return EXIT_OK
+    return format_profile_text(rows), {"profile.csv": functools.partial(write_profile_csv, rows=rows)}
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+def _run(args: argparse.Namespace, config: SessionConfig) -> tuple[str, dict]:
     result = run_session(config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_summary_csv(out / "summary.csv", result.summary)
     text = format_summary_text(result.summary)
-    (out / "summary.txt").write_text(text + "\n")
-    (out / "alice.key").write_text(result.alice_key.to_hex() + "\n")
-    (out / "bob.key").write_text(result.bob_key.to_hex() + "\n")
-    print(text)
-    print(f"\nwrote summary.csv, summary.txt, alice.key, bob.key to {out}/")
-    return EXIT_OK
+    return text, {
+        "summary.csv": functools.partial(write_summary_csv, summary=result.summary),
+        "summary.txt": text + "\n",
+        "alice.key": result.alice_key.to_hex() + "\n",
+        "bob.key": result.bob_key.to_hex() + "\n",
+    }
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+def _sweep(args: argparse.Namespace, config: SessionConfig) -> tuple[str, dict]:
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad --values: {exc}") from exc
     results = sweep(config, args.axis, values)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_sweep_csv(out / "sweep.csv", args.axis, results)
-    print(format_sweep_text(args.axis, results))
-    print(f"\nwrote {out / 'sweep.csv'}")
-    return EXIT_OK
+    csv = functools.partial(write_sweep_csv, axis=args.axis, results=results)
+    return format_sweep_text(args.axis, results), {"sweep.csv": csv}
+
+
+# Each command computes (printed text, {file name: text or a writer of the file's path}).
+_COMMANDS = {"profile": _profile, "run": _run, "sweep": _sweep}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "profile":
-            return _cmd_profile(args)
-        if args.command == "run":
-            return _cmd_run(args)
-        return _cmd_sweep(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        args = build_parser().parse_args(argv)
+        text, outputs = _COMMANDS[args.command](args, _load_config(args))
+        args.out.mkdir(parents=True, exist_ok=True)
+        for name, output in outputs.items():
+            if callable(output):
+                output(args.out / name)
+            else:
+                (args.out / name).write_text(output)
+    except (ValueError, OSError) as exc:  # OSError: --out names no writable directory
+        print(f"{'config error' if isinstance(exc, ConfigError) else 'error'}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ProtocolError as exc:
         print(f"session abort: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    print(text)
+    print(f"\nwrote {', '.join(outputs)} to {args.out}/")
+    return EXIT_OK
 
 
 def entry() -> None:

@@ -168,6 +168,8 @@ def parse_config(path: str | Path | None) -> SessionConfig:
                 parser.read_file(fh)
         except FileNotFoundError as exc:
             raise ConfigError(f"config file not found: {path}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         except configparser.Error as exc:
             raise ConfigError(f"parse error: {exc}") from exc
     for section in parser.sections():

@@ -355,8 +355,8 @@ def profile_rows(config: SessionConfig, sampled_pulses: int = 0) -> list[Profile
     gate count does not enter either mode.  The transmitter rows stay
     analytic in both modes.
     """
-    if sampled_pulses < 0:
-        raise ValueError(f"sampled_pulses must be >= 0, got {sampled_pulses}")
+    if not 0 <= sampled_pulses < 2**63:
+        raise ValueError(f"sampled_pulses must be >= 0 and below 2**63 (int64 counts), got {sampled_pulses}")
     rng = RngHandle(config.seed)
     apds = (config.apd_d0, config.apd_d1)
     prepared = _prepared_amplitudes(config.alice_amz)

@@ -321,5 +321,5 @@ def test_criterion_8_determinism_and_performance(tmp_path):
         8,
         "identical seeds give byte-identical outputs; 1e7 pulses in < 60 s",
         identical and elapsed < 60.0,
-        f"session {elapsed:.1f} s",
+        f"session {elapsed * 1e3:.1f} ms",
     )

@@ -10,7 +10,7 @@ and change nothing in it.
 import sys
 from pathlib import Path
 
-from timebin_bb84 import session
+from timebin_bb84 import cli, session
 from timebin_bb84.config import SessionConfig
 from timebin_bb84.eavesdrop import EveSpec
 
@@ -46,3 +46,16 @@ def test_a_session_calls_through_the_hooked_names():
     }
     counted = {name for _, name in tracer.counters}
     assert {"channel.transmittance.calls", "detection.pulses", "eavesdrop.pulses"} <= counted
+
+
+def test_a_cli_run_calls_through_the_hooked_names(tmp_path, capsys):
+    """``timebin-bb84 run`` through ``cli.main``, as the CLI workloads call
+    it, feeds the CLI's per-layer spans: the command, the config load, the
+    session and the summary writers."""
+    tracer = tracing.Tracer()
+    argv = ["run", "--pulses", "100000", "--seed", "3", "--out", str(tmp_path / "out")]
+    with tracing.installed(tracer, NAMESPACES):
+        assert cli.main(argv) == 0
+    assert {"cli.main", "config.parse_config", "session.run_session", "reporting.write"} <= {
+        s.name for s in tracer.spans
+    }

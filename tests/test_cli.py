@@ -44,6 +44,7 @@ class TestProfileCommand:
         assert by_key[("Z1", "S3", "D1")] == pytest.approx(0.25, abs=1e-12)
         text = capsys.readouterr().out
         assert "state Z0" in text and "S2" in text
+        assert text.endswith(f"\nwrote profile.csv to {out}/\n")
 
     def test_profile_csv_round_trip_exact(self, tmp_path, ideal_cfg):
         from timebin_bb84.config import parse_config
@@ -106,7 +107,9 @@ class TestRunCommand:
         bob_hex = (out / "bob.key").read_text().strip()
         assert alice_hex == bob_hex and len(alice_hex) > 0
         assert (out / "summary.txt").exists()
-        assert "QBER" in capsys.readouterr().out
+        text = capsys.readouterr().out
+        assert "QBER" in text
+        assert text.endswith(f"\nwrote summary.csv, summary.txt, alice.key, bob.key to {out}/\n")
 
     def test_run_deterministic_bytes(self, tmp_path, ideal_cfg):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -316,8 +319,47 @@ class TestExitCodes:
         assert "config error: session.n_pulses: must be below 2**63" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, code", [(["profile"], 0), (["frobnicate"], 1)], ids=["ok", "usage"])
+    def test_console_script_exits_with_mains_code(self, tmp_path, monkeypatch, capsys, argv, code):
+        monkeypatch.setattr("sys.argv", ["timebin-bb84", *argv, "--out", str(tmp_path / "o")])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == code
+
     def test_missing_config_is_1(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "ghost.ini")]) == 1
+
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+    def test_unreadable_config_is_a_config_error(self, tmp_path, capsys, kind):
+        path = tmp_path / "cfg"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config file {path}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_out_that_is_a_file_is_1(self, tmp_path, capsys):
+        """The session runs, then --out names no directory it can make:
+        one error line naming the path, and the file is left as it was."""
+        out = tmp_path / "taken"
+        out.write_text("keep\n")
+        assert main(["run", "--pulses", "100000", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and str(out) in captured.err
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert out.read_text() == "keep\n"
+
+    @pytest.mark.parametrize("count", ["1e19", str(2**63)])
+    def test_sampled_count_past_int64_is_1(self, tmp_path, capsys, count):
+        out = tmp_path / "o"
+        assert main(["profile", "--sampled", count, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: sampled_pulses must be >= 0 and below 2**63")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestCsvColumns:

@@ -326,6 +326,10 @@ class TestExtinction:
         with pytest.raises(ValueError):
             visibility_to_extinction_db(v)
 
+    def test_negative_extinction_is_refused(self):
+        with pytest.raises(ValueError, match="extinction ratio must be >= 0 dB"):
+            extinction_db_to_visibility(-0.5)
+
 
 class TestTypes:
     def test_state_norm_guard(self):
@@ -335,6 +339,11 @@ class TestTypes:
     def test_state_shape_guard(self):
         with pytest.raises(ValueError):
             TimeBinState(np.zeros(4, complex))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.inf], ids=["nan", "inf", "imaginary_inf"])
+    def test_state_finite_guard(self, bad):
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            TimeBinState(np.array([[bad], [0.0]], complex))
 
     def test_distribution_guards(self):
         from timebin_bb84.optics import SlotPortDistribution

@@ -708,6 +708,23 @@ class TestProfile:
         rows = [profile_rows(SessionConfig(seed=5, gates_per_pulse=g), sampled_pulses=10**6) for g in (1, 2, 3)]
         assert rows[0] == rows[1] == rows[2]
 
+    @pytest.mark.parametrize(
+        "overrides, zero_ports",
+        [({"apd_d0": ApdSpec(efficiency=0.0)}, {"D0"}), ({"source": SourceSpec(mu=0.0)}, {"D0", "D1"})],
+        ids=["blind_d0", "vacuum"],
+    )
+    def test_sampled_rows_read_0_where_no_light_can_click(self, overrides, zero_ports):
+        """A port whose clicks carry no light (efficiency 0, or mu = 0)
+        reads 0 rather than dividing its inversion by 0; the others still
+        estimate their weights."""
+        cfg = ideal_config(**overrides)
+        exact = {(r.state, r.slot, r.port): r.probability for r in profile_rows(cfg)}
+        for r in profile_rows(cfg, sampled_pulses=1_000_000):
+            if r.port in zero_ports:
+                assert r.probability == 0.0
+            elif r.port != "link":
+                assert abs(r.probability - exact[(r.state, r.slot, r.port)]) < 0.05
+
 
 class TestSweep:
     def test_length_sweep_monotone(self):
