@@ -45,13 +45,11 @@ class EveSpec:
     apparatus: AmzSpec = field(default_factory=ideal_amz)
 
 
-def cumulative_outcomes(early, late, spec: EveSpec, phase=None) -> np.ndarray:
+def cumulative_outcomes(early, late, spec: EveSpec) -> np.ndarray:
     """Cumulative probabilities (6, ...) of the six slot/port outcomes
-    (slot-major) for link amplitudes ``early``/``late``, which broadcast
-    with ``phase`` as in :func:`slot_port_probabilities`.  The edges are
-    edge-major, one contiguous row per edge.  The remainder up to 1 is the
-    no-outcome branch."""
-    cells = slot_port_probabilities(early, late, spec.apparatus, phase)
+    (slot-major) for link amplitudes ``early``/``late``, edge-major, one
+    contiguous row per edge.  The remainder up to 1 is the no-outcome branch."""
+    cells = slot_port_probabilities(early, late, spec.apparatus)
     return cumulative_edges([p for row in cells for p in row])
 
 
@@ -85,7 +83,7 @@ def enumerate_attack_qber(
     if not spec.enabled:
         return {Basis.Z: 0.0, Basis.X: 0.0}
     early, late = CANONICAL_AMPLITUDES.T
-    eve = np.diff(cumulative_outcomes(early, late, spec), axis=0, prepend=0.0).T
+    eve = np.array(slot_port_probabilities(early, late, spec.apparatus)).reshape(6, -1).T
     bob = np.array(slot_port_probabilities(early, late, bob_spec)).reshape(6, -1).T
     joint = eve @ bob[CELL_STATE]
     sent = np.arange(len(CANONICAL_STATES))[:, None]

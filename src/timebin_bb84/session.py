@@ -9,15 +9,11 @@ canonical ones plus vacuum when the attacker suppresses a pulse), so click
 and attack-outcome probabilities come from per-state tables, each built in
 one broadcast call over the states' amplitudes; the receiver's always has
 the vacuum column, which gives the dark registration rate.  Both
-stations sample with ``detection.sample_outcomes`` from each pulse's own
-cumulative row: its state's table row, taken one edge at a time.  On a
-receiver leg with phase drift (sigma > 0) only the two S2 cells move with
-the phase, so per-state constants from the tables give the rest of a row
-and per candidate only ``optics.s2_weights`` and what follows is computed.
-A drifting attacker's rows are ``eavesdrop.cumulative_outcomes`` of the
-candidates' amplitudes and phases, in broadcast calls.  Rows are
-edge-major: the tables are (K, k) over the k states, one contiguous row
-per edge.
+stations sample with ``detection.sample_outcomes`` from rows that one
+builder, ``_station``, gives: a steady leg's rows are its states' table
+rows; on a drifting leg (sigma > 0) only the two S2 cells move with the
+phase, so a row's first two edges come from the table and the rest from
+the station's own tail on ``optics.s2_weights`` at the pulse's phase.
 
 The transmitter's choices come from one 64-bit DOMAIN_ALICE key through
 the counter-based ``PulseTrain``, so they cost nothing until read.  Per
@@ -181,20 +177,37 @@ def _prepared_amplitudes(alice_amz: PhaseSpec) -> np.ndarray:
     return amps
 
 
-def _drifting_receiver(incoming, q_table, cum_table, bob_amz: AmzSpec, mu: float, apds):
-    """Rows of a drifting receiver's candidates, a function of their states
-    and phases: only S2 moves with the phase, so each state's interference
-    terms, first two edges, S1 shadow and discard and S3 clicks are kept,
-    and the first-fire recurrence resumes at S2."""
-    (_, _, s1_discard), s1_shadow = first_fire_increments(q_table[:2])
-    consts = [*interference_terms(*incoming.T), *cum_table[:2], s1_shadow, s1_discard, *q_table[4:]]
-    def rows(states, phases):
-        intensity, re, im, edge0, edge1, shadow, discard, q_s3_d0, q_s3_d1 = (c.take(states) for c in consts)
-        s2 = s2_weights(intensity, re, im, bob_amz, phases)
-        q_s2 = [click_probability(w, mu, apd) for w, apd in zip(s2, apds)]
-        increments, _ = first_fire_increments([*q_s2, q_s3_d0, q_s3_d1], shadow, discard)
-        return [edge0, edge1, *running_sums(increments, edge1)]
+def _station(incoming, spec: AmzSpec, sigma: float, cum_table, tail):
+    """``rows(states, normals, chunk)``: each candidate's row from its state in
+    ``incoming``.  Steady (sigma 0), the state's ``cum_table`` edges; drifting,
+    its first two edges, then the running sums of ``tail(s2, states)`` onto the
+    second, with ``s2`` the S2 weights at ``phase_offset_rad + sigma * normals[chunk]``."""
+    if sigma == 0.0:
+        return lambda states, normals, chunk: (edge.take(states) for edge in cum_table)
+    terms = interference_terms(*incoming.T)
+    def rows(states, normals, chunk):
+        phases = spec.phase_offset_rad + sigma * normals[chunk]
+        s2 = s2_weights(*(t.take(states) for t in terms), spec, phases)
+        edge0, edge1 = (edge.take(states) for edge in cum_table[:2])
+        return [edge0, edge1, *running_sums(tail(s2, states), edge1)]
     return rows
+
+
+def _receiver_tail(q_table, mu: float, apds):
+    """The receiver's increments from S2 on: the first-fire recurrence resumed from
+    each state's S1 shadow and discard, on the S2 clicks and the state's S3 clicks."""
+    (_, _, discard), shadow = first_fire_increments(q_table[:2])
+    def tail(s2, states):
+        q_s2 = [click_probability(w, mu, apd) for w, apd in zip(s2, apds)]
+        q = [*q_s2, *(c.take(states) for c in q_table[4:])]
+        return first_fire_increments(q, shadow.take(states), discard.take(states))[0]
+    return tail
+
+
+def _attacker_tail(prepared, spec: AmzSpec):
+    """The attacker's increments from S2 on: her S2 weights, then her S3 weights per state."""
+    s3 = slot_port_probabilities(*prepared.T, spec)[2]
+    return lambda s2, states: [*s2, *(w.take(states) for w in s3)]
 
 
 _ROW_CHUNK = 1 << 16  # candidates per slice of a batch's pass
@@ -252,21 +265,19 @@ def _detect_events(config: SessionConfig, records: PulseTrain, rng: RngHandle):
     prepared = _prepared_amplitudes(config.alice_amz)
     bob_amz = config.bob_amz
     eve_on = config.eve.enabled
+    eve_amz, sigma_eve = config.eve.apparatus, 0.0
     if eve_on:
+        sigma_eve = math.hypot(config.alice_amz.phase_jitter_rad, eve_amz.phase_jitter_rad)
         eve_cum = eavesdrop.cumulative_outcomes(*prepared.T, config.eve)
-        sigma_eve_leg = math.hypot(
-            config.alice_amz.phase_jitter_rad, config.eve.apparatus.phase_jitter_rad
-        )
+        eve_rows = _station(prepared, eve_amz, sigma_eve, eve_cum, _attacker_tail(prepared, eve_amz))
         # Re-prepared states are fresh canonical ones, or vacuum (the last
         # column) for a suppressed pulse: only the receiver's own jitter
         # acts on the final leg.
         incoming = CANONICAL_AMPLITUDES
-        sigma_bob_leg = config.bob_amz.phase_jitter_rad
+        sigma_bob = bob_amz.phase_jitter_rad
     else:
         incoming = prepared
-        sigma_bob_leg = math.hypot(
-            config.alice_amz.phase_jitter_rad, config.bob_amz.phase_jitter_rad
-        )
+        sigma_bob = math.hypot(config.alice_amz.phase_jitter_rad, bob_amz.phase_jitter_rad)
 
     # The fiber scales every amplitude by sqrt(transmittance).
     incoming = math.sqrt(transmittance(config.channel)) * np.vstack([incoming, np.zeros(2)])
@@ -275,13 +286,10 @@ def _detect_events(config: SessionConfig, records: PulseTrain, rng: RngHandle):
     weights = np.array(slot_port_probabilities(*incoming.T, bob_amz))
     q_table = cell_click_probabilities(weights, mu, apds, gates)
     cum_table = first_fire_table(q_table)
+    bob_rows = _station(incoming, bob_amz, sigma_bob, cum_table, _receiver_tail(q_table, mu, apds))
     # Under receiver drift a pulse's click probability moves with its
     # phase, so candidates are drawn below a phase-independent bound.
-    if sigma_bob_leg > 0.0:
-        p = click_bound(weights, mu, apds, gates)
-        bob_drifted = _drifting_receiver(incoming, q_table, cum_table, bob_amz, mu, apds)
-    else:
-        p = cum_table[-1].max()
+    p = click_bound(weights, mu, apds, gates) if sigma_bob > 0.0 else cum_table[-1].max()
 
     events: list[tuple[np.ndarray, ...]] = []  # (pulse, slot, port, sent) per slice
 
@@ -291,38 +299,24 @@ def _detect_events(config: SessionConfig, records: PulseTrain, rng: RngHandle):
         hi = min(lo + BATCH_SIZE, n)
         batch = draw_candidates(hi - lo, p, rng.indexed_stream(DOMAIN_DETECT, b))
         m = batch.offsets.size
-        if eve_on:
-            eve_u = rng.indexed_stream(DOMAIN_EVE, b).random(m)
-            if sigma_eve_leg > 0.0:
-                eve_normals = rng.indexed_stream(DOMAIN_JITTER, 2 * b).standard_normal(m)
-        if sigma_bob_leg > 0.0:
-            bob_normals = rng.indexed_stream(DOMAIN_JITTER, 2 * b + 1).standard_normal(m)
+        eve_u = rng.indexed_stream(DOMAIN_EVE, b).random(m) if eve_on else None
+        eve_normals, bob_normals = (
+            rng.indexed_stream(DOMAIN_JITTER, 2 * b + leg).standard_normal(m) if s > 0.0 else None
+            for leg, s in enumerate((sigma_eve, sigma_bob)))
 
-        # One pass over cache-sized slices of the candidates.  Each station
-        # samples every candidate from its own cumulative row: on a
-        # drifting receiver leg the S2 term of its phase on its state's
-        # constants, on a drifting attacker leg broadcast calls over the
-        # slice's amplitudes and phases, else its state's table row, taken
-        # one edge at a time so that no (K, n) gather is held.
+        # One pass over cache-sized slices of the candidates, each station
+        # sampling from its own rows (see _station).  The receiver's rows stay
+        # bound until the next slice's replace them: freed at once, they let
+        # the allocator trim the heap top and fault it back in on every slice.
         for chunk, cand in _candidate_slices(batch):
             pulses = lo + cand.offsets
             sent = records.states(pulses)
             states = sent.astype(np.intp)
             if eve_on:
-                if sigma_eve_leg > 0.0:
-                    phases = config.eve.apparatus.phase_offset_rad + sigma_eve_leg * eve_normals[chunk]
-                    eve_rows = eavesdrop.cumulative_outcomes(
-                        *prepared.T.take(states, axis=1), config.eve, phases)
-                else:
-                    eve_rows = (edge.take(states) for edge in eve_cum)
-                _, resent = eavesdrop.attack_batch(eve_u[chunk], eve_rows)
+                _, resent = eavesdrop.attack_batch(eve_u[chunk], eve_rows(states, eve_normals, chunk))
                 states = resent.astype(np.intp)
-            if sigma_bob_leg > 0.0:
-                phases = bob_amz.phase_offset_rad + sigma_bob_leg * bob_normals[chunk]
-                bob_rows = bob_drifted(states, phases)
-            else:
-                bob_rows = (edge.take(states) for edge in cum_table)
-            registered, slot, port, _ = detect_batch(cand, bob_rows)
+            rows = bob_rows(states, bob_normals, chunk)
+            registered, slot, port, _ = detect_batch(cand, rows)
             at = np.flatnonzero(registered)
             events.append((pulses.take(at), slot.take(at), port.take(at), sent.take(at)))
 

@@ -5,7 +5,8 @@ import math
 import numpy as np
 
 import matrix_oracle as oracle
-from timebin_bb84.detection import DOMAIN_EVE, RngHandle
+from timebin_bb84 import session
+from timebin_bb84.detection import DOMAIN_EVE, RngHandle, cumulative_edges
 from timebin_bb84.eavesdrop import (
     OUTCOME_TO_STATE_INDEX,
     VACUUM_INDEX,
@@ -22,6 +23,7 @@ from timebin_bb84.optics import (
     bob_transform,
     canonical_link_state,
     ideal_amz,
+    slot_port_probabilities,
     vacuum_state,
 )
 
@@ -36,6 +38,14 @@ def outcome_probabilities(state: TimeBinState, spec: EveSpec) -> np.ndarray:
     """(7,) probabilities of the six slot/port outcomes, then of none."""
     cum = cumulative_outcomes(*state.bins[:, 0], spec)
     return np.append(np.diff(cum, prepend=0.0), 1.0 - cum[-1])
+
+
+def drifting_rows(amps: np.ndarray, spec: EveSpec, sigma: float, states: np.ndarray, normals: np.ndarray):
+    """The attacker's rows, as a session builds them, for candidates in
+    ``states`` (rows of ``amps``) at phases offset + sigma * ``normals``."""
+    table = cumulative_outcomes(*amps.T, spec)
+    tail = session._attacker_tail(amps, spec.apparatus)
+    return session._station(amps, spec.apparatus, sigma, table, tail)(states, normals, slice(None))
 
 
 def resend_state(outcome: int) -> TimeBinState:
@@ -124,46 +134,49 @@ class TestAttackBranches:
         assert abs(probs[6] - (1 - 10 ** (-0.3))) < 1e-12
 
     def test_cumulative_outcomes_match_outcome_probabilities(self):
-        # table rows (no phase argument) and per-pulse rows under drift are
-        # the running sums of the single-state slot/port table
+        # table rows and per-pulse rows under drift are the running sums of
+        # the single-state slot/port table at the pulse's phase
         spec = enabled_eve(excess_loss_db=1.0, visibility=0.8, phase_offset_rad=0.3)
-        for state in CANONICAL_STATES:
+        amps = np.array([canonical_link_state(s).bins[:, 0] for s in CANONICAL_STATES])
+        normals = np.array([-1.0, 0.0, 2.5])
+        for k, state in enumerate(CANONICAL_STATES):
             link = canonical_link_state(state)
             want = np.cumsum(bob_transform(link, spec.apparatus).p.reshape(6))
             assert np.max(np.abs(cumulative_outcomes(*link.bins[:, 0], spec) - want)) < 1e-15
-            phases = np.array([-1.0, 0.0, 2.5])
-            rows = cumulative_outcomes(*link.bins[:, 0], spec, phases)
-            for phase, row in zip(phases, rows.T):
-                shifted = AmzSpec(excess_loss_db=1.0, visibility=0.8, phase_offset_rad=float(phase))
+            rows = drifting_rows(amps, spec, 0.7, np.full(3, k), normals)
+            for normal, row in zip(normals, np.transpose(rows)):
+                shifted = AmzSpec(excess_loss_db=1.0, visibility=0.8, phase_offset_rad=0.3 + 0.7 * normal)
                 want = np.cumsum(bob_transform(link, shifted).p.reshape(6))
                 assert np.max(np.abs(row - want)) < 1e-15
 
 
 class TestDriftedRows:
     def test_bit_identical_to_per_pulse_table(self):
-        """Under attacker drift, one broadcast call over every pulse's
-        amplitudes and phase gives the rows of the per-state table, bit for
-        bit, and the sampler fed them gives the same outcomes as counting
-        that table's edges against the same substream."""
+        """Under attacker drift, the session's rows of every pulse's state
+        and phase are the rows of the per-state table, bit for bit, and the
+        sampler fed them gives the same outcomes as counting that table's
+        edges against the same substream."""
         spec = enabled_eve(excess_loss_db=0.7, visibility=0.9, phase_offset_rad=0.2)
         amps = np.array([canonical_link_state(s).bins[:, 0] for s in CANONICAL_STATES])
         amps[:, 1] *= np.exp(0.3j)  # a transmitter phase offset, as in a session
         m = 300_000
         gen = np.random.default_rng(8)
-        states = gen.integers(0, 4, size=m, dtype=np.uint8)
-        phases = 0.2 + 0.25 * gen.standard_normal(m)
+        states = gen.integers(0, 4, size=m).astype(np.intp)
+        normals = gen.standard_normal(m)
+        phases = 0.2 + 0.25 * normals
 
         table = np.empty((6, m))
         for k, (early, late) in enumerate(amps):
             mask = states == k
-            table[:, mask] = cumulative_outcomes(early, late, spec, phases[mask])
+            cells = slot_port_probabilities(early, late, spec.apparatus, phases[mask])
+            table[:, mask] = cumulative_edges([w for row in cells for w in row])
         u = RngHandle(5).indexed_stream(DOMAIN_EVE, 0).random(m)
         want = np.zeros(m, dtype=np.uint8)
         for edge in table:
             want += u >= edge
 
-        rows = cumulative_outcomes(*amps[states].T, spec, phases)
-        assert np.array_equal(rows, table) and rows.flags.c_contiguous
+        rows = drifting_rows(amps, spec, 0.25, states, normals)
+        assert np.array_equal(rows, table)
         outcomes, resent = attack_batch(u, rows)
         assert np.array_equal(outcomes, want)
         assert np.array_equal(resent, OUTCOME_TO_STATE_INDEX[want])

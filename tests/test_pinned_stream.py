@@ -64,10 +64,21 @@ PINNED = [
         "[bob_amz]\nphase_jitter_rad = 0.1\n",
         "29fdaee692e4e0160569dfc1239ed078756aa0dc758e4b32f971a6ea4c190ae8",
     ),
+    # The attacker's leg drifts in front of a steady receiver, on the dense
+    # link with two gates and offsets on the transmitter and the attacker.
+    (
+        f"[session]\nn_pulses = {2 * session.BATCH_SIZE + 5}\nseed = 20260112\ngates_per_pulse = 2\n"
+        "[source]\nmu = 0.5\n"
+        "[apd_d0]\nefficiency = 1.0\n[apd_d1]\nefficiency = 1.0\n"
+        "[eve]\nenabled = true\n"
+        "[eve_amz]\nphase_offset_rad = 0.2\nphase_jitter_rad = 0.3\n"
+        "[alice_amz]\nphase_offset_rad = -0.4\n",
+        "7a2619c47339475cd93e53cad9c44f5fd543efb31736740bdc6f28d70a852a38",
+    ),
 ]
 PINNED_IDS = [
     "default", "eve_bob_drift", "eve_all_drift", "conventional_drift", "dense_drift", "dense_steady",
-    "one_gate_drift",
+    "one_gate_drift", "eve_drift_steady_bob",
 ]
 
 

@@ -440,11 +440,13 @@ def drifting_receiver_tables(gates: int = 3):
     return bob_amz, apds, incoming, q_table, detection.first_fire_table(q_table)
 
 
-def drifting_phases(offset: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n phases: a quarter at ``offset``, the rest uniform on |phase| <= 1e3."""
-    phases = rng.uniform(-1e3, 1e3, n)
-    phases[: n // 4] = offset
-    return phases
+def drifting_normals(n: int, rng: np.random.Generator) -> tuple[np.ndarray, slice]:
+    """A batch's normals and the slice of n of them that a chunk reads: a
+    quarter of the chunk 0, so at the leg's offset, the rest uniform on
+    |x| <= 5e3."""
+    normals = rng.uniform(-5e3, 5e3, n + 9)
+    normals[9 : 9 + n // 4] = 0.0
+    return normals, slice(9, 9 + n)
 
 
 # Receiver setups for the tie between the one-call tables and the
@@ -490,23 +492,51 @@ def test_array_tables_equal_the_single_state_oracle(setup, gates):
 
 
 class TestDriftedRows:
+    @staticmethod
+    def assert_rows(station, sigma, offset, states, want_rows, cum_table):
+        """The drifting rows of ``station`` at sigma equal, bit for bit,
+        ``want_rows(phases)``, each candidate's full recompute at its phase;
+        at the leg's offset they are the candidates' table rows, and a
+        steady leg gives the table rows everywhere."""
+        normals, chunk = drifting_normals(states.size, np.random.default_rng(states.size))
+        rows = station(sigma)(states, normals, chunk)
+        table_rows = cum_table.take(states, axis=1)
+        assert len(rows) == len(cum_table)
+        assert np.array_equal(rows, want_rows(offset + sigma * normals[chunk]))
+        at_offset = slice(states.size // 4)
+        assert np.array_equal(np.array(rows)[:, at_offset], table_rows[:, at_offset])
+        assert np.array_equal(list(station(0.0)(states, None, chunk)), table_rows)
+
     @pytest.mark.parametrize("gates", [1, 2, 3])
     def test_receiver_rows_are_the_full_recompute(self, gates):
-        """Rows from the per-state constants plus the S2 term equal, bit for
-        bit, the rows recomputed from every candidate's amplitudes and
-        phase through the optics, click and first-fire formulas; at the
-        receiver's offset they are the candidates' table rows."""
+        """The receiver's recompute runs the optics, click and first-fire
+        formulas on every candidate's amplitudes and phase."""
         bob_amz, apds, incoming, q_table, cum_table = drifting_receiver_tables(gates)
-        rng = np.random.default_rng(3)
-        states = rng.integers(0, 5, 20_000)
-        phases = drifting_phases(bob_amz.phase_offset_rad, states.size, rng)
-        rows = session._drifting_receiver(incoming, q_table, cum_table, bob_amz, 0.4, apds)(states, phases)
-        amps = incoming.T.take(states, axis=1)
-        weights = np.array(slot_port_probabilities(*amps, bob_amz, phases))
-        want = detection.first_fire_table(detection.cell_click_probabilities(weights, 0.4, apds, gates))
-        assert len(rows) == 7 and np.array_equal(rows, want)
-        at_offset = slice(states.size // 4)
-        assert np.array_equal(want[:, at_offset], cum_table.take(states[at_offset], axis=1))
+        states = np.random.default_rng(3).integers(0, 5, 20_000)
+        tail = session._receiver_tail(q_table, 0.4, apds)
+
+        def recompute(phases):
+            weights = np.array(slot_port_probabilities(*incoming.T.take(states, axis=1), bob_amz, phases))
+            return detection.first_fire_table(detection.cell_click_probabilities(weights, 0.4, apds, gates))
+
+        self.assert_rows(lambda sigma: session._station(incoming, bob_amz, sigma, cum_table, tail),
+                         bob_amz.phase_jitter_rad, bob_amz.phase_offset_rad, states, recompute, cum_table)
+
+    def test_attacker_rows_are_the_full_recompute(self):
+        """The attacker's recompute is the cumulative edges of her six
+        cells at every candidate's amplitudes and phase."""
+        eve_amz = AmzSpec(visibility=0.9, excess_loss_db=0.7, phase_offset_rad=0.2, phase_jitter_rad=0.25)
+        prepared = session._prepared_amplitudes(AmzSpec(phase_offset_rad=-0.4))
+        cum_table = cumulative_outcomes(*prepared.T, EveSpec(True, eve_amz))
+        tail = session._attacker_tail(prepared, eve_amz)
+        states = np.random.default_rng(4).integers(0, 4, 20_000)
+
+        def recompute(phases):
+            cells = slot_port_probabilities(*prepared.T.take(states, axis=1), eve_amz, phases)
+            return detection.cumulative_edges([w for row in cells for w in row])
+
+        self.assert_rows(lambda sigma: session._station(prepared, eve_amz, sigma, cum_table, tail),
+                         eve_amz.phase_jitter_rad, eve_amz.phase_offset_rad, states, recompute, cum_table)
 
 
 @pytest.mark.parametrize("drift", [True, False], ids=["drift", "steady"])
