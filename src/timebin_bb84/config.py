@@ -172,6 +172,8 @@ def parse_config(path: str | Path | None) -> SessionConfig:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         except configparser.Error as exc:
             raise ConfigError(f"parse error: {exc}") from exc
+    if parser.defaults():  # configparser would copy these keys into every section
+        raise ConfigError("unknown section", "DEFAULT")
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ConfigError("unknown section", section)

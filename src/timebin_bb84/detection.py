@@ -11,10 +11,11 @@ the baselines gate two (S3 dark: the conventional one-edge-slot receiver)
 or only the central one (for the tripled dark-count exposure).
 
 Registration applies the first-fire rule: only the earliest slot with at
-least one click counts, which also neutralises after-pulsing from earlier
-avalanches.  If both ports click in that slot the pulse is discarded.
-So a pulse has eight outcomes: six (slot, port) registrations, the
-discard, and no click.  Their cumulative probabilities have a closed form
+least one click counts, so an after-pulse of an avalanche in an earlier
+slot of the same pulse is ignored (after-pulses into later pulses are not
+modelled).  If both ports click there the pulse is discarded.  So a pulse
+has eight outcomes: six (slot, port) registrations, the discard, and no
+click.  Their cumulative probabilities have a closed form
 (:func:`first_fire_table`), a recurrence that :func:`first_fire_increments`
 can resume at a later slot, and a pulse's outcome is sampled from one
 uniform and its own row with :func:`sample_outcomes`, the sampler the

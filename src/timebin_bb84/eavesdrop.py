@@ -9,7 +9,8 @@ forwarded).  Because her measurement is the passive three-slot one rather
 than a random two-basis projection, the induced error rate is worth
 computing exactly, over every (sent state, attacker outcome, receiver
 cell) branch, instead of assuming the textbook 25%: the computation
-confirms exactly 1/4 in both bases for ideal devices.
+confirms exactly 1/4 in both bases for ideal devices.  ``session._link``
+builds her rows as it builds the receiver's; this module samples them.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detection import cumulative_edges, sample_outcomes
+from .detection import sample_outcomes
 from .optics import (
     CANONICAL_AMPLITUDES,
     CANONICAL_STATES,
@@ -45,19 +46,12 @@ class EveSpec:
     apparatus: AmzSpec = field(default_factory=ideal_amz)
 
 
-def cumulative_outcomes(early, late, spec: EveSpec) -> np.ndarray:
-    """Cumulative probabilities (6, ...) of the six slot/port outcomes
-    (slot-major) for link amplitudes ``early``/``late``, edge-major, one
-    contiguous row per edge.  The remainder up to 1 is the no-outcome branch."""
-    cells = slot_port_probabilities(early, late, spec.apparatus)
-    return cumulative_edges([p for row in cells for p in row])
-
-
 def attack_batch(u: np.ndarray, rows: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """The attacker's outcome for each pulse from its uniform ``u`` and its
-    :func:`cumulative_outcomes` row, given edge by edge as for
-    :func:`detection.sample_outcomes`; a uniform beyond the last edge is no
-    outcome.  Returns (outcome index 0..6, resent-state index 0..4)."""
+    row, the running sums of her six slot/port weights (slot-major), given
+    edge by edge as for :func:`detection.sample_outcomes`; a uniform beyond
+    the last edge is no outcome.  Returns (outcome index 0..6, resent-state
+    index 0..4)."""
     outcomes = sample_outcomes(u, rows)
     return outcomes, OUTCOME_TO_STATE_INDEX[outcomes]
 

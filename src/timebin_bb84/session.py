@@ -4,16 +4,17 @@
 Pulses are processed in fixed-size batches with per-batch random
 substreams, so results are reproducible for a given (seed, config) and the
 batches could in principle be evaluated in parallel and merged by pulse
-index.  A session sees at most five distinct incoming states (the four
-canonical ones plus vacuum when the attacker suppresses a pulse), so click
-and attack-outcome probabilities come from per-state tables, each built in
-one broadcast call over the states' amplitudes; the receiver's always has
-the vacuum column, which gives the dark registration rate.  Both
-stations sample with ``detection.sample_outcomes`` from rows that one
-builder, ``_station``, gives: a steady leg's rows are its states' table
-rows; on a drifting leg (sigma > 0) only the two S2 cells move with the
-phase, so a row's first two edges come from the table and the rest from
-the station's own tail on ``optics.s2_weights`` at the pulse's phase.
+index.  A station sees at most five distinct incoming states (the four
+canonical ones plus vacuum when the attacker suppresses a pulse), and
+``_link(config)`` builds both once per session.  Each states its outcome
+law once, as a head and a tail (``_receiver``, ``_attacker``) that
+``_station`` turns into rows: the head is a state's first two edges, which
+no phase moves, and the tail the increments from S2 on, from
+``optics.s2_weights`` at the pulse's phase.  A station's table is its rows
+of all states at the leg's offset, which a steady leg (sigma 0) only
+gathers; the receiver's vacuum column gives the dark registration rate.
+``_detect_events`` samples both stations' rows with
+``detection.sample_outcomes``.
 
 The transmitter's choices come from one 64-bit DOMAIN_ALICE key through
 the counter-based ``PulseTrain``, so they cost nothing until read.  Per
@@ -60,7 +61,6 @@ from .detection import (
     detect_batch,
     draw_candidates,
     first_fire_increments,
-    first_fire_table,
     running_sums,
 )
 from .optics import (
@@ -166,7 +166,7 @@ def summarize(
 
 
 # ---------------------------------------------------------------------------
-# Per-state click-probability tables
+# The link: per-state tables and per-candidate rows
 # ---------------------------------------------------------------------------
 
 
@@ -177,37 +177,74 @@ def _prepared_amplitudes(alice_amz: PhaseSpec) -> np.ndarray:
     return amps
 
 
-def _station(incoming, spec: AmzSpec, sigma: float, cum_table, tail):
-    """``rows(states, normals, chunk)``: each candidate's row from its state in
-    ``incoming``.  Steady (sigma 0), the state's ``cum_table`` edges; drifting,
-    its first two edges, then the running sums of ``tail(s2, states)`` onto the
-    second, with ``s2`` the S2 weights at ``phase_offset_rad + sigma * normals[chunk]``."""
-    if sigma == 0.0:
-        return lambda states, normals, chunk: (edge.take(states) for edge in cum_table)
+def _station(incoming, spec: AmzSpec, sigma: float, head, tail):
+    """``(table, rows)`` of a station fed the states ``incoming``: a state's row
+    is its ``head`` edges, then the running sums of ``tail(s2, states)`` onto
+    the second, ``s2`` the S2 weights at the phase.  ``table`` holds each
+    state's row at the leg's offset; ``rows(states, normals, chunk)`` gathers it
+    if sigma is 0, else gives each candidate's at ``offset + sigma * normals[chunk]``."""
     terms = interference_terms(*incoming.T)
     def rows(states, normals, chunk):
         phases = spec.phase_offset_rad + sigma * normals[chunk]
         s2 = s2_weights(*(t.take(states) for t in terms), spec, phases)
-        edge0, edge1 = (edge.take(states) for edge in cum_table[:2])
+        edge0, edge1 = (edge.take(states) for edge in head)
         return [edge0, edge1, *running_sums(tail(s2, states), edge1)]
-    return rows
+    table = np.array(rows(np.arange(len(incoming)), np.zeros(len(incoming)), slice(None)))
+    if sigma == 0.0:
+        return table, lambda states, normals, chunk: (edge.take(states) for edge in table)
+    return table, rows
 
 
-def _receiver_tail(q_table, mu: float, apds):
-    """The receiver's increments from S2 on: the first-fire recurrence resumed from
-    each state's S1 shadow and discard, on the S2 clicks and the state's S3 clicks."""
-    (_, _, discard), shadow = first_fire_increments(q_table[:2])
+def _receiver(q_table, mu: float, apds):
+    """The receiver's ``(head, tail)`` for states with (6, k) click probabilities
+    ``q_table``: the first-fire recurrence on the S1 clicks, resumed from each
+    state's S1 shadow and discard on the S2 clicks and the state's S3 clicks."""
+    (r0, r1, discard), shadow = first_fire_increments(q_table[:2])
     def tail(s2, states):
         q_s2 = [click_probability(w, mu, apd) for w, apd in zip(s2, apds)]
         q = [*q_s2, *(c.take(states) for c in q_table[4:])]
         return first_fire_increments(q, shadow.take(states), discard.take(states))[0]
-    return tail
+    return list(running_sums([r0, r1])), tail
 
 
-def _attacker_tail(prepared, spec: AmzSpec):
-    """The attacker's increments from S2 on: her S2 weights, then her S3 weights per state."""
-    s3 = slot_port_probabilities(*prepared.T, spec)[2]
-    return lambda s2, states: [*s2, *(w.take(states) for w in s3)]
+def _attacker(cells):
+    """The attacker's ``(head, tail)`` for states with slot/port weights ``cells``:
+    her six outcomes are the cells, so her S1 weights, S2 weights and S3 weights."""
+    return list(running_sums(cells[0])), lambda s2, states: [*s2, *(w.take(states) for w in cells[2])]
+
+
+def _arrived(config: SessionConfig, amplitudes: np.ndarray):
+    """``amplitudes`` and the vacuum scaled by the fiber, and their (3, 2, k) receiver weights."""
+    arrived = math.sqrt(transmittance(config.channel)) * np.vstack([amplitudes, np.zeros(2)])
+    return arrived, np.array(slot_port_probabilities(*arrived.T, config.bob_amz))
+
+
+def _link(config: SessionConfig):
+    """The session's sampling law: the attacker's rows (None when she is off),
+    both legs' sigmas (attacker, receiver), the receiver's rows, the candidate
+    bound and the per-pulse registration probability of dark counts alone."""
+    apds, gates, mu = (config.apd_d0, config.apd_d1), config.gates_per_pulse, config.source.mu
+    # The phase riding on a prepared state's late bin combines with the
+    # receiver-arm offset inside slot_port_probabilities, so the effective
+    # interference phase per leg is (receiver offset - transmitter offset).
+    prepared = _prepared_amplitudes(config.alice_amz)
+    jitter, bob_amz, eve_amz = config.alice_amz.phase_jitter_rad, config.bob_amz, config.eve.apparatus
+    eve_rows, incoming, sigmas = None, prepared, (0.0, math.hypot(jitter, bob_amz.phase_jitter_rad))
+    if config.eve.enabled:
+        sigmas = (math.hypot(jitter, eve_amz.phase_jitter_rad), bob_amz.phase_jitter_rad)
+        cells = slot_port_probabilities(*prepared.T, eve_amz)
+        _, eve_rows = _station(prepared, eve_amz, sigmas[0], *_attacker(cells))
+        # Re-prepared states are fresh canonical ones, or vacuum (the last
+        # column) for a suppressed pulse: only the receiver's own jitter
+        # acts on the final leg.
+        incoming = CANONICAL_AMPLITUDES
+    incoming, weights = _arrived(config, incoming)
+    q_table = cell_click_probabilities(weights, mu, apds, gates)
+    table, bob_rows = _station(incoming, bob_amz, sigmas[1], *_receiver(q_table, mu, apds))
+    # Under receiver drift a pulse's click probability moves with its
+    # phase, so candidates are drawn below a phase-independent bound.
+    p = click_bound(weights, mu, apds, gates) if sigmas[1] > 0.0 else table[-1].max()
+    return eve_rows, sigmas, bob_rows, p, float(table[N_CELLS - 1, -1])
 
 
 _ROW_CHUNK = 1 << 16  # candidates per slice of a batch's pass
@@ -256,41 +293,7 @@ def _detect_events(config: SessionConfig, records: PulseTrain, rng: RngHandle):
     pulse and the per-pulse registration probability of dark counts alone.
     Every per-batch and per-slice array is freed on return."""
     n = config.n_pulses
-    apds, gates = (config.apd_d0, config.apd_d1), config.gates_per_pulse
-    mu = config.source.mu
-
-    # The phase riding on a prepared state's late bin combines with the
-    # receiver-arm offset inside slot_port_probabilities, so the effective
-    # interference phase per leg is (receiver offset - transmitter offset).
-    prepared = _prepared_amplitudes(config.alice_amz)
-    bob_amz = config.bob_amz
-    eve_on = config.eve.enabled
-    eve_amz, sigma_eve = config.eve.apparatus, 0.0
-    if eve_on:
-        sigma_eve = math.hypot(config.alice_amz.phase_jitter_rad, eve_amz.phase_jitter_rad)
-        eve_cum = eavesdrop.cumulative_outcomes(*prepared.T, config.eve)
-        eve_rows = _station(prepared, eve_amz, sigma_eve, eve_cum, _attacker_tail(prepared, eve_amz))
-        # Re-prepared states are fresh canonical ones, or vacuum (the last
-        # column) for a suppressed pulse: only the receiver's own jitter
-        # acts on the final leg.
-        incoming = CANONICAL_AMPLITUDES
-        sigma_bob = bob_amz.phase_jitter_rad
-    else:
-        incoming = prepared
-        sigma_bob = math.hypot(config.alice_amz.phase_jitter_rad, bob_amz.phase_jitter_rad)
-
-    # The fiber scales every amplitude by sqrt(transmittance).
-    incoming = math.sqrt(transmittance(config.channel)) * np.vstack([incoming, np.zeros(2)])
-    # Cell-major tables: (3, 2, k) weights, (6, k) click probabilities,
-    # (7, k) cumulative edges.
-    weights = np.array(slot_port_probabilities(*incoming.T, bob_amz))
-    q_table = cell_click_probabilities(weights, mu, apds, gates)
-    cum_table = first_fire_table(q_table)
-    bob_rows = _station(incoming, bob_amz, sigma_bob, cum_table, _receiver_tail(q_table, mu, apds))
-    # Under receiver drift a pulse's click probability moves with its
-    # phase, so candidates are drawn below a phase-independent bound.
-    p = click_bound(weights, mu, apds, gates) if sigma_bob > 0.0 else cum_table[-1].max()
-
+    eve_rows, sigmas, bob_rows, p, dark_register_prob = _link(config)
     events: list[tuple[np.ndarray, ...]] = []  # (pulse, slot, port, sent) per slice
 
     n_batches = (n + BATCH_SIZE - 1) // BATCH_SIZE
@@ -299,10 +302,10 @@ def _detect_events(config: SessionConfig, records: PulseTrain, rng: RngHandle):
         hi = min(lo + BATCH_SIZE, n)
         batch = draw_candidates(hi - lo, p, rng.indexed_stream(DOMAIN_DETECT, b))
         m = batch.offsets.size
-        eve_u = rng.indexed_stream(DOMAIN_EVE, b).random(m) if eve_on else None
+        eve_u = rng.indexed_stream(DOMAIN_EVE, b).random(m) if eve_rows is not None else None
         eve_normals, bob_normals = (
             rng.indexed_stream(DOMAIN_JITTER, 2 * b + leg).standard_normal(m) if s > 0.0 else None
-            for leg, s in enumerate((sigma_eve, sigma_bob)))
+            for leg, s in enumerate(sigmas))
 
         # One pass over cache-sized slices of the candidates, each station
         # sampling from its own rows (see _station).  The receiver's rows stay
@@ -312,7 +315,7 @@ def _detect_events(config: SessionConfig, records: PulseTrain, rng: RngHandle):
             pulses = lo + cand.offsets
             sent = records.states(pulses)
             states = sent.astype(np.intp)
-            if eve_on:
+            if eve_rows is not None:
                 _, resent = eavesdrop.attack_batch(eve_u[chunk], eve_rows(states, eve_normals, chunk))
                 states = resent.astype(np.intp)
             rows = bob_rows(states, bob_normals, chunk)
@@ -322,7 +325,7 @@ def _detect_events(config: SessionConfig, records: PulseTrain, rng: RngHandle):
 
     idx, slots, ports, sent = (np.concatenate(column) for column in zip(*events))
     del events  # the slices' arrays go before classifying allocates
-    return ClassifiedEvents(idx, *classify_arrays(slots, ports)), sent, float(cum_table[N_CELLS - 1, -1])
+    return ClassifiedEvents(idx, *classify_arrays(slots, ports)), sent, dark_register_prob
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +357,7 @@ def profile_rows(config: SessionConfig, sampled_pulses: int = 0) -> list[Profile
     rng = RngHandle(config.seed)
     apds = (config.apd_d0, config.apd_d1)
     prepared = _prepared_amplitudes(config.alice_amz)
-    arrived = math.sqrt(transmittance(config.channel)) * prepared
-    weights = np.array(slot_port_probabilities(*arrived.T, config.bob_amz))
+    _, weights = _arrived(config, prepared)
     rows: list[ProfileRow] = []
     for k, state in enumerate(CANONICAL_STATES):
         label, w = state.label(), weights[..., k]

@@ -33,7 +33,7 @@ def test_every_hook_finds_its_target():
 
 def test_a_session_calls_through_the_hooked_names():
     """A session with the attacker on feeds every per-layer span of the
-    in-process run path.  ``session.bob_transform`` is hooked but no longer
+    in-process run path, and computes the channel's transmittance once.  ``session.bob_transform`` is hooked but no longer
     called, so its metrics read 0; session keeps importing it because the
     bench prints an absent metric as no number at all."""
     tracer = tracing.Tracer()
@@ -46,6 +46,8 @@ def test_a_session_calls_through_the_hooked_names():
     }
     counted = {name for _, name in tracer.counters}
     assert {"channel.transmittance.calls", "detection.pulses", "eavesdrop.pulses"} <= counted
+    # ``_link`` builds the link once per session, through session's own ``transmittance``.
+    assert tracer.counters[(tracer.op, "channel.transmittance.calls")] == 1
 
 
 def test_a_cli_run_calls_through_the_hooked_names(tmp_path, capsys):

@@ -158,6 +158,16 @@ class TestRejection:
         with pytest.raises(ConfigError, match="laser"):
             parse_config(write(tmp_path, "[laser]\npower = 1\n"))
 
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\nmu = 0.5\nn_pulses = 5\n",
+        "[DEFAULT]\nmu = 0.5\nn_pulses = 5\n[session]\nseed = 3\n",
+    ], ids=["alone", "with_session"])
+    def test_default_section_refused(self, tmp_path, text):
+        """configparser would drop a lone [DEFAULT] section, or else copy its
+        keys into every other section; the file is refused either way."""
+        with pytest.raises(ConfigError, match="^DEFAULT: unknown section$"):
+            parse_config(write(tmp_path, text))
+
     def test_unknown_key_with_path(self, tmp_path):
         with pytest.raises(ConfigError, match=r"channel\.attenu"):
             parse_config(write(tmp_path, "[channel]\nattenu = 0.2\n"))

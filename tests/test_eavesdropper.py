@@ -12,7 +12,6 @@ from timebin_bb84.eavesdrop import (
     VACUUM_INDEX,
     EveSpec,
     attack_batch,
-    cumulative_outcomes,
     enumerate_attack_qber,
 )
 from timebin_bb84.optics import (
@@ -36,16 +35,20 @@ def enabled_eve(**amz_kwargs) -> EveSpec:
 
 def outcome_probabilities(state: TimeBinState, spec: EveSpec) -> np.ndarray:
     """(7,) probabilities of the six slot/port outcomes, then of none."""
-    cum = cumulative_outcomes(*state.bins[:, 0], spec)
-    return np.append(np.diff(cum, prepend=0.0), 1.0 - cum[-1])
+    p = bob_transform(state, spec.apparatus).p.reshape(6)
+    return np.append(p, 1.0 - p.sum())
+
+
+def attacker_station(amps: np.ndarray, spec: EveSpec, sigma: float):
+    """The attacker's (table, rows), as a session builds them, for states ``amps``."""
+    cells = slot_port_probabilities(*amps.T, spec.apparatus)
+    return session._station(amps, spec.apparatus, sigma, *session._attacker(cells))
 
 
 def drifting_rows(amps: np.ndarray, spec: EveSpec, sigma: float, states: np.ndarray, normals: np.ndarray):
     """The attacker's rows, as a session builds them, for candidates in
     ``states`` (rows of ``amps``) at phases offset + sigma * ``normals``."""
-    table = cumulative_outcomes(*amps.T, spec)
-    tail = session._attacker_tail(amps, spec.apparatus)
-    return session._station(amps, spec.apparatus, sigma, table, tail)(states, normals, slice(None))
+    return attacker_station(amps, spec, sigma)[1](states, normals, slice(None))
 
 
 def resend_state(outcome: int) -> TimeBinState:
@@ -133,16 +136,17 @@ class TestAttackBranches:
         probs = outcome_probabilities(canonical_link_state(CANONICAL_STATES[0]), spec)
         assert abs(probs[6] - (1 - 10 ** (-0.3))) < 1e-12
 
-    def test_cumulative_outcomes_match_outcome_probabilities(self):
+    def test_station_rows_match_outcome_probabilities(self):
         # table rows and per-pulse rows under drift are the running sums of
         # the single-state slot/port table at the pulse's phase
         spec = enabled_eve(excess_loss_db=1.0, visibility=0.8, phase_offset_rad=0.3)
         amps = np.array([canonical_link_state(s).bins[:, 0] for s in CANONICAL_STATES])
+        table, _ = attacker_station(amps, spec, 0.7)
         normals = np.array([-1.0, 0.0, 2.5])
         for k, state in enumerate(CANONICAL_STATES):
             link = canonical_link_state(state)
             want = np.cumsum(bob_transform(link, spec.apparatus).p.reshape(6))
-            assert np.max(np.abs(cumulative_outcomes(*link.bins[:, 0], spec) - want)) < 1e-15
+            assert np.max(np.abs(table[:, k] - want)) < 1e-15
             rows = drifting_rows(amps, spec, 0.7, np.full(3, k), normals)
             for normal, row in zip(normals, np.transpose(rows)):
                 shifted = AmzSpec(excess_loss_db=1.0, visibility=0.8, phase_offset_rad=0.3 + 0.7 * normal)
@@ -189,8 +193,8 @@ class TestMonteCarloInvariant:
         receiver measurement; returns per-basis (errors, sifted)."""
         rng = np.random.default_rng(seed)
         states = rng.integers(0, 4, size=n).astype(np.uint8)
-        amps = np.array([canonical_link_state(s).bins[:, 0] for s in CANONICAL_STATES])
-        cum = cumulative_outcomes(amps[:, 0], amps[:, 1], eve_spec)
+        cells = [bob_transform(canonical_link_state(s), eve_spec.apparatus).p.reshape(6) for s in CANONICAL_STATES]
+        cum = np.cumsum(cells, axis=1).T
         _, resent = attack_batch(rng.random(n), cum[:, states])
         # receiver: projective sample over the six cells per resent state
         tables = np.stack(

@@ -14,9 +14,10 @@ from timebin_bb84.channel import ChannelSpec, transmittance
 from timebin_bb84 import detection, eavesdrop, session
 from timebin_bb84.config import ConfigError, SessionConfig
 from timebin_bb84.detection import ApdSpec, SourceSpec, expected_event_rates
-from timebin_bb84.eavesdrop import EveSpec, cumulative_outcomes, enumerate_attack_qber
+from timebin_bb84.eavesdrop import EveSpec, enumerate_attack_qber
 from timebin_bb84.eavesdrop import OUTCOME_TO_STATE_INDEX
 from timebin_bb84.optics import (
+    CANONICAL_AMPLITUDES,
     CANONICAL_STATES,
     AmzSpec,
     Basis,
@@ -288,8 +289,8 @@ def test_thinned_detection_equals_unthinned(monkeypatch, name):
 @pytest.mark.parametrize("jitter", [0.2, 0.0], ids=["drift", "steady"])
 def test_attacker_sampler_equals_per_pulse_rows(monkeypatch, jitter):
     """Within run_session, the attacker's sampler gives the same
-    outcomes, bit for bit, as sampling every candidate's full
-    cumulative_outcomes row against the same uniforms, and the counts of
+    outcomes, bit for bit, as sampling every candidate's full row of
+    cumulative outcome probabilities against the same uniforms, and the counts of
     its seven outcomes lie within the band at Z of their exact law.  A
     lossy apparatus makes all seven occur; without dark counts, no
     candidate the attacker suppressed (vacuum resent) registers at the
@@ -496,16 +497,17 @@ class TestDriftedRows:
     def assert_rows(station, sigma, offset, states, want_rows, cum_table):
         """The drifting rows of ``station`` at sigma equal, bit for bit,
         ``want_rows(phases)``, each candidate's full recompute at its phase;
-        at the leg's offset they are the candidates' table rows, and a
-        steady leg gives the table rows everywhere."""
+        at the leg's offset they are the candidates' rows of ``cum_table``,
+        the table built independently, and a steady leg gives those rows
+        everywhere."""
         normals, chunk = drifting_normals(states.size, np.random.default_rng(states.size))
-        rows = station(sigma)(states, normals, chunk)
+        rows = station(sigma)[1](states, normals, chunk)
         table_rows = cum_table.take(states, axis=1)
         assert len(rows) == len(cum_table)
         assert np.array_equal(rows, want_rows(offset + sigma * normals[chunk]))
         at_offset = slice(states.size // 4)
         assert np.array_equal(np.array(rows)[:, at_offset], table_rows[:, at_offset])
-        assert np.array_equal(list(station(0.0)(states, None, chunk)), table_rows)
+        assert np.array_equal(list(station(0.0)[1](states, None, chunk)), table_rows)
 
     @pytest.mark.parametrize("gates", [1, 2, 3])
     def test_receiver_rows_are_the_full_recompute(self, gates):
@@ -513,13 +515,13 @@ class TestDriftedRows:
         formulas on every candidate's amplitudes and phase."""
         bob_amz, apds, incoming, q_table, cum_table = drifting_receiver_tables(gates)
         states = np.random.default_rng(3).integers(0, 5, 20_000)
-        tail = session._receiver_tail(q_table, 0.4, apds)
+        head_tail = session._receiver(q_table, 0.4, apds)
 
         def recompute(phases):
             weights = np.array(slot_port_probabilities(*incoming.T.take(states, axis=1), bob_amz, phases))
             return detection.first_fire_table(detection.cell_click_probabilities(weights, 0.4, apds, gates))
 
-        self.assert_rows(lambda sigma: session._station(incoming, bob_amz, sigma, cum_table, tail),
+        self.assert_rows(lambda sigma: session._station(incoming, bob_amz, sigma, *head_tail),
                          bob_amz.phase_jitter_rad, bob_amz.phase_offset_rad, states, recompute, cum_table)
 
     def test_attacker_rows_are_the_full_recompute(self):
@@ -527,16 +529,63 @@ class TestDriftedRows:
         cells at every candidate's amplitudes and phase."""
         eve_amz = AmzSpec(visibility=0.9, excess_loss_db=0.7, phase_offset_rad=0.2, phase_jitter_rad=0.25)
         prepared = session._prepared_amplitudes(AmzSpec(phase_offset_rad=-0.4))
-        cum_table = cumulative_outcomes(*prepared.T, EveSpec(True, eve_amz))
-        tail = session._attacker_tail(prepared, eve_amz)
+        cells = slot_port_probabilities(*prepared.T, eve_amz)
+        cum_table = detection.cumulative_edges([w for row in cells for w in row])
+        head_tail = session._attacker(cells)
         states = np.random.default_rng(4).integers(0, 4, 20_000)
 
         def recompute(phases):
             cells = slot_port_probabilities(*prepared.T.take(states, axis=1), eve_amz, phases)
             return detection.cumulative_edges([w for row in cells for w in row])
 
-        self.assert_rows(lambda sigma: session._station(prepared, eve_amz, sigma, cum_table, tail),
+        self.assert_rows(lambda sigma: session._station(prepared, eve_amz, sigma, *head_tail),
                          eve_amz.phase_jitter_rad, eve_amz.phase_offset_rad, states, recompute, cum_table)
+
+
+@pytest.mark.parametrize("bob_drift", [True, False], ids=["bob_drift", "bob_steady"])
+@pytest.mark.parametrize("eve_drift", [True, False], ids=["eve_drift", "eve_steady"])
+@pytest.mark.parametrize("eve_on", [True, False], ids=["eve_on", "eve_off"])
+@pytest.mark.parametrize("gates", [1, 2, 3])
+def test_link_equals_the_independent_constructions(gates, eve_on, eve_drift, bob_drift):
+    """``_link``'s law equals, bit for bit, the tables built independently
+    with unequal detectors: each station's rows at its leg's offset are its
+    table (the receiver's the first-fire table of its click probabilities,
+    the attacker's the cumulative edges of her six cells), the candidate
+    bound is the drift bound under receiver drift and otherwise the largest
+    any-click edge, and the dark rate is the vacuum column's sixth edge.
+    The transmitter's jitter drifts the attacker's leg, or the receiver's
+    when she is off."""
+    alice_amz = PhaseSpec(phase_offset_rad=0.3, phase_jitter_rad=0.1 * eve_drift)
+    eve_amz = AmzSpec(visibility=0.9, excess_loss_db=0.7, phase_offset_rad=-0.2, phase_jitter_rad=0.25 * eve_drift)
+    bob_amz = AmzSpec(visibility=0.95, excess_loss_db=1.5, phase_offset_rad=0.15, phase_jitter_rad=0.2 * bob_drift)
+    apds = (ApdSpec(efficiency=0.2, dark_per_gate=1e-3), ApdSpec(efficiency=0.5, dark_per_gate=1e-4))
+    cfg = SessionConfig(
+        source=SourceSpec(mu=0.4), alice_amz=alice_amz, bob_amz=bob_amz, apd_d0=apds[0], apd_d1=apds[1],
+        eve=EveSpec(eve_on, eve_amz), gates_per_pulse=gates,
+    )
+    eve_rows, sigmas, bob_rows, p, dark = session._link(cfg)
+
+    def at_offset(rows, k):
+        return np.array(list(rows(np.arange(k), np.zeros(k), slice(None))))
+
+    prepared = CANONICAL_AMPLITUDES.copy()
+    prepared[:, 1] *= np.exp(1j * alice_amz.phase_offset_rad)
+    if eve_on:
+        cells = slot_port_probabilities(*prepared.T, eve_amz)
+        assert np.array_equal(at_offset(eve_rows, 4), detection.cumulative_edges([w for row in cells for w in row]))
+        want_sigmas = (math.hypot(alice_amz.phase_jitter_rad, eve_amz.phase_jitter_rad), bob_amz.phase_jitter_rad)
+        incoming = CANONICAL_AMPLITUDES
+    else:
+        assert eve_rows is None
+        want_sigmas = (0.0, math.hypot(alice_amz.phase_jitter_rad, bob_amz.phase_jitter_rad))
+        incoming = prepared
+    assert sigmas == want_sigmas
+    arrived = math.sqrt(transmittance(cfg.channel)) * np.vstack([incoming, np.zeros(2)])
+    weights = np.array(slot_port_probabilities(*arrived.T, bob_amz))
+    table = detection.first_fire_table(detection.cell_click_probabilities(weights, 0.4, apds, gates))
+    assert np.array_equal(at_offset(bob_rows, 5), table)
+    assert p == (detection.click_bound(weights, 0.4, apds, gates) if want_sigmas[1] > 0.0 else table[-1].max())
+    assert dark == table[5, -1]
 
 
 @pytest.mark.parametrize("drift", [True, False], ids=["drift", "steady"])
@@ -667,8 +716,8 @@ def drifted_attack_qber(cfg: SessionConfig) -> dict[Basis, float]:
         probs = np.zeros(7)  # six outcomes, then none
         for x, w in zip(*_gauss_hermite(sigma_eve)):
             amz = dataclasses.replace(eve_amz, phase_offset_rad=eve_amz.phase_offset_rad + x)
-            cum = cumulative_outcomes(*canonical_link_state(state).bins[:, 0], EveSpec(True, amz))
-            probs += w * np.append(np.diff(cum, prepend=0.0), 1.0 - cum[-1])
+            p = bob_transform(canonical_link_state(state), amz).p.reshape(6)
+            probs += w * np.append(p, 1.0 - p.sum())
         per_state.append(sum(p * bob_rates[OUTCOME_TO_STATE_INDEX[o]] for o, p in enumerate(probs)))
     z0, z1, x0, x1 = per_state  # rows S1..S3, columns D0, D1
     qber_z = (z0[2].sum() + z1[0].sum()) / (z0[0].sum() + z0[2].sum() + z1[0].sum() + z1[2].sum())
