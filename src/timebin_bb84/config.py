@@ -7,7 +7,8 @@ annotated type and defaulting to the field default, so an empty file is
 valid.  DEFAULT_CONFIG_TEXT is generated from ``SessionConfig()``.  Unknown
 sections or keys are rejected rather than ignored, and validation failures
 carry the offending ``section.key`` path.  ``with_values`` sets values by
-that path: the file's, the command-line flags' and the sweep axes'.
+that path: the file's, the command-line flags' and the sweep axes', each
+read from ``str(value)`` by its key's type; a float's reads back exactly.
 
 Provenance of defaults: ~2 dB excess interferometer loss and >20 dB
 achievable extinction describe the modeled hardware (whose one-bin, 5 ns
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import numbers
 from collections import defaultdict
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, field
@@ -59,6 +61,9 @@ class SessionConfig:
     gates_per_pulse: int = 3
 
     def __post_init__(self) -> None:
+        for key in ("n_pulses", "seed", "gates_per_pulse"):
+            if not isinstance(getattr(self, key), numbers.Integral):
+                raise ConfigError("must be an integer", f"session.{key}")
         if self.n_pulses < 0:
             raise ConfigError("must be >= 0", "session.n_pulses")
         if self.n_pulses >= 2**63:
@@ -122,10 +127,10 @@ _KEYS = {f"{section}.{key}": (field_path, key, parser)
 _CHILDREN_FIRST = sorted(_SECTIONS.items(), key=lambda s: -len(s[1][0].split(".")) if s[1][0] else 0)
 
 
-def with_values(config: SessionConfig, values: Mapping[str, Any], *, parse: bool = False) -> SessionConfig:
-    """``config`` with each ``section.key`` of ``values`` set, checked as a
-    config file is: unknown sections and keys are refused, and with ``parse``
-    each value is text parsed by its key's type.  Each spec with new values is
+def with_values(config: SessionConfig, values: Mapping[str, Any]) -> SessionConfig:
+    """``config`` with each ``section.key`` of ``values`` set, read as a
+    config file is: unknown sections and keys are refused, and each value is
+    read from ``str(value)`` by its key's type.  Each spec with new values is
     rebuilt once, after those nested in it; a failed check names its section."""
     changed: dict[str, dict[str, Any]] = defaultdict(dict)  # field path -> new field values
     for name, value in values.items():
@@ -136,12 +141,10 @@ def with_values(config: SessionConfig, values: Mapping[str, Any], *, parse: bool
                 raise ConfigError("unknown section", section)
             raise ConfigError("unknown key", name)
         field_path, key, key_parser = entry
-        if parse:
-            try:
-                value = key_parser(value)
-            except ValueError as exc:
-                raise ConfigError(str(exc), name) from exc
-        changed[field_path][key] = value
+        try:
+            changed[field_path][key] = key_parser(str(value))
+        except ValueError as exc:
+            raise ConfigError(str(exc), name) from exc
     for section, (field_path, _, _) in _CHILDREN_FIRST:
         if field_path not in changed:
             continue
@@ -178,7 +181,7 @@ def parse_config(path: str | Path | None) -> SessionConfig:
         if section not in _SECTIONS:
             raise ConfigError("unknown section", section)
     values = {f"{s}.{key}": raw for s in parser.sections() for key, raw in parser.items(s)}
-    return with_values(_DEFAULTS, values, parse=True)
+    return with_values(_DEFAULTS, values)
 
 
 DEFAULT_CONFIG_TEXT = """\

@@ -45,7 +45,6 @@ from __future__ import annotations
 import math
 import socket
 import struct
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,13 +112,24 @@ class PulseTrain:
         return s & 1, s >> 1
 
 
+def _zeros_and_ones(codes, what: str) -> np.ndarray:
+    """``codes`` as uint8, refused before the cast unless integers 0 and 1."""
+    codes = np.asarray(codes)
+    if codes.dtype.kind not in "biu" or codes.size and (codes.min() < 0 or codes.max() > 1):
+        raise ValueError(f"{what} must be integers 0 or 1")
+    return codes.astype(np.uint8, copy=False)
+
+
 class ClassifiedEvents:
     """Receiver-side classified detections, sorted by pulse index."""
 
     def __init__(self, pulse_indices: np.ndarray, bases: np.ndarray, bits: np.ndarray):
-        idx = np.asarray(pulse_indices, dtype=np.int64)
-        bases = np.asarray(bases, dtype=np.uint8)
-        bits = np.asarray(bits, dtype=np.uint8)
+        idx = np.asarray(pulse_indices)
+        if idx.dtype.kind not in "iu":
+            raise ValueError("pulse indices must be integers")
+        idx = idx.astype(np.int64, copy=False)
+        bases = _zeros_and_ones(bases, "bases")
+        bits = _zeros_and_ones(bits, "bits")
         if not (idx.shape == bases.shape == bits.shape) or idx.ndim != 1:
             raise ValueError("index, basis and bit arrays must be 1-D and equal length")
         if np.any(idx[1:] <= idx[:-1]):
@@ -501,8 +511,8 @@ def run_protocol(
     Without ``transports`` the endpoints exchange message objects on the
     caller's thread.  With a (transmitter, receiver) transport pair each
     endpoint is driven over its own transport; the receiver, which opens
-    the session, runs on a helper thread, because a socket pair cannot
-    buffer a large announce until the transmitter reads it.
+    the session, runs as a future on a worker thread, because a socket pair
+    cannot buffer a large announce until the transmitter reads it.
     """
     if sent is not None and np.shape(sent) != bob_classifications.pulse_indices.shape:
         raise ValueError("sent must hold one state per event")
@@ -519,23 +529,13 @@ def run_protocol(
             i += 1
         return alice.key, bob.key, [msg for _, msg in wire]
 
-    ta, tb = transports
-    bob_error: list[BaseException] = []
+    # Imported here: it loads logging, which no in-process session needs.
+    from concurrent.futures import ThreadPoolExecutor
 
-    def bob_side() -> None:
-        try:
-            drive(bob, tb)
-        except BaseException as exc:  # noqa: BLE001 - re-raised on the caller's thread
-            bob_error.append(exc)
-
-    t = threading.Thread(target=bob_side, name="bob-endpoint")
-    t.start()
-    try:
+    with ThreadPoolExecutor(1, thread_name_prefix="bob-endpoint") as pool:
+        bob_side = pool.submit(drive, bob, transports[1])
         # Every message passes through the transmitter, so her log is the
         # whole transcript.
-        transcript = drive(alice, ta)
-    finally:
-        t.join()
-    if bob_error:
-        raise bob_error[0]
+        transcript = drive(alice, transports[0])
+    bob_side.result()
     return alice.key, bob.key, transcript

@@ -2,8 +2,12 @@
 
 import configparser
 import dataclasses
+import struct
 
+import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from timebin_bb84.cli import main
 from timebin_bb84.config import (
@@ -53,6 +57,10 @@ ALL_KEYS = [
     ("eve_amz", "visibility", "0.8", "eve.apparatus.visibility", 0.8),
     ("eve_amz", "phase_jitter_rad", "0.2", "eve.apparatus.phase_jitter_rad", 0.2),
 ]
+
+
+# section.key -> SessionConfig field path
+FIELDS = {f"{section}.{key}": field for section, key, _, field, _ in ALL_KEYS}
 
 
 def leaves(config):
@@ -249,6 +257,15 @@ class TestRejection:
         with pytest.raises(ConfigError, match=r"session\.n_pulses"):
             SessionConfig(n_pulses=-1)
 
+    @pytest.mark.parametrize("key, value", [("n_pulses", 1.5), ("seed", 1.5), ("gates_per_pulse", 2.0)])
+    def test_non_integral_session_value_refused(self, key, value):
+        with pytest.raises(ConfigError, match=rf"^session\.{key}: must be an integer$"):
+            SessionConfig(**{key: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = SessionConfig(n_pulses=np.int64(20_000), seed=np.uint64(3), gates_per_pulse=np.int8(2))
+        assert cfg == SessionConfig(n_pulses=20_000, seed=3, gates_per_pulse=2)
+
 
 class TestWithValues:
     def test_sets_values_by_path(self):
@@ -306,12 +323,48 @@ class TestWithValues:
             parse_config(write(tmp_path, "[session]\nn_pulses = 1e30\n"))
 
     def test_parse_reads_text_by_key_type(self):
-        cfg = with_values(
-            SessionConfig(), {"session.n_pulses": "2e3", "eve.enabled": "yes"}, parse=True
-        )
+        cfg = with_values(SessionConfig(), {"session.n_pulses": "2e3", "eve.enabled": "yes"})
         assert cfg.n_pulses == 2000 and cfg.eve.enabled is True
         with pytest.raises(ConfigError, match=r"^session\.n_pulses: '10\.5' is not an integer$"):
-            with_values(SessionConfig(), {"session.n_pulses": "10.5"}, parse=True)
+            with_values(SessionConfig(), {"session.n_pulses": "10.5"})
+
+
+class TestOneReadingRule:
+    """Text and Python values are read one way: from their text, by the
+    key's type, as a config file's are."""
+
+    @pytest.mark.parametrize("off", ["false", False, np.False_], ids=["text", "bool", "numpy_bool"])
+    def test_false_turns_the_attacker_off(self, off):
+        cfg = with_values(SessionConfig(eve=EveSpec(enabled=True)), {"eve.enabled": off})
+        assert cfg.eve.enabled is False
+
+    def test_text_sets_a_float(self):
+        assert with_values(SessionConfig(), {"source.mu": "0.5"}).source.mu == 0.5
+
+    def test_integral_float_gives_an_int(self):
+        cfg = with_values(SessionConfig(), {"session.n_pulses": 1e5})
+        assert cfg.n_pulses == 100_000 and type(cfg.n_pulses) is int
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("session.n_pulses", 1.5, r"^session\.n_pulses: '1\.5' is not an integer$"),
+            ("source.mu", True, r"^source\.mu: .*'True'$"),
+        ],
+    )
+    def test_value_of_another_type_refused(self, name, value, message):
+        with pytest.raises(ConfigError, match=message):
+            with_values(SessionConfig(), {name: value})
+
+    @given(name=st.sampled_from(sorted(k for k, entry in _KEYS.items() if entry[2] is float)),
+           value=st.floats(0, 1) | st.floats(allow_nan=False, allow_infinity=False))
+    def test_float_reads_back_bit_for_bit(self, name, value):
+        try:
+            cfg = with_values(SessionConfig(), {name: value})
+        except ConfigError:
+            assume(False)  # outside the key's accepted range
+        stored = leaves(cfg)[FIELDS[name]]
+        assert struct.pack("<d", stored) == struct.pack("<d", value)
 
 
 # The every-key check runs from a dense, attacked base link, so that each

@@ -4,6 +4,7 @@ import math
 import re
 import socket
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -647,7 +648,7 @@ class TestTransports:
         def no_thread(*args, **kwargs):
             raise AssertionError("an in-process session started a thread")
 
-        monkeypatch.setattr(protocol.threading, "Thread", no_thread)
+        monkeypatch.setattr(threading, "Thread", no_thread)  # every worker starts through it
         result = run_session(SessionConfig(n_pulses=20_000, seed=3))
         assert np.array_equal(result.alice_key.source_indices, result.bob_key.source_indices)
 
@@ -791,8 +792,14 @@ class TestAborts:
             ([[1, 2]], [[0, 1]], [[0, 1]], "1-D and equal length"),
             ([1, 3, 3], [0, 1, 0], [0, 1, 1], "strictly increasing"),
             ([4, 2], [0, 1], [0, 1], "strictly increasing"),
+            ([0.7, 1.9, 2.5], [0, 1, 0], [0, 1, 1], "indices must be integers"),
+            ([1, 2], [256, 0], [0, 1], "bases must be integers 0 or 1"),
+            ([1, 2], [2, 0], [3, 1], "bases must be integers 0 or 1"),
+            ([1, 2], [0, 1], [0, 3], "bits must be integers 0 or 1"),
+            ([1, 2], [0, 1], [-1, 0], "bits must be integers 0 or 1"),
         ],
-        ids=["short_bases", "two_d", "repeated_index", "decreasing"],
+        ids=["short_bases", "two_d", "repeated_index", "decreasing", "float_indices", "basis_256",
+             "basis_2", "bit_3", "bit_negative"],
     )
     def test_classified_events_refusals(self, idx, bases, bits, error):
         with pytest.raises(ValueError, match=error):
