@@ -43,20 +43,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile = subs.add_parser("profile", help="per-state slot/port intensity profiles")
     p_run = subs.add_parser("run", help="simulate one key-distribution session")
     p_sweep = subs.add_parser("sweep", help="one session per value along a parameter axis")
-    # A flag that sets a config value stores it under its section.key path, or None if absent.
+    # A flag that sets a config value stores it under its section.key path, or None if
+    # absent, with no argparse type: with_values reads it as it reads the file's text.
     for sub in (p_profile, p_run, p_sweep):
         sub._negative_number_matcher = re.compile(r"^-\.?\d")  # -1e-3 or -0.2,0.1 is a value, not a flag
         sub.add_argument("--config", metavar="PATH", help="INI config file (defaults if omitted)")
-        sub.add_argument(
-            "--seed", dest="session.seed", type=integer, metavar="N", help="override session.seed"
-        )
+        sub.add_argument("--seed", dest="session.seed", metavar="N", help="override session.seed")
         sub.add_argument("--out", metavar="DIR", type=Path, default="out", help="output directory")
     # Flags that change the simulated session; the exact profile runs none.
     for sub in (p_run, p_sweep):
-        sub.add_argument(
-            "--pulses", dest="session.n_pulses", type=integer, metavar="N",
-            help="override session.n_pulses",
-        )
+        sub.add_argument("--pulses", dest="session.n_pulses", metavar="N", help="override session.n_pulses")
         sub.add_argument(
             "--eve", dest="eve.enabled", action="store_true", default=None,
             help="enable the intercept-resend attacker",

@@ -61,9 +61,11 @@ class SessionConfig:
     gates_per_pulse: int = 3
 
     def __post_init__(self) -> None:
-        for key in ("n_pulses", "seed", "gates_per_pulse"):
-            if not isinstance(getattr(self, key), numbers.Integral):
-                raise ConfigError("must be an integer", f"session.{key}")
+        kinds = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number")}
+        for f in dataclasses.fields(self):  # scalar fields; a nested spec is not checked here
+            kind, name = kinds.get(f.type, (object, ""))
+            if not isinstance(getattr(self, f.name), kind):
+                raise ConfigError(f"must be {name}", f"session.{f.name}")
         if self.n_pulses < 0:
             raise ConfigError("must be >= 0", "session.n_pulses")
         if self.n_pulses >= 2**63:

@@ -366,13 +366,11 @@ def _expect(msg: ClassicalMessage, kind: type | None) -> None:
 
 
 def _require_increasing_within(
-    indices: np.ndarray, size: int, what: str, outside: str = "position outside the agreed set",
-    ordered: bool = False,
+    indices: np.ndarray, size: int, what: str, outside: str = "position outside the agreed set"
 ) -> None:
-    """Abort unless ``indices`` strictly increase inside ``range(size)``; an
-    ``ordered`` array is known to increase, so only its range is checked.
+    """Abort unless ``indices`` strictly increase inside ``range(size)``;
     ``outside`` completes the error for an index out of that range."""
-    if not ordered and np.any(indices[1:] <= indices[:-1]):
+    if np.any(indices[1:] <= indices[:-1]):
         raise ProtocolError(f"{what} indices are not strictly increasing")
     if indices.size and (indices[0] < 0 or indices[-1] >= size):
         raise ProtocolError(f"{what} {outside}")
@@ -415,10 +413,9 @@ class AliceEndpoint:
         if isinstance(msg, BobBasisAnnounce):
             if msg.bases.shape != msg.indices.shape or np.any(msg.bases >> 1):  # any bit but the lowest
                 raise ProtocolError("basis_announce needs one basis, 0 or 1, per index")
-            # ClassifiedEvents checked that the events' own index array increases.
             sent = self._known[1] if msg.indices is self._known[0] else None
             _require_increasing_within(msg.indices, len(self.records), "announced",
-                                       "pulse index out of session range", ordered=sent is not None)
+                                       "pulse index out of session range")
             bits, bases = self.records.choices(msg.indices) if sent is None else (sent & 1, sent >> 1)
             matched = np.flatnonzero(bases == msg.bases)
             n_sample = int(self.sample_fraction * matched.size)

@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, file outputs and CSV round-trips."""
 
+import argparse
 import math
 
 import pytest
@@ -263,6 +264,15 @@ class TestFlagsAndFile:
         err = capsys.readouterr().err
         assert "config error: session.seed: must be a 64-bit unsigned integer" in err
 
+    def test_config_flags_have_no_argparse_type(self):
+        """with_values is the only reader of a config value: a flag stored
+        under a section.key path reaches it as the text given."""
+        subs = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        typed = {(command, a.dest): a.type for command, sub in subs.choices.items()
+                 for a in sub._actions if "." in a.dest}
+        assert ("run", "session.n_pulses") in typed and ("profile", "session.seed") in typed
+        assert [flag for flag, kind in typed.items() if kind is not None] == []
+
     @pytest.mark.parametrize("flag", [["--eve"], ["--conventional-mode"], ["--pulses", "10"]])
     def test_profile_refuses_session_flags(self, tmp_path, capsys, flag):
         assert main(["profile", *flag, "--out", str(tmp_path / "o")]) == 1
@@ -275,9 +285,17 @@ class TestExitCodes:
         assert main(["frobnicate"]) == 1
         assert main(["sweep"]) == 1  # missing required --axis/--values
 
-    def test_non_integer_count_is_1(self, capsys):
-        assert main(["run", "--pulses", "1.5"]) == 1
-        assert "invalid integer value: '1.5'" in capsys.readouterr().err
+    def test_non_integer_count_is_1(self, tmp_path, capsys):
+        """A flag's value is read as the file's is, so both print one line."""
+        for flag, key in (("--pulses", "n_pulses"), ("--seed", "seed")):
+            path = tmp_path / f"{key}.ini"
+            path.write_text(f"[session]\n{key} = 1.5\n")
+            errors = []
+            for argv in ([flag, "1.5"], ["--config", str(path)]):
+                assert main(["run", *argv, "--out", str(tmp_path / "o")]) == 1
+                errors.append(capsys.readouterr().err)
+            assert errors == [f"config error: session.{key}: '1.5' is not an integer\n"] * 2
+        assert not (tmp_path / "o").exists()
 
     def test_config_error_is_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"

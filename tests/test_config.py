@@ -262,6 +262,10 @@ class TestRejection:
         with pytest.raises(ConfigError, match=rf"^session\.{key}: must be an integer$"):
             SessionConfig(**{key: value})
 
+    def test_non_number_sample_fraction_refused(self):
+        with pytest.raises(ConfigError, match=r"^session\.sample_fraction: must be a number$"):
+            SessionConfig(sample_fraction="0.5")
+
     def test_numpy_integers_accepted(self):
         cfg = SessionConfig(n_pulses=np.int64(20_000), seed=np.uint64(3), gates_per_pulse=np.int8(2))
         assert cfg == SessionConfig(n_pulses=20_000, seed=3, gates_per_pulse=2)

@@ -744,11 +744,14 @@ class TestAborts:
             alice.receive(BobBasisAnnounce(np.array([2, 9]), np.array([0, 0], np.uint8)))
 
     def test_announce_not_monotone(self):
+        """Refused whether or not the announce reads given states."""
         records = ArrayTrain(np.zeros(4, np.uint8), np.zeros(4, np.uint8))
-        alice = AliceEndpoint(records, 0.5, np.random.default_rng(0))
-        alice.start()
-        with pytest.raises(ProtocolError, match="strictly increasing"):
-            alice.receive(BobBasisAnnounce(np.array([3, 1]), np.array([0, 0], np.uint8)))
+        indices = np.array([3, 1])
+        for known in (None, (indices, np.zeros(2, np.uint8))):
+            alice = AliceEndpoint(records, 0.5, np.random.default_rng(0), known)
+            alice.start()
+            with pytest.raises(ProtocolError, match="strictly increasing"):
+                alice.receive(BobBasisAnnounce(indices, np.array([0, 0], np.uint8)))
 
     @pytest.mark.parametrize(
         "announce",
