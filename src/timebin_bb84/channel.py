@@ -11,8 +11,9 @@ interest.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+from .fields import check_fields, within
 
 
 @dataclass(frozen=True)
@@ -20,15 +21,10 @@ class ChannelSpec:
     """Fiber parameters. 0.2 dB/km is the generic telecom value at 1.55 um
     (an assumption; the modeled experiment used a short patch fiber)."""
 
-    length_km: float = 0.0
-    atten_db_per_km: float = 0.2
-    fixed_insertion_db: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("length_km", "atten_db_per_km", "fixed_insertion_db"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0")
+    length_km: float = within(0.0, 0.0)
+    atten_db_per_km: float = within(0.2, 0.0)
+    fixed_insertion_db: float = within(0.0, 0.0)
+    __post_init__ = check_fields
 
 
 def transmittance(spec: ChannelSpec) -> float:

@@ -12,7 +12,8 @@ import re
 import sys
 from pathlib import Path
 
-from .config import ConfigError, SessionConfig, integer, parse_config, with_values
+from .config import ConfigError, SessionConfig, parse_config, with_values
+from .fields import integer
 from .protocol import ProtocolError
 from .reporting import (
     format_profile_text,
@@ -95,11 +96,7 @@ def _run(args: argparse.Namespace, config: SessionConfig) -> tuple[str, dict]:
 
 
 def _sweep(args: argparse.Namespace, config: SessionConfig) -> tuple[str, dict]:
-    try:
-        values = [float(v) for v in args.values.split(",") if v.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad --values: {exc}") from exc
-    results = sweep(config, args.axis, values)
+    results = sweep(config, args.axis, [v for v in args.values.split(",") if v.strip()])
     csv = functools.partial(write_sweep_csv, axis=args.axis, results=results)
     return format_sweep_text(args.axis, results), {"sweep.csv": csv}
 

@@ -1,14 +1,15 @@
-"""Session configuration: defaults, file parsing and cross-field checks.
+"""Session configuration: defaults and file parsing.
 
 The config file is INI-style and the spec dataclasses are its schema: one
 section per spec, named after its field in SessionConfig (but see
-_SECTION_NAMES), whose keys are the spec's scalar fields, parsed by their
-annotated type and defaulting to the field default, so an empty file is
-valid.  DEFAULT_CONFIG_TEXT is generated from ``SessionConfig()``.  Unknown
-sections or keys are rejected rather than ignored, and validation failures
-carry the offending ``section.key`` path.  ``with_values`` sets values by
-that path: the file's, the command-line flags' and the sweep axes', each
-read from ``str(value)`` by its key's type; a float's reads back exactly.
+_SECTION_NAMES), whose keys are the spec's scalar fields, read by their
+kind (``fields.KINDS``) and defaulting to the field default, so an empty
+file is valid.  DEFAULT_CONFIG_TEXT is generated from ``SessionConfig()``.
+Unknown sections or keys are rejected, and a value that a spec's one check
+(``fields.check_fields``) refuses is named by its ``section.key`` path.
+``with_values`` sets values by that path: the file's, the command-line
+flags' and the sweep axes', each read from ``str(value)`` by its key's
+kind; a float's reads back exactly.
 
 Provenance of defaults: ~2 dB excess interferometer loss and >20 dB
 achievable extinction describe the modeled hardware (whose one-bin, 5 ns
@@ -21,9 +22,8 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
-import numbers
 from collections import defaultdict
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
@@ -32,15 +32,8 @@ from typing import Any
 from .channel import ChannelSpec
 from .detection import ApdSpec, SourceSpec
 from .eavesdrop import EveSpec
+from .fields import KINDS, ConfigError, check_fields, within
 from .optics import AmzSpec, PhaseSpec
-
-
-class ConfigError(ValueError):
-    """Invalid configuration; ``field_path`` locates the offender."""
-
-    def __init__(self, message: str, field_path: str | None = None):
-        self.field_path = field_path
-        super().__init__(f"{field_path}: {message}" if field_path else message)
 
 
 @dataclass(frozen=True)
@@ -55,27 +48,11 @@ class SessionConfig:
     apd_d0: ApdSpec = field(default_factory=ApdSpec)
     apd_d1: ApdSpec = field(default_factory=ApdSpec)
     eve: EveSpec = field(default_factory=EveSpec)
-    n_pulses: int = 100_000
-    seed: int = 1
-    sample_fraction: float = 0.1
-    gates_per_pulse: int = 3
-
-    def __post_init__(self) -> None:
-        kinds = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number")}
-        for f in dataclasses.fields(self):  # scalar fields; a nested spec is not checked here
-            kind, name = kinds.get(f.type, (object, ""))
-            if not isinstance(getattr(self, f.name), kind):
-                raise ConfigError(f"must be {name}", f"session.{f.name}")
-        if self.n_pulses < 0:
-            raise ConfigError("must be >= 0", "session.n_pulses")
-        if self.n_pulses >= 2**63:
-            raise ConfigError("must be below 2**63 (pulse indices are int64)", "session.n_pulses")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError("must be a 64-bit unsigned integer", "session.seed")
-        if not 0.0 < self.sample_fraction <= 1.0:
-            raise ConfigError("must lie in (0, 1]", "session.sample_fraction")
-        if self.gates_per_pulse not in (1, 2, 3):
-            raise ConfigError("must be 1, 2 or 3", "session.gates_per_pulse")
+    n_pulses: int = within(100_000, 0, 2**63, "[)")  # pulse indices are int64
+    seed: int = within(1, 0, 2**64, "[)")
+    sample_fraction: float = within(0.1, 0.0, 1.0, "(]")
+    gates_per_pulse: int = within(3, 1, 3)
+    __post_init__ = check_fields
 
     @property
     def conventional_mode(self) -> bool:
@@ -83,48 +60,27 @@ class SessionConfig:
         return self.gates_per_pulse == 2
 
 
-def integer(text: str) -> int:
-    """An integer, also in scientific notation like 1e7."""
-    try:
-        return int(text)
-    except ValueError:
-        value = float(text)
-        if not value.is_integer():
-            raise ValueError(f"{text!r} is not an integer")
-        return int(value)
-
-
-def _to_bool(text: str) -> bool:
-    try:
-        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
-    except KeyError:
-        raise ValueError(f"{text!r} is not a boolean") from None
-
-
-_PARSERS: dict[str, Callable[[str], Any]] = {"float": float, "int": integer, "bool": _to_bool}
-
 # Sections are named after their field path in SessionConfig, except these.
 _SECTION_NAMES = {"": "session", "eve.apparatus": "eve_amz"}
 
 
 def _sections(spec: Any, path: str = "") -> Iterator[tuple]:
-    """(section, field path, default spec, key parsers) of ``spec`` and of
-    every spec nested in it, parents first.  A spec's keys are its scalar
-    fields."""
-    fields = dataclasses.fields(spec)
-    nested = [f.name for f in fields if dataclasses.is_dataclass(getattr(spec, f.name))]
-    keys = {f.name: _PARSERS[f.type] for f in fields if f.name not in nested}
+    """(section, field path, default spec, key kinds) of ``spec`` and of
+    every spec nested in it, parents first.  A spec's keys are its fields
+    with a kind; its other fields are nested specs."""
+    keys = {f.name: KINDS[f.type] for f in dataclasses.fields(spec) if f.type in KINDS}
+    nested = [f.name for f in dataclasses.fields(spec) if f.name not in keys]
     yield _SECTION_NAMES.get(path, path), path, spec, keys
     for name in nested:
         yield from _sections(getattr(spec, name), f"{path}.{name}" if path else name)
 
 
 _DEFAULTS = SessionConfig()
-# section -> (field path, default spec, key parsers)
+# section -> (field path, default spec, key kinds)
 _SECTIONS = {s[0]: s[1:] for s in _sections(_DEFAULTS)}
-# section.key -> (field path, field, parser)
-_KEYS = {f"{section}.{key}": (field_path, key, parser)
-         for section, (field_path, _, keys) in _SECTIONS.items() for key, parser in keys.items()}
+# section.key -> (field path, field, kind)
+_KEYS = {f"{section}.{key}": (field_path, key, kind)
+         for section, (field_path, _, keys) in _SECTIONS.items() for key, kind in keys.items()}
 # Sections deepest first, siblings in file order: a spec after those nested in it.
 _CHILDREN_FIRST = sorted(_SECTIONS.items(), key=lambda s: -len(s[1][0].split(".")) if s[1][0] else 0)
 
@@ -132,8 +88,9 @@ _CHILDREN_FIRST = sorted(_SECTIONS.items(), key=lambda s: -len(s[1][0].split("."
 def with_values(config: SessionConfig, values: Mapping[str, Any]) -> SessionConfig:
     """``config`` with each ``section.key`` of ``values`` set, read as a
     config file is: unknown sections and keys are refused, and each value is
-    read from ``str(value)`` by its key's type.  Each spec with new values is
-    rebuilt once, after those nested in it; a failed check names its section."""
+    read from ``str(value)`` by its key's kind.  Each spec with new values is
+    rebuilt once, after those nested in it.  Every refusal names its
+    ``section.key``, as in ``source.mu: must lie in [0, inf)``."""
     changed: dict[str, dict[str, Any]] = defaultdict(dict)  # field path -> new field values
     for name, value in values.items():
         entry = _KEYS.get(name)
@@ -142,21 +99,19 @@ def with_values(config: SessionConfig, values: Mapping[str, Any]) -> SessionConf
             if section not in _SECTIONS:
                 raise ConfigError("unknown section", section)
             raise ConfigError("unknown key", name)
-        field_path, key, key_parser = entry
+        field_path, key, (_, kind, read) = entry
         try:
-            changed[field_path][key] = key_parser(str(value))
-        except ValueError as exc:
-            raise ConfigError(str(exc), name) from exc
+            changed[field_path][key] = read(str(value))
+        except (ValueError, KeyError) as exc:
+            raise ConfigError(f"must be {kind}", name) from exc
     for section, (field_path, _, _) in _CHILDREN_FIRST:
         if field_path not in changed:
             continue
         spec = attrgetter(field_path)(config) if field_path else config
         try:
             spec = dataclasses.replace(spec, **changed[field_path])
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(str(exc), section) from exc
+        except ConfigError as exc:  # check_fields names the field
+            raise ConfigError(exc.message, f"{section}.{exc.field_path}") from exc
         if not field_path:
             return spec
         parent, _, name = field_path.rpartition(".")

@@ -50,6 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import check_fields, within
 from .optics import Slot, SlotPortDistribution
 
 N_CELLS = 6  # 3 slots x 2 ports, flattened slot-major
@@ -60,11 +61,8 @@ class SourceSpec:
     """Pulsed weak-coherent source; mu is the mean photon number per pulse
     at the transmitter output (after its attenuator)."""
 
-    mu: float = 0.1
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.mu) and self.mu >= 0):
-            raise ValueError("mu must be finite and >= 0")
+    mu: float = within(0.1, 0.0)
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -76,14 +74,9 @@ class ApdSpec:
     figures.
     """
 
-    efficiency: float = 0.1
-    dark_per_gate: float = 1e-5
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ValueError("efficiency must lie in [0, 1]")
-        if not 0.0 <= self.dark_per_gate < 1.0:
-            raise ValueError("dark_per_gate must lie in [0, 1)")
+    efficiency: float = within(0.1, 0.0, 1.0)
+    dark_per_gate: float = within(1e-5, 0.0, 1.0, "[)")
+    __post_init__ = check_fields
 
 
 # Substream domains; the derivation rule is
@@ -111,11 +104,8 @@ DOMAIN_JITTER = 6
 class RngHandle:
     """Root of all randomness: a 64-bit seed plus named substreams."""
 
-    seed: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
+    seed: int = within(low=0, high=2**64, ends="[)")
+    __post_init__ = check_fields
 
     def stream(self, domain: int) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence((self.seed, domain)))

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .detection import sample_outcomes
+from .fields import check_fields
 from .optics import (
     CANONICAL_AMPLITUDES,
     CANONICAL_STATES,
@@ -44,6 +45,7 @@ class EveSpec:
 
     enabled: bool = False
     apparatus: AmzSpec = field(default_factory=ideal_amz)
+    __post_init__ = check_fields
 
 
 def attack_batch(u: np.ndarray, rows: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

@@ -30,6 +30,8 @@ from enum import Enum, IntEnum
 
 import numpy as np
 
+from .fields import check_fields, within
+
 NORM_TOL = 1e-12
 # Largest phase jitter: past a few pi the wrapped phase is uniform anyway, and
 # a leg's math.hypot of two jitters times any float64 normal stays finite.
@@ -63,11 +65,8 @@ class CanonicalState:
     """One of the four signal states: (Z,0) early, (Z,1) late, (X,b) superpositions."""
 
     basis: Basis
-    bit: int
-
-    def __post_init__(self) -> None:
-        if self.bit not in (0, 1):
-            raise ValueError(f"bit must be 0 or 1, got {self.bit}")
+    bit: int = within(low=0, high=1)
+    __post_init__ = check_fields
 
     def label(self) -> str:
         return f"{self.basis.value}{self.bit}"
@@ -138,13 +137,8 @@ class PhaseSpec:
     nothing interferes there, and the attenuator after it fixes mu."""
 
     phase_offset_rad: float = 0.0
-    phase_jitter_rad: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.phase_offset_rad):
-            raise ValueError("phase_offset_rad must be finite")
-        if not 0 <= self.phase_jitter_rad <= MAX_PHASE_JITTER_RAD:
-            raise ValueError(f"phase_jitter_rad must be finite, >= 0 and <= {MAX_PHASE_JITTER_RAD:g}")
+    phase_jitter_rad: float = within(0.0, 0.0, MAX_PHASE_JITTER_RAD)
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -153,15 +147,8 @@ class AmzSpec(PhaseSpec):
     by one 5 ns time bin, excess_loss_db is loss beyond the output coupler's
     intrinsic 3 dB and visibility the contrast of the S2 interference."""
 
-    excess_loss_db: float = 2.0
-    visibility: float = 1.0
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not (math.isfinite(self.excess_loss_db) and self.excess_loss_db >= 0):
-            raise ValueError("excess_loss_db must be finite and >= 0")
-        if not 0.0 <= self.visibility <= 1.0:
-            raise ValueError("visibility must lie in [0, 1]")
+    excess_loss_db: float = within(2.0, 0.0)
+    visibility: float = within(1.0, 0.0, 1.0)
 
     @property
     def excess_transmittance(self) -> float:

@@ -14,6 +14,7 @@ import csv
 import dataclasses
 from pathlib import Path
 
+from .fields import KINDS
 from .session import ProfileRow, SessionSummary
 
 PROFILE_COLUMNS = ("state", "slot", "port", "probability")
@@ -78,7 +79,7 @@ def write_summary_csv(path: str | Path, summary: SessionSummary) -> None:
 
 
 def read_summary_csv(path: str | Path) -> SessionSummary:
-    parsers = {f.name: int if f.type == "int" else float for f in dataclasses.fields(SessionSummary)}
+    parsers = {f.name: KINDS[f.type][2] for f in dataclasses.fields(SessionSummary)}
     _, rows = _read_csv(path, "summary", lambda names: names == tuple(parsers))
     return SessionSummary(**{name: parse(rows[0][name]) for name, parse in parsers.items()})
 

@@ -395,9 +395,10 @@ SWEEP_AXES = {
 }
 
 
-def sweep(config: SessionConfig, axis: str, values: list[float]) -> list[tuple[float, SessionSummary]]:
-    """Run one session per value along an axis, with derived sub-seeds.
-    Every point's config is built, and so checked, before the first runs."""
+def sweep(config: SessionConfig, axis: str, values: list) -> list[tuple[float, SessionSummary]]:
+    """Run one session per value along an axis, with derived sub-seeds: each
+    value, a number or its text, is read as ``with_values`` reads it.  Every
+    point's config is built, and so checked, before the first runs."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {tuple(SWEEP_AXES)}")
     if not values:
@@ -408,4 +409,4 @@ def sweep(config: SessionConfig, axis: str, values: list[float]) -> list[tuple[f
                              "session.seed": root.child_seed(DOMAIN_SWEEP, i)})
         for i, value in enumerate(values)
     ]
-    return [(value, run_session(cfg).summary) for value, cfg in zip(values, configs)]
+    return [(float(value), run_session(cfg).summary) for value, cfg in zip(values, configs)]

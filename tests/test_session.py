@@ -859,6 +859,14 @@ class TestSweep:
         root = RngHandle(77)
         assert [c.seed for c in seen] == [root.child_seed(DOMAIN_SWEEP, i) for i in (0, 0, 0, 1)]
 
+    def test_values_are_reported_as_the_floats_set(self, monkeypatch):
+        """A point's value is read as ``with_values`` reads it, from a Python,
+        numpy or text number, and reported as that float, so sweep.csv reads
+        back (a numpy value used to be written as ``np.float64(0.2)``)."""
+        monkeypatch.setattr(session, "run_session", lambda cfg: SimpleNamespace(summary=cfg.source.mu))
+        results = sweep(SessionConfig(n_pulses=1000), "mu", [np.float64(0.2), 1, "0.3"])
+        assert [(type(v), v, mu) for v, mu in results] == [(float, v, v) for v in (0.2, 1.0, 0.3)]
+
     @pytest.mark.parametrize("position", [0, 1, 2])
     @pytest.mark.parametrize(
         "axis, bad, section",
@@ -869,7 +877,8 @@ class TestSweep:
         monkeypatch.setattr(session, "run_session", calls.append)
         values = [1e-4, 2e-4, 3e-4]
         values[position] = bad
-        with pytest.raises(ConfigError, match=f"^{section}: "):
+        key = session.SWEEP_AXES[axis][0].partition(".")[2]
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key}: must lie in "):
             sweep(SessionConfig(n_pulses=1000), axis, values)
         assert calls == []
 
