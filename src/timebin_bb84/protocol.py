@@ -19,13 +19,13 @@ Message flow (each message exactly once per session):
 Each station is a state machine without I/O: ``start()`` returns its
 opening messages (the receiver's announce; the transmitter has none),
 ``receive(msg)`` checks one incoming message and returns the replies, and
-``key`` is set once the session completes.  In process, ``run_protocol``
+``key`` is set once the session completes.  The transmitter reads every
+announced pulse's state from her own records.  In process, ``run_protocol``
 hands the message objects from one endpoint to the other on the caller's
-thread, and the transmitter can read the announced pulses' states from the
-caller instead of hashing them.  On a byte stream, ``drive`` runs one
-endpoint over a transport; each binary record follows its length, and a
-length above the endpoint's ``max_record`` is refused unread.  Any
-malformed, out-of-order or out-of-range message aborts the session.
+thread.  On a byte stream, ``drive`` runs one endpoint over a transport;
+each binary record follows its length, and a length above the endpoint's
+``max_record`` is refused unread.  Any malformed, out-of-order or
+out-of-range message aborts the session.
 
 A record is a kind byte (0 announce, 1 match reply, 2 sample bits, 3 QBER
 report), then the message's fields in order.  A set of pulse indices or
@@ -79,7 +79,7 @@ class PulseTrain:
     _CHUNK = 1 << 16  # indices hashed per pass: keeps the temporaries in cache
 
     def __init__(self, n: int, key: int):
-        if not 0 <= n < 2**63 or not 0 <= key < 2**64:
+        if isinstance(n, bool) or isinstance(key, bool) or not 0 <= n < 2**63 or not 0 <= key < 2**64:
             raise ValueError("a train needs 0 <= n < 2**63 (int64 indices) and a 64-bit unsigned key")
         self.n = n
         self.key = np.uint64(key)
@@ -105,11 +105,6 @@ class PulseTrain:
             z *= np.uint64(0x94D049BB133111EB)
             out[lo : lo + z.size] = np.right_shift(z, np.uint64(62), out=t)
         return out
-
-    def choices(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(bits, bases) of the pulses in ``idx``."""
-        s = self.states(idx)
-        return s & 1, s >> 1
 
 
 def _zeros_and_ones(codes, what: str) -> np.ndarray:
@@ -389,15 +384,13 @@ def _undisclosed(
 class AliceEndpoint:
     """Transmitter-side state machine: it answers the basis announce with
     the match reply (sifted positions and a sample drawn from ``rng``) and
-    the sample bits with the QBER report.  An announce whose index array is
-    the very object ``known[0]`` reads its states from ``known[1]``; any
-    other, such as one decoded from a transport, is hashed from ``records``."""
+    the sample bits with the QBER report.  The announced pulses' states
+    come from ``records`` for every announce, in process or decoded."""
 
-    def __init__(self, records: PulseTrain, sample_fraction: float, rng: np.random.Generator, known=None):
-        if not 0.0 < sample_fraction <= 1.0:
+    def __init__(self, records: PulseTrain, sample_fraction: float, rng: np.random.Generator):
+        if isinstance(sample_fraction, bool) or not 0.0 < sample_fraction <= 1.0:
             raise ValueError("sample_fraction must lie in (0, 1]")
         self.records = records
-        self._known = known or (None, None)
         self.sample_fraction = sample_fraction
         self.rng = rng
         n = len(records)  # no announced gap exceeds n; sample bits are shorter
@@ -413,10 +406,10 @@ class AliceEndpoint:
         if isinstance(msg, BobBasisAnnounce):
             if msg.bases.shape != msg.indices.shape or np.any(msg.bases >> 1):  # any bit but the lowest
                 raise ProtocolError("basis_announce needs one basis, 0 or 1, per index")
-            sent = self._known[1] if msg.indices is self._known[0] else None
             _require_increasing_within(msg.indices, len(self.records), "announced",
                                        "pulse index out of session range")
-            bits, bases = self.records.choices(msg.indices) if sent is None else (sent & 1, sent >> 1)
+            sent = self.records.states(msg.indices)
+            bits, bases = sent & 1, sent >> 1
             matched = np.flatnonzero(bases == msg.bases)
             n_sample = int(self.sample_fraction * matched.size)
             if n_sample < 1:
@@ -496,14 +489,9 @@ def run_protocol(
     sample_fraction: float,
     rng: np.random.Generator,
     transports=None,
-    sent: np.ndarray | None = None,
 ) -> tuple[SiftedKey, SiftedKey, list[ClassicalMessage]]:
     """Full session (sifting plus error estimation); returns both keys and
     the transcript, every message of the session in wire order.
-
-    ``sent``, the uint8 transmitter state of each event's pulse, spares the
-    transmitter hashing the events again in process, where the announce
-    carries their own index array; a decoded announce is hashed.
 
     Without ``transports`` the endpoints exchange message objects on the
     caller's thread.  With a (transmitter, receiver) transport pair each
@@ -511,10 +499,7 @@ def run_protocol(
     the session, runs as a future on a worker thread, because a socket pair
     cannot buffer a large announce until the transmitter reads it.
     """
-    if sent is not None and np.shape(sent) != bob_classifications.pulse_indices.shape:
-        raise ValueError("sent must hold one state per event")
-    known = None if sent is None else (bob_classifications.pulse_indices, sent)
-    alice = AliceEndpoint(alice_records, sample_fraction, rng, known)
+    alice = AliceEndpoint(alice_records, sample_fraction, rng)
     bob = BobEndpoint(bob_classifications)
     if transports is None:
         wire = [(bob, msg) for msg in alice.start()] + [(alice, msg) for msg in bob.start()]

@@ -30,8 +30,8 @@ is hashed into transmitter states, attacked, given its receiver rows,
 detected and compacted at once into its events (pulse, slot, port and
 transmitter state).  The slices' events are concatenated after the last
 batch, and the per-slice lists and batch arrays are freed before sifting.
-The summary and the in-process transmitter read the events' transmitter
-states from this pass rather than hashing them again.
+The summary reads the events' transmitter states from this pass rather
+than hashing them again.
 """
 
 from __future__ import annotations
@@ -282,7 +282,7 @@ def run_session(config: SessionConfig) -> SessionResult:
     records = PulseTrain(n, rng.child_seed(DOMAIN_ALICE, 0))
     classifications, sent, dark_register_prob = _detect_events(config, records, rng)
     key_a, key_b, _ = run_protocol(
-        records, classifications, config.sample_fraction, rng.stream(DOMAIN_SAMPLE), sent=sent
+        records, classifications, config.sample_fraction, rng.stream(DOMAIN_SAMPLE)
     )
     summary = summarize(n, classifications, sent, key_a, dark_register_prob)
     return SessionResult(summary, key_a, key_b, records, classifications)
@@ -352,7 +352,7 @@ def profile_rows(config: SessionConfig, sampled_pulses: int = 0) -> list[Profile
     gate count does not enter either mode.  The transmitter rows stay
     analytic in both modes.
     """
-    if not 0 <= sampled_pulses < 2**63:
+    if isinstance(sampled_pulses, bool) or not 0 <= sampled_pulses < 2**63:
         raise ValueError(f"sampled_pulses must be >= 0 and below 2**63 (int64 counts), got {sampled_pulses}")
     rng = RngHandle(config.seed)
     apds = (config.apd_d0, config.apd_d1)

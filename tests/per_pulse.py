@@ -12,7 +12,7 @@ import numpy as np
 
 class ArrayTrain:
     """A transmitter train stored as arrays, for tests that build one by
-    hand; it answers ``choices`` like ``protocol.PulseTrain``."""
+    hand; it answers ``states`` (2 * basis + bit) like ``protocol.PulseTrain``."""
 
     def __init__(self, bits, bases):
         self.bits = np.asarray(bits, dtype=np.uint8)
@@ -22,8 +22,8 @@ class ArrayTrain:
     def __len__(self) -> int:
         return self.bits.size
 
-    def choices(self, idx):
-        return self.bits[idx], self.bases[idx]
+    def states(self, idx):
+        return 2 * self.bases[idx] + self.bits[idx]
 
 
 def every_pulse_row(rows) -> np.ndarray:

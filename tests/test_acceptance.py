@@ -221,7 +221,7 @@ def test_criterion_6_passive_basis():
     cfg = lossless_config(n_pulses=10_000_000, seed=660_001)
     result = run_session(cfg)
     ev = result.classifications
-    _, alice_bases = result.records.choices(ev.pulse_indices)
+    alice_bases = result.records.states(ev.pulse_indices) >> 1
     alice_x = alice_bases.astype(bool)
     bob_x = ev.bases.astype(bool)
     n = len(ev)

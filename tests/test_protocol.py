@@ -56,15 +56,17 @@ class TestAliceGenerate:
     def test_reproducible(self):
         cfg = SessionConfig(n_pulses=20_000, seed=9)
         idx = np.arange(cfg.n_pulses)
-        bits, bases = run_session(cfg).records.choices(idx)
-        again = run_session(cfg).records.choices(idx)
-        assert np.array_equal(bits, again[0]) and np.array_equal(bases, again[1])
+        sent = run_session(cfg).records.states(idx)
+        again = run_session(cfg).records.states(idx)
+        bits, bases = sent & 1, sent >> 1
+        assert np.array_equal(bits, again & 1) and np.array_equal(bases, again >> 1)
         assert set(np.unique(bits)) == {0, 1} and set(np.unique(bases)) == {0, 1}
 
     def test_uniform_frequencies(self):
         n = 1_000_000
         train = run_session(SessionConfig(n_pulses=n, seed=31337)).records
-        bits, bases = train.choices(np.arange(n))
+        sent = train.states(np.arange(n))
+        bits, bases = sent & 1, sent >> 1
         counts = np.bincount(2 * bases + bits, minlength=4)
         sigma = math.sqrt(n * 0.25 * 0.75)
         assert np.all(np.abs(counts - n / 4) <= 4 * sigma)
@@ -76,9 +78,11 @@ class TestAliceGenerate:
         2^64 too, given as int64, uint64 or a list."""
         key = 0xDEADBEEF12345678
         train = PulseTrain(200_000, key)
-        bits, bases = train.choices(np.arange(200_000))
+        sent = train.states(np.arange(200_000))
+        bits, bases = sent & 1, sent >> 1
         idx = np.array([0, 1, 65_535, 65_536, 131_073, 199_999])
-        sub_bits, sub_bases = train.choices(idx)
+        sub = train.states(idx)
+        sub_bits, sub_bases = sub & 1, sub >> 1
         assert np.array_equal(sub_bits, bits[idx]) and np.array_equal(sub_bases, bases[idx])
         for i, bit, basis in zip(idx, sub_bits, sub_bases):
             state = splitmix64(key + int(i) * 0x9E3779B97F4A7C15) >> 62
@@ -102,6 +106,22 @@ class TestAliceGenerate:
         assert len(PulseTrain(2**63 - 1, 0)) == 2**63 - 1
         with pytest.raises(ValueError, match=re.escape("0 <= n < 2**63")):
             PulseTrain(2**63, 0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: PulseTrain(True, 1), "0 <= n < 2**63"),
+        (lambda: PulseTrain(10, True), "64-bit unsigned key"),
+        (lambda: AliceEndpoint(PulseTrain(10, 1), True, np.random.default_rng(0)), "sample_fraction must lie"),
+        (lambda: session.profile_rows(SessionConfig(), sampled_pulses=True), "sampled_pulses must be >= 0"),
+    ],
+    ids=["train_length", "train_key", "sample_fraction", "sampled_pulses"],
+)
+def test_a_bool_is_no_number(call, message):
+    """Python-only numeric arguments refuse a bool, as the config's fields do."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 CELLS = [
@@ -653,80 +673,26 @@ class TestTransports:
         assert np.array_equal(result.alice_key.source_indices, result.bob_key.source_indices)
 
 
-class TestKnownStates:
-    """In process, the transmitter reads the states the session computed
-    for its events instead of hashing the announced indices again."""
-
-    @pytest.fixture
-    def session_result(self):
-        return run_session(SessionConfig(n_pulses=300_000, seed=61))
-
-    @staticmethod
-    def count_hashed(monkeypatch) -> list[int]:
-        sizes = []
+class TestOneAnnouncePath:
+    def test_candidates_then_announced_events_each_hashed_once(self, monkeypatch):
+        """The session's pass hashes each candidate once, and the transmitter
+        hashes each announced event once more, from her own records."""
+        candidates, hashed = [], []
         states = PulseTrain.states
 
-        def counted(self, idx):
-            sizes.append(np.asarray(idx).size)
-            return states(self, idx)
-
-        monkeypatch.setattr(PulseTrain, "states", counted)
-        return sizes
-
-    def test_session_hashes_each_candidate_once(self, monkeypatch):
-        candidates = []
-
-        def counted(batch, rows):
+        def detected(batch, rows):
             candidates.append(batch.offsets.size)
             return detection.detect_batch(batch, rows)
 
-        monkeypatch.setattr(session, "detect_batch", counted)
-        hashed = self.count_hashed(monkeypatch)
+        def hashing(self, idx):
+            hashed.append(np.asarray(idx).size)
+            return states(self, idx)
+
+        monkeypatch.setattr(session, "detect_batch", detected)
+        monkeypatch.setattr(PulseTrain, "states", hashing)
         result = run_session(SessionConfig(n_pulses=3 * session.BATCH_SIZE + 7, seed=62))
         assert len(result.classifications) > 1000
-        assert sum(hashed) == sum(candidates)
-
-    def test_given_states_leave_transcript_and_keys_unchanged(self, monkeypatch, session_result):
-        records, ev = session_result.records, session_result.classifications
-        sent = records.states(ev.pulse_indices)
-        hashed = self.count_hashed(monkeypatch)
-        runs = [run_protocol(records, ev, 0.1, np.random.default_rng(5), **given)
-                for given in ({}, {"sent": sent})]
-        assert hashed == [len(ev)]  # only the run without the states hashed
-        (a0, b0, wire0), (a1, b1, wire1) = runs
-        assert [encode_message(m) for m in wire0] == [encode_message(m) for m in wire1]
-        for k0, k1 in ((a0, a1), (b0, b1)):
-            assert np.array_equal(k0.bits, k1.bits)
-            assert np.array_equal(k0.source_indices, k1.source_indices)
-            assert k0.qber_estimate == k1.qber_estimate
-        with pytest.raises(ValueError, match="one state per event"):
-            run_protocol(records, ev, 0.1, np.random.default_rng(5), sent=sent[:1])
-
-    @pytest.mark.parametrize("same_array", [True, False], ids=["same", "copy"])
-    def test_only_the_events_own_array_reads_the_given_states(self, monkeypatch, session_result, same_array):
-        """Given wrong states, an announce carrying the events' own index
-        array sifts with them, while one carrying a copy is hashed and
-        gives the true keys."""
-        records, ev = session_result.records, session_result.classifications
-        honest_a, honest_b, _ = run_protocol(records, ev, 0.1, np.random.default_rng(5))
-        wrong = records.states(ev.pulse_indices) ^ 2  # every basis flipped
-        hashed = self.count_hashed(monkeypatch)
-        alice = AliceEndpoint(records, 0.1, np.random.default_rng(5), known=(ev.pulse_indices, wrong))
-        bob = BobEndpoint(ev)
-        [announce] = bob.start()
-        if not same_array:
-            announce = BobBasisAnnounce(announce.indices.copy(), announce.bases)
-        [reply] = alice.receive(announce)
-        [sample] = bob.receive(reply)
-        [report] = alice.receive(sample)
-        bob.receive(report)
-        same_keys = np.array_equal(alice.key.source_indices, honest_a.source_indices)
-        if same_array:
-            assert hashed == [] and not same_keys
-        else:
-            assert hashed == [len(ev)] and same_keys
-            assert np.array_equal(alice.key.bits, honest_a.bits)
-            assert np.array_equal(bob.key.bits, honest_b.bits)
+        assert sum(hashed) == sum(candidates) + len(result.classifications)
 
 
 class TestAborts:
@@ -744,14 +710,11 @@ class TestAborts:
             alice.receive(BobBasisAnnounce(np.array([2, 9]), np.array([0, 0], np.uint8)))
 
     def test_announce_not_monotone(self):
-        """Refused whether or not the announce reads given states."""
         records = ArrayTrain(np.zeros(4, np.uint8), np.zeros(4, np.uint8))
-        indices = np.array([3, 1])
-        for known in (None, (indices, np.zeros(2, np.uint8))):
-            alice = AliceEndpoint(records, 0.5, np.random.default_rng(0), known)
-            alice.start()
-            with pytest.raises(ProtocolError, match="strictly increasing"):
-                alice.receive(BobBasisAnnounce(indices, np.array([0, 0], np.uint8)))
+        alice = AliceEndpoint(records, 0.5, np.random.default_rng(0))
+        alice.start()
+        with pytest.raises(ProtocolError, match="strictly increasing"):
+            alice.receive(BobBasisAnnounce(np.array([3, 1]), np.array([0, 0], np.uint8)))
 
     @pytest.mark.parametrize(
         "announce",

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import socket
 import tracemalloc
 from types import SimpleNamespace
 
@@ -12,8 +13,8 @@ import per_pulse
 
 from timebin_bb84.channel import ChannelSpec, transmittance
 from timebin_bb84 import detection, eavesdrop, session
-from timebin_bb84.config import ConfigError, SessionConfig
-from timebin_bb84.detection import ApdSpec, SourceSpec, expected_event_rates
+from timebin_bb84.config import ConfigError, SessionConfig, with_values
+from timebin_bb84.detection import DOMAIN_SAMPLE, ApdSpec, RngHandle, SourceSpec, expected_event_rates
 from timebin_bb84.eavesdrop import EveSpec, enumerate_attack_qber
 from timebin_bb84.eavesdrop import OUTCOME_TO_STATE_INDEX
 from timebin_bb84.optics import (
@@ -30,7 +31,7 @@ from timebin_bb84.optics import (
     slot_port_probabilities,
     vacuum_state,
 )
-from timebin_bb84.protocol import InsufficientKeyError, run_protocol
+from timebin_bb84.protocol import InsufficientKeyError, SocketTransport, run_protocol
 from timebin_bb84.session import profile_rows, run_session, sweep
 
 
@@ -909,9 +910,37 @@ efficiency = 0.2
     assert result.summary.events_registered > 0
     # the X0 state feeds D1 only: with eta_d1 = 4 * eta_d0 the X-conclusive
     # set skews toward bit 0
-    bits, bases = result.records.choices(ev.pulse_indices)
+    sent = result.records.states(ev.pulse_indices)
+    bits, bases = sent & 1, sent >> 1
     x_bits = bits[(bases == 1) & (ev.bases == 1)]
     assert np.count_nonzero(x_bits == 0) > np.count_nonzero(x_bits == 1)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [{}, {"eve.enabled": True, "bob_amz.phase_jitter_rad": 0.1}],
+    ids=["default", "attacker_receiver_jitter"],
+)
+def test_socket_replay_gives_the_session_keys(values):
+    """The transmitter hashes a decoded announce from her records as she
+    does in process, so a socket replay of a session's records and events,
+    with the session's sample stream, gives its keys byte for byte."""
+    config = with_values(SessionConfig(), values)
+    result = run_session(config)
+    sock_a, sock_b = socket.socketpair()
+    ta, tb = SocketTransport(sock_a, timeout=30.0), SocketTransport(sock_b, timeout=30.0)
+    try:
+        replay_a, replay_b, _ = run_protocol(
+            result.records, result.classifications, config.sample_fraction,
+            RngHandle(config.seed).stream(DOMAIN_SAMPLE), transports=(ta, tb),
+        )
+    finally:
+        ta.close()
+        tb.close()
+    for mine, replayed in ((result.alice_key, replay_a), (result.bob_key, replay_b)):
+        assert mine.bits.tobytes() == replayed.bits.tobytes()
+        assert mine.source_indices.tobytes() == replayed.source_indices.tobytes()
+        assert mine.qber_estimate == replayed.qber_estimate
 
 
 def test_transcript_recording():
